@@ -180,7 +180,8 @@ def _cmd_verify(args) -> int:
         raise CliError("bad-input", "document carries no solution",
                        EXIT_USAGE)
     sol = Solution.from_dict(doc["solution"])
-    report = verify(g, h, sol, capped=options.memory_capped)
+    report = verify(g, h, sol, capped=options.memory_capped,
+                    dynamic=options.dynamic_loading)
     out = {"feasible": report.feasible,
            "violations": [{"kind": k, "ids": list(ids), "time": t}
                           for (k, ids, t) in report.violations],
@@ -199,7 +200,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export(args) -> int:
     doc = _read_doc(args.input)
-    g, h, options = _parse_instance(doc)
     if args.format in ("mps", "lp"):
         _, _, model = _build(doc)
         writer = export_mps if args.format == "mps" else export_lp
@@ -209,6 +209,7 @@ def _cmd_export(args) -> int:
             with open(args.output, "w") as fh:
                 writer(model, fh)
         return EXIT_OK
+    g, h, _ = _parse_instance(doc)
     if "solution" not in doc:
         raise CliError("bad-input", "document carries no solution",
                        EXIT_USAGE)
@@ -230,9 +231,8 @@ def _cmd_repro_dualpipe(args) -> int:
 
     t0 = time.monotonic()
     model = set_primal_bound(build_model(g, h, options), bound)
-    hint = dualpipe_reference(spec)
-    bounded = solve(warm_start(model, hint),
-                    SolveConfig(time_limit=args.time_limit))
+    bounded = solve(model, SolveConfig(time_limit=args.time_limit),
+                    hint=warm_start(model, dualpipe_reference(spec)))
     rep1 = verify(g, h, bounded, capped=options.memory_capped)
     if not rep1.feasible:
         return _fail("verification-failed",
@@ -243,11 +243,13 @@ def _cmd_repro_dualpipe(args) -> int:
                      f"bounded bubble {rep1.bubble_total} != {target}",
                      EXIT_ERROR)
 
-    continued = solve(warm_start(clear_primal_bound(model), bounded),
+    unbounded = clear_primal_bound(model)
+    continued = solve(unbounded,
                       SolveConfig(time_limit=args.time_limit,
                                   node_limit=args.node_limit,
                                   idle_refinement=True,
-                                  idle_target=half))
+                                  idle_target=half),
+                      hint=warm_start(unbounded, bounded))
     rep2 = verify(g, h, continued, capped=options.memory_capped)
     if not rep2.feasible:
         return _fail("verification-failed",

@@ -108,10 +108,6 @@ class ScheduleModel:
         total += max(m.memory_capacity for m in self.cluster.machines.values())
         return total + 1
 
-    def static_baseline(self, op_weight_mem_on_machine: float,
-                        asset_sizes_on_machine: float) -> float:
-        return op_weight_mem_on_machine + asset_sizes_on_machine
-
 
 @dataclass
 class ConstraintStore:
@@ -320,8 +316,11 @@ def _materialize(model: ScheduleModel) -> ConstraintStore:
             b.add([(1, u[i1, i2])] + [(-cf, v) for cf, v in qterms], "<=", 0,
                   "u-link")
     for i in ops:
-        b.add([(1, u[i1, i]) for i1 in ops if i1 != i], "<=", 1, "u-link")
-        b.add([(1, u[i, i2]) for i2 in ops if i2 != i], "<=", 1, "u-link")
+        # with a single operation both rows are empty and are left out
+        for row in ([(1, u[i1, i]) for i1 in ops if i1 != i],
+                    [(1, u[i, i2]) for i2 in ops if i2 != i]):
+            if row:
+                b.add(row, "<=", 1, "u-link")
     for (i, j), fv in first.items():
         b.add([(1, fv), (-1, x[i, j])], "<=", 0, "first-link")
     for j in machines:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Mapping
 
 from .graph import (Channel, ComputationGraph, DependencyEdge,
                     HardwareCluster, Machine, Operation, WeightAsset)
@@ -298,37 +297,6 @@ def dualpipe_order(spec: DualPipeSpec) -> dict[str, list[str]]:
     return order
 
 
-def _asap_times(g: ComputationGraph, order: Mapping[str, list[str]]
-                ) -> dict[str, tuple[float, float]]:
-    """Earliest start/end per op for fixed per-device sequences."""
-    succ: dict[str, list[str]] = {i: [] for i in g.operations}
-    indeg = {i: 0 for i in g.operations}
-    for (a, b) in g.edges:
-        succ[a].append(b)
-        indeg[b] += 1
-    for seq in order.values():
-        for a, b in zip(seq, seq[1:]):
-            succ[a].append(b)
-            indeg[b] += 1
-    start = {i: 0.0 for i in g.operations}
-    heads = [i for i in sorted(g.operations) if indeg[i] == 0]
-    done = 0
-    while heads:
-        i = heads.pop()
-        done += 1
-        end = start[i] + g.operations[i].duration
-        for b in succ[i]:
-            if end > start[b]:
-                start[b] = end
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                heads.append(b)
-    if done < len(g.operations):
-        raise ValueError("operation order conflicts with dependencies")
-    return {i: (start[i], start[i] + g.operations[i].duration)
-            for i in g.operations}
-
-
 _reference_cache: dict[tuple, "object"] = {}
 
 
@@ -342,14 +310,22 @@ def dualpipe_reference(spec: DualPipeSpec, improved: bool = False):
     reorders cooldown sequences to halve the bubble.
     """
     from .model import build_model
-    from .solver import Solution, refine_idle
+    from .solver import Solution, earliest_starts, refine_idle
 
     key = (spec, improved)
     if key in _reference_cache:
         return _reference_cache[key]
     g, h, options = gen_dualpipe(spec)
     order = dualpipe_order(spec)
-    op_times = _asap_times(g, order)
+    ops = list(g.operations)
+    idx = {i: k for k, i in enumerate(ops)}
+    dur = [g.operations[i].duration for i in ops]
+    start = earliest_starts(
+        dur, [[idx[b] for b in g.successors(i)] for i in ops],
+        [[idx[i] for i in seq] for seq in order.values()])
+    if start is None:
+        raise ValueError("operation order conflicts with dependencies")
+    op_times = {i: (start[k], start[k] + dur[k]) for k, i in enumerate(ops)}
     assignment = {i: j for j, seq in order.items() for i in seq}
     comm = {}
     for (a, b) in g.edges:

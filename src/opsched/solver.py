@@ -1,8 +1,12 @@
 """Built-in exact branch-and-bound scheduler.
 
-Two complementary search modes share the same bounding machinery:
+Three search modes share the same bounding machinery:
 
-* integrated dispatching — branches on (operation, machine) in
+* saturation search — runs first whenever the aggregate load bound
+  meets the pruning limit exactly, so no machine may ever idle; it
+  dispatches chronologically on the earliest-free machine at exact
+  start times, with per-op deadlines and deadline-work cuts.
+* depth-first dispatching (DFS) — branches on (operation, machine) in
   chronological order, appending induced transfers to their channels.
   Complete (hence exact on exhaustion) whenever all communication
   durations are zero, which covers the pipeline and coarsened-graph
@@ -13,22 +17,21 @@ Two complementary search modes share the same bounding machinery:
   Complete for any instance, practical at desk scale only.
 
 Lower bounds combine the remaining critical path with an aggregate
-machine-load bound; per-machine memory feasibility is a monotone range
-condition on the activation trajectory, so violations prune immediately.
+machine-load bound. Per-machine memory feasibility is one recurrence
+along the machine's operation order (`_mem_step`); it is monotone under
+appends, so violations prune immediately.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
+import random
 import time as _time
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .model import ScheduleModel
-
-DEPTH_FIRST = "depth-first"
-BEST_BOUND = "best-bound"
 
 OPTIMAL = "optimal"
 FEASIBLE = "feasible"
@@ -37,16 +40,13 @@ TIME_LIMIT = "time-limit"
 
 _EPS = 1e-9
 
+# the fixed-assignment mode runs when machines ** ops is at most this
+_ENUMERATION_LIMIT = 100_000
+
 
 @dataclass(frozen=True)
 class SolveConfig:
     time_limit: float = 60.0
-    primal_bound: float | None = None
-    gap_tolerance: float = 0.0
-    node_selection: str = DEPTH_FIRST
-    seedless_determinism: bool = True
-    stop_at_primal_bound: bool = True
-    max_assignment_enumeration: int = 100_000
     # chains of interchangeable operation groups (identical structure and
     # costs); within a chain, group k+1 may only start dispatching after
     # group k did; independent chains are unordered relative to each
@@ -67,10 +67,6 @@ class SolveConfig:
     idle_target: float | None = None
 
     def __post_init__(self):
-        if self.gap_tolerance < 0:
-            raise ValueError("gap_tolerance must be >= 0")
-        if self.node_selection not in (DEPTH_FIRST, BEST_BOUND):
-            raise ValueError(f"unknown node_selection {self.node_selection!r}")
         if self.compaction not in ("none", "late"):
             raise ValueError(f"unknown compaction {self.compaction!r}")
 
@@ -150,10 +146,12 @@ class _Instance:
         self.machines: list[str] = list(h.machines)
         self.nm = len(self.machines)
         self.cap = [h.machines[j].memory_capacity for j in self.machines]
-        self.capped = model.options.memory_capped
+        # the capacity each memory chain is checked against; None when
+        # the model is uncapped
+        self.mem_cap = (self.cap if model.options.memory_capped
+                        else [None] * self.nm)
         self.dynamic = model.options.dynamic_loading
         self.assets = dict(g.weights)
-        self.asset_ids = list(self.assets)
         midx = {j: k for k, j in enumerate(self.machines)}
         self.chan = {(midx[a], midx[b]) for (a, b) in h.channels}
 
@@ -204,41 +202,42 @@ class _Instance:
 
 # The memory level on a machine follows the activation prefix sums offset
 # by an initial level L that the plan is free to choose; the level before
-# each op must cover the resident weights there and every level must stay
-# within [0, capacity]. The chain is feasible iff
-#     max(need, -min_prefix) <= capacity - max_prefix
-# where, with prefix_k the running activation sum (prefix_0 = 0):
-#   static mode:  need = resident_total - min_k prefix_{k-1}
-#   dynamic mode: need = max_k (resident_before_k - prefix_{k-1})
-# All quantities are monotone under appends, so violations prune.
+# each op must cover what is resident there and every level must stay
+# within [0, capacity]. A chain is the immutable tuple
+#     (need, prefix, min_all, max_prefix)
+# with prefix the running activation sum, min_all and max_prefix its
+# extremes over all prefix values (including 0), and need the least L
+# that covers every requirement so far. The chain fits iff
+#     max(need, -min_all) <= capacity - max_prefix
+# All four quantities are monotone under appends, so violations prune.
+
+_MEM0 = (0.0, 0.0, 0.0, 0.0)
 
 
-class _Mem:
-    __slots__ = ("prefix", "min_pre", "min_all", "max_prefix", "max_need",
-                 "static_w", "assets", "active", "ever")
+def _mem_step(mem, lift, resident, act, cap):
+    """Append one op to a memory chain; None if it no longer fits `cap`.
 
-    def __init__(self):
-        self.prefix = 0.0
-        self.min_pre = 0.0       # min over prefix values before each op
-        self.min_all = 0.0       # min over all prefix values (incl. 0)
-        self.max_prefix = 0.0    # max over all prefix values (incl. 0)
-        self.max_need = 0.0      # dynamic mode only
-        self.static_w = 0.0      # per-op weight_mem plus shared asset sizes
-        self.assets: set[str] = set()
-        self.active: set[str] = set()
-        self.ever: set[str] = set()  # assets ever resident on this machine
-
-    def snapshot(self):
-        return (self.prefix, self.min_pre, self.min_all, self.max_prefix,
-                self.max_need, self.static_w, frozenset(self.assets),
-                frozenset(self.active), frozenset(self.ever))
-
-    def restore(self, snap):
-        (self.prefix, self.min_pre, self.min_all, self.max_prefix,
-         self.max_need, self.static_w, assets, active, ever) = snap
-        self.assets = set(assets)
-        self.active = set(active)
-        self.ever = set(ever)
+    `lift` is memory the op makes resident from time zero, which raises
+    every earlier requirement too (static mode: its weight memory plus
+    newly referenced assets; dynamic mode: its preloads). `resident` is
+    the requirement right before the op (static mode: the machine's
+    running static total; dynamic mode: the size of the active set).
+    `cap` is None on an uncapped model.
+    """
+    need, prefix, min_all, max_prefix = mem
+    need += lift
+    if resident - prefix > need:
+        need = resident - prefix
+    prefix += act
+    if prefix < min_all:
+        min_all = prefix
+    if prefix > max_prefix:
+        max_prefix = prefix
+    if cap is not None:
+        top = need if need > -min_all else -min_all
+        if top > cap - max_prefix + _EPS:
+            return None
+    return (need, prefix, min_all, max_prefix)
 
 
 # -- shared dispatch state ------------------------------------------------------
@@ -254,7 +253,13 @@ class _State:
         self.free = [0.0] * nm
         self.busy = [0.0] * nm
         self.chan_free: dict[tuple[int, int], float] = {}
-        self.mem = [_Mem() for _ in range(nm)]
+        self.mem = [_MEM0] * nm
+        # per machine: static weight total (static mode); assets resident
+        # (static mode: every one referenced so far); assets ever
+        # preloaded or loaded (dynamic mode)
+        self.static_w = [0.0] * nm
+        self.resident: list[frozenset[str]] = [frozenset()] * nm
+        self.ever: list[frozenset[str]] = [frozenset()] * nm
         self.missing_preds = [len(p) for p in inst.preds]
         self.n_done = 0
         self.work_rem = float(inst.total_work)
@@ -281,49 +286,6 @@ class _State:
                  for (k, wid, kind) in self.load_events]
         preloads = [(inst.machines[j], wid) for (wid, j) in self.preloads]
         return assignment, op_times, comm_times, loads, preloads
-
-
-def _mem_check_and_apply(state: _State, k: int, m: int,
-                         loads: tuple[str, ...], unloads: tuple[str, ...],
-                         preload: tuple[str, ...]):
-    """Append op k to machine m's chain; return False if memory-infeasible.
-
-    `preload` weights join the resident set retroactively from time zero,
-    which shifts every earlier requirement up by their total size.
-    Mutates the machine's memory record either way; callers restore from a
-    snapshot on backtrack.
-    """
-    inst = state.inst
-    mem = state.mem[m]
-    if inst.dynamic:
-        if preload:
-            mem.active |= set(preload)
-            mem.max_need += sum(inst.assets[w].size for w in preload)
-        resident = sum(inst.assets[w].size for w in mem.active)
-        mem.max_need = max(mem.max_need, resident - mem.prefix)
-        mem.min_pre = min(mem.min_pre, mem.prefix)
-        mem.prefix += inst.act[k]
-        mem.min_all = min(mem.min_all, mem.prefix)
-        mem.max_prefix = max(mem.max_prefix, mem.prefix)
-        mem.active |= set(loads)
-        mem.active -= set(unloads)
-        mem.ever |= set(preload) | set(loads)
-        need = mem.max_need
-    else:
-        mem.static_w += inst.wmem[k]
-        for wid in inst.refs[k]:
-            if wid not in mem.assets:
-                mem.assets.add(wid)
-                mem.static_w += inst.assets[wid].size
-        mem.min_pre = min(mem.min_pre, mem.prefix)
-        mem.prefix += inst.act[k]
-        mem.min_all = min(mem.min_all, mem.prefix)
-        mem.max_prefix = max(mem.max_prefix, mem.prefix)
-        need = mem.static_w - mem.min_pre
-    if not inst.capped:
-        return True
-    lift = max(need, -mem.min_all)
-    return lift <= inst.cap[m] - mem.max_prefix + _EPS
 
 
 def _dispatch(state: _State, k: int, m: int,
@@ -355,9 +317,29 @@ def _dispatch(state: _State, k: int, m: int,
         new_comms.append(((p, k), (mp, m, cs, ce)))
 
     extra = 0.0
+    static_w = state.static_w[m]
+    resident = state.resident[m]
+    ever = state.ever[m]
     if inst.dynamic:
         extra = (sum(inst.assets[w].load_cost for w in loads)
                  + sum(inst.assets[w].unload_cost for w in unloads))
+        # preloads join the resident set retroactively from time zero
+        lift = sum(inst.assets[w].size for w in preload)
+        resident = resident.union(preload)
+        mem = _mem_step(state.mem[m], lift,
+                        sum(inst.assets[w].size for w in resident),
+                        inst.act[k], inst.mem_cap[m])
+        resident = resident.union(loads).difference(unloads)
+        ever = ever.union(preload, loads)
+    else:
+        new = [w for w in inst.refs[k] if w not in resident]
+        lift = inst.wmem[k] + sum(inst.assets[w].size for w in new)
+        static_w += lift
+        mem = _mem_step(state.mem[m], lift, static_w, inst.act[k],
+                        inst.mem_cap[m])
+        resident = resident.union(new)
+    if mem is None:
+        return None
 
     start = max(state.free[m], arrival)
     end = start + inst.dur[k] + extra
@@ -366,17 +348,17 @@ def _dispatch(state: _State, k: int, m: int,
         "k": k, "m": m,
         "free": state.free[m], "busy": state.busy[m],
         "cur_max_end": state.cur_max_end,
-        "mem": state.mem[m].snapshot(),
+        "mem": (state.mem[m], state.static_w[m], state.resident[m],
+                state.ever[m]),
         "chan": [], "comms": [key for key, _ in new_comms],
         "est": [(sx, state.est[sx]) for sx in inst.succs[k]],
         "n_loads": len(state.load_events),
         "n_preloads": len(state.preloads),
     }
-
-    ok = _mem_check_and_apply(state, k, m, loads, unloads, preload)
-    if not ok:
-        state.mem[m].restore(undo["mem"])
-        return None
+    state.mem[m] = mem
+    state.static_w[m] = static_w
+    state.resident[m] = resident
+    state.ever[m] = ever
 
     for key, (j1, j2, cs, ce) in new_comms:
         # instantaneous transfers do not occupy the channel
@@ -413,7 +395,8 @@ def _undo(state: _State, undo: dict):
     state.free[m] = undo["free"]
     state.busy[m] = undo["busy"]
     state.cur_max_end = undo["cur_max_end"]
-    state.mem[m].restore(undo["mem"])
+    (state.mem[m], state.static_w[m], state.resident[m],
+     state.ever[m]) = undo["mem"]
     state.n_done -= 1
     state.work_rem += inst.dur[k]
     for sx in inst.succs[k]:
@@ -435,24 +418,18 @@ def _undo(state: _State, undo: dict):
 
 
 class _Search:
-    def __init__(self, model: ScheduleModel, cfg: SolveConfig):
+    def __init__(self, model: ScheduleModel, cfg: SolveConfig,
+                 hint: Solution | None):
         self.inst = _Instance(model)
         self.cfg = cfg
-        self.primal_bound = cfg.primal_bound
-        if model.primal_bound is not None:
-            self.primal_bound = (model.primal_bound
-                                 if self.primal_bound is None
-                                 else min(self.primal_bound,
-                                          model.primal_bound))
+        self.primal_bound = model.primal_bound
         self.deadline = _time.monotonic() + cfg.time_limit
         self.nodes = 0
         self.timed_out = False
-        self.stopped_at_bound = False
         self.incumbent: Solution | None = None
         self.incumbent_obj: float | None = None
         self.root = self.inst.root_bound()
 
-        hint = getattr(model, "warm_hint", None)
         if hint is not None and hint.objective is not None:
             self.incumbent = replace(hint, status=FEASIBLE)
             self.incumbent_obj = hint.objective
@@ -486,9 +463,8 @@ class _Search:
     def limit(self) -> float:
         lim = float("inf")
         if self.incumbent_obj is not None:
-            lim = self.incumbent_obj * (1 - self.cfg.gap_tolerance) - _EPS
-            if self.inst.integral and self.cfg.gap_tolerance == 0:
-                lim = self.incumbent_obj - 1  # next integer step down
+            lim = (self.incumbent_obj - 1  # next integer step down
+                   if self.inst.integral else self.incumbent_obj - _EPS)
         if self.primal_bound is not None:
             lim = min(lim, self.primal_bound)
         return lim
@@ -504,10 +480,8 @@ class _Search:
     def should_stop(self) -> bool:
         if self.timed_out:
             return True
-        if (self.cfg.stop_at_primal_bound and self.primal_bound is not None
-                and self.incumbent_obj is not None
+        if (self.primal_bound is not None and self.incumbent_obj is not None
                 and self.incumbent_obj <= self.primal_bound + _EPS):
-            self.stopped_at_bound = True
             return True
         if (self.incumbent_obj is not None
                 and self.incumbent_obj <= self.root + _EPS):
@@ -581,7 +555,7 @@ class _Search:
             allowed[k] = 1 << m0
         for (k, m0) in self.forbidden:
             allowed[k] &= ~(1 << m0)
-        caps = [int(c) for c in inst.cap]
+        caps = inst.mem_cap
         act = inst.act
         wmem = inst.wmem
         sizes = {w: a.size for w, a in inst.assets.items()}
@@ -595,10 +569,9 @@ class _Search:
         est = [0] * n
         missing = [len(p) for p in preds]
         avail = {k for k in range(n) if not missing[k]}
-        lvl = [0.0] * nm; mnp = [0.0] * nm; mna = [0.0] * nm
-        mxp = [0.0] * nm
+        mem = [_MEM0] * nm
         static = [0.0] * nm
-        assets: list[set[str]] = [set() for _ in range(nm)]
+        assets: list[frozenset[str]] = [frozenset()] * nm
         seq: list[tuple[int, int]] = []
         group_of = self.group_of
         chain_started = self.chain_started
@@ -656,25 +629,18 @@ class _Search:
                 e_new = t + dur[k]
                 if e_new > lim:
                     continue
-                d = act[k]
-                o_lvl, o_mnp, o_mna, o_mxp = lvl[m], mnp[m], mna[m], mxp[m]
-                o_static = static[m]
-                nmnp = o_mnp if o_mnp < o_lvl else o_lvl
-                nlvl = o_lvl + d
-                nmna = o_mna if o_mna < nlvl else nlvl
-                nmxp = o_mxp if o_mxp > nlvl else nlvl
-                nstatic = o_static + wmem[k]
-                added = [w for w in refs[k] if w not in assets[m]]
-                for w in added:
-                    nstatic += sizes[w]
-                need = nstatic - nmnp
-                if -nmna > need:
-                    need = -nmna
-                if need > caps[m] - nmxp + _EPS:
+                o_mem, o_static, held = mem[m], static[m], assets[m]
+                lift = wmem[k]
+                n_held = held
+                for w in refs[k]:
+                    if w not in held:
+                        lift += sizes[w]
+                        n_held = n_held | {w}
+                n_mem = _mem_step(o_mem, lift, o_static + lift, act[k],
+                                  caps[m])
+                if n_mem is None:
                     continue
-                lvl[m], mnp[m], mna[m], mxp[m] = nlvl, nmnp, nmna, nmxp
-                static[m] = nstatic
-                assets[m].update(added)
+                mem[m], static[m], assets[m] = n_mem, o_static + lift, n_held
                 free[m] = e_new
                 mach_of[k] = m
                 end[k] = e_new
@@ -705,10 +671,7 @@ class _Search:
                 avail.add(k)
                 mach_of[k] = -1
                 free[m] = t
-                lvl[m], mnp[m], mna[m], mxp[m] = o_lvl, o_mnp, o_mna, o_mxp
-                static[m] = o_static
-                for w in added:
-                    assets[m].discard(w)
+                mem[m], static[m], assets[m] = o_mem, o_static, held
                 if self.should_stop():
                     return False
             return complete
@@ -751,13 +714,13 @@ class _Search:
         if not inst.dynamic:
             yield ((), (), ())
             return
-        mem = state.mem[m]
-        needed = tuple(w for w in inst.refs[k] if w not in mem.active)
-        preloadable = tuple(w for w in needed if w not in mem.ever)
+        resident = state.resident[m]
+        needed = tuple(w for w in inst.refs[k] if w not in resident)
+        preloadable = tuple(w for w in needed if w not in state.ever[m])
         for r in range(len(preloadable), -1, -1):
             for pre in itertools.combinations(preloadable, r):
                 loads = tuple(w for w in needed if w not in pre)
-                after = sorted(mem.active | set(needed))
+                after = sorted(resident.union(needed))
                 for s in range(len(after) + 1):
                     for ul in itertools.combinations(after, s):
                         yield (loads, ul, pre)
@@ -823,7 +786,7 @@ class _Search:
                 return False
             if not self._assignment_feasible(assign):
                 continue
-            if not self._sequence_dfs_root(assign):
+            if not self._seq_dfs(_State(inst), assign):
                 complete = False
         return complete and not self.timed_out
 
@@ -844,10 +807,6 @@ class _Search:
             loads[m] += inst.dur[k]
         lb = max(loads)
         return lb <= self.limit() + _EPS
-
-    def _sequence_dfs_root(self, assign) -> bool:
-        state = _State(self.inst)
-        return self._seq_dfs(state, assign)
 
     def _seq_candidates(self, state: _State, assign):
         inst = self.inst
@@ -940,8 +899,12 @@ class _Search:
 # -- public API ------------------------------------------------------------------
 
 
-def solve(model: ScheduleModel, cfg: SolveConfig | None = None) -> Solution:
+def solve(model: ScheduleModel, cfg: SolveConfig | None = None, *,
+          hint: Solution | None = None) -> Solution:
     """Minimize makespan; exact when the search space can be covered.
+
+    `hint` is a feasible schedule (see `warm_start`) that the search
+    starts from as its incumbent and can then only improve on.
 
     The result's ``status`` is ``optimal`` only when the explored mode is
     complete for the instance (all-zero communication durations, or the
@@ -949,17 +912,15 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None) -> Solution:
     exhaustion, or when the incumbent matches a valid relaxation bound.
     """
     cfg = cfg or SolveConfig()
-    inst_probe = _Instance(model)
-    use_fixed = (not inst_probe.zero_comm and not inst_probe.dynamic
-                 and inst_probe.nm ** inst_probe.n
-                 <= cfg.max_assignment_enumeration)
-    search = _Search(model, cfg)
-    if use_fixed:
+    search = _Search(model, cfg, hint)
+    inst = search.inst
+    if (not inst.zero_comm and not inst.dynamic
+            and inst.nm ** inst.n <= _ENUMERATION_LIMIT):
         exhausted = search.run_fixed_assignment()
         complete_mode = True
     else:
         exhausted = search.run_integrated()
-        complete_mode = inst_probe.zero_comm
+        complete_mode = inst.zero_comm
 
     sol = search.incumbent
     root = search.root
@@ -994,8 +955,9 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None) -> Solution:
     return sol
 
 
-def warm_start(model: ScheduleModel, hint: Solution) -> ScheduleModel:
-    """Attach a feasible incumbent; the solver can then only improve on it."""
+def warm_start(model: ScheduleModel, hint: Solution) -> Solution:
+    """Check that `hint` is feasible for `model` and return it, ready to
+    pass to `solve(model, cfg, hint=...)`."""
     from .simulate import verify  # deferred to avoid a module cycle
 
     report = verify(model.graph, model.cluster, hint,
@@ -1005,9 +967,7 @@ def warm_start(model: ScheduleModel, hint: Solution) -> ScheduleModel:
         raise SolveError(
             "warm-start hint is infeasible: "
             + "; ".join(str(v) for v in report.violations[:5]))
-    new = replace(model)
-    object.__setattr__(new, "warm_hint", hint)
-    return new
+    return hint
 
 
 def compact_late(model: ScheduleModel, sol: Solution) -> Solution:
@@ -1071,6 +1031,41 @@ def compact_late(model: ScheduleModel, sol: Solution) -> Solution:
         comm_times={k: new_comm[k] for k in sol.comm_times},
     )
 
+
+# -- fixed-order evaluation ---------------------------------------------------
+
+
+def earliest_starts(dur: Sequence[float], succ: Sequence[Sequence[int]],
+                    orders: Iterable[Sequence[int]]) -> list[float] | None:
+    """Earliest start of every operation when each of `orders` runs in
+    sequence: the longest path over durations `dur`, dependency
+    successors `succ` and consecutive pairs of every order, all by
+    operation index. None when the orders close a cycle."""
+    n = len(dur)
+    nxt = [list(s) for s in succ]
+    for order in orders:
+        for a, b in zip(order, order[1:]):
+            nxt[a].append(b)
+    indeg = [0] * n
+    for s in nxt:
+        for b in s:
+            indeg[b] += 1
+    start = [0.0] * n
+    ready = [k for k in range(n) if not indeg[k]]
+    seen = 0
+    while ready:
+        k = ready.pop()
+        seen += 1
+        end = start[k] + dur[k]
+        for b in nxt[k]:
+            if end > start[b]:
+                start[b] = end
+            indeg[b] -= 1
+            if not indeg[b]:
+                ready.append(b)
+    return start if seen == n else None
+
+
 # -- interior-idle refinement -------------------------------------------------
 
 
@@ -1102,78 +1097,53 @@ class _SeqSpace:
 
     def evaluate(self, seqs: Mapping[str, list[str]]):
         """(makespan, total interior idle, starts) or None on a cycle."""
-        n = len(self.ops)
-        succ = [list(d) for d in self.dep]
-        indeg = [0] * n
-        for k in range(n):
-            for b in self.dep[k]:
-                indeg[b] += 1
         idx = self.idx
-        for seq in seqs.values():
-            for a, b in zip(seq, seq[1:]):
-                succ[idx[a]].append(idx[b])
-                indeg[idx[b]] += 1
-        e = [0.0] * n
-        heads = [k for k in range(n) if indeg[k] == 0]
-        seen = 0
-        while heads:
-            k = heads.pop()
-            seen += 1
-            ek = e[k] + self.dur[k]
-            for b in succ[k]:
-                if ek > e[b]:
-                    e[b] = ek
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    heads.append(b)
-        if seen < n:
+        orders = [[idx[i] for i in seq] for seq in seqs.values()]
+        e = earliest_starts(self.dur, self.dep, orders)
+        if e is None:
             return None
         # right-compaction: keep every sequence, pin each trailing op at
         # its earliest start and push the rest as late as their
         # successors allow; gaps migrate to the machine boundaries where
         # they stop counting as interior idle
-        order = sorted(range(n), key=lambda k: -e[k])
-        for k in order:
-            if succ[k]:
-                lim = min(e[b] for b in succ[k]) - self.dur[k]
-                if lim > e[k]:
-                    e[k] = lim
+        nxt = [-1] * len(e)
+        for order in orders:
+            for a, b in zip(order, order[1:]):
+                nxt[a] = b
+        for k in sorted(range(len(e)), key=lambda k: -e[k]):
+            lim = e[nxt[k]] if nxt[k] >= 0 else math.inf
+            for b in self.dep[k]:
+                if e[b] < lim:
+                    lim = e[b]
+            if lim < math.inf and lim - self.dur[k] > e[k]:
+                e[k] = lim - self.dur[k]
         makespan = 0.0
         interior = 0.0
-        for seq in seqs.values():
-            last = idx[seq[-1]]
-            end = e[last] + self.dur[last]
+        for order in orders:
+            end = e[order[-1]] + self.dur[order[-1]]
             if end > makespan:
                 makespan = end
-            interior += (end - e[idx[seq[0]]]) \
-                - sum(self.dur[idx[i]] for i in seq)
+            interior += (end - e[order[0]]) \
+                - sum(self.dur[k] for k in order)
         return makespan, interior, e
 
-    def memory_ok(self, seqs: Mapping[str, list[str]],
-                  only=None) -> bool:
+    def fits_memory(self, seqs: Mapping[str, list[str]],
+                    only=None) -> bool:
+        """Whether the memory chain of every machine (or of those in
+        `only`) fits its capacity."""
         if not self.capped:
             return True
         for j in (only if only is not None else seqs):
-            prefix = 0.0
-            min_pre = 0.0
-            min_all = 0.0
-            max_p = 0.0
+            # every weight on the machine is resident from time zero
+            mem, total, cap = _MEM0, self.static_w[j], self.cap[j]
             for i in seqs[j]:
-                if prefix < min_pre:
-                    min_pre = prefix
-                prefix += self.act[self.idx[i]]
-                if prefix < min_all:
-                    min_all = prefix
-                if prefix > max_p:
-                    max_p = prefix
-            lift = max(self.static_w[j] - min_pre, -min_all, 0.0)
-            if lift + max_p > self.cap[j] + _EPS:
-                return False
+                mem = _mem_step(mem, 0.0, total, self.act[self.idx[i]], cap)
+                if mem is None:
+                    return False
         return True
 
 
-def _rebuild_refined(model: ScheduleModel, sol: Solution,
-                     space: _SeqSpace, seqs, e) -> Solution:
+def _rebuild_refined(sol: Solution, space: _SeqSpace, e) -> Solution:
     starts = {i: e[space.idx[i]] for i in space.ops}
     op_times = {i: (starts[i], starts[i] + space.dur[space.idx[i]])
                 for i in space.ops}
@@ -1199,15 +1169,13 @@ def refine_idle(model: ScheduleModel, sol: Solution, *,
     touching the assignment, keeping makespan within ``time_cap``
     (default: the schedule's own makespan). With ``target`` set, the
     search stops at a schedule whose interior idle equals the target
-    exactly; otherwise it minimizes. With ``deadline`` (a monotonic-clock
+    exactly; otherwise it minimizes and stops at the first schedule
+    without interior idle. With ``deadline`` (a monotonic-clock
     timestamp) the pass stops early and keeps the best order found. Only
     applies to schedules whose cross-machine transfers all take zero time
     and to models without dynamic weight loading; anything else is
     returned unchanged.
     """
-    import math
-    import random
-
     if model.options.dynamic_loading or not sol.op_times:
         return sol
     g = model.graph
@@ -1221,18 +1189,18 @@ def refine_idle(model: ScheduleModel, sol: Solution, *,
         base.setdefault(sol.assignment[i], []).append(i)
     cap = sol.objective if time_cap is None else time_cap
     res = space.evaluate(base)
-    if res is None or not space.memory_ok(base):
+    if res is None or not space.fits_memory(base):
         return sol
     base_T, base_int, base_e = res
     if target is not None and base_int == target and base_T <= cap + _EPS:
-        return _rebuild_refined(model, sol, space, base, base_e)
+        return _rebuild_refined(sol, space, base_e)
     if target is None and base_int <= 0:
         return sol
 
     def cost(T, interior):
         return 1000.0 * max(0.0, T - cap) + interior
 
-    best = None  # (interior, seqs, T, e)
+    best = None  # (interior, starts)
     devs = sorted(base)
     for round_no in range(restarts):
         rng = random.Random(seed + round_no)
@@ -1281,7 +1249,7 @@ def refine_idle(model: ScheduleModel, sol: Solution, *,
                 if not undo:
                     continue
             r = (space.evaluate(cur)
-                 if space.memory_ok(cur, undo) else None)
+                 if space.fits_memory(cur, undo) else None)
             if r is None:
                 cur.update(undo)
                 continue
@@ -1290,21 +1258,17 @@ def refine_idle(model: ScheduleModel, sol: Solution, *,
                 c = nc
                 T, inte = r[0], r[1]
                 if T <= cap + _EPS:
-                    if target is not None and inte == target:
-                        return _rebuild_refined(
-                            model, sol, space,
-                            {j: list(s) for j, s in cur.items()}, r[2])
+                    # the target met, or no interior idle left at all
+                    if inte == target if target is not None else inte <= 0:
+                        return _rebuild_refined(sol, space, r[2])
                     if ((target is None or inte > target)
                             and (best is None or inte < best[0])):
-                        best = (inte, {j: list(s) for j, s in cur.items()},
-                                r[0], r[2])
+                        best = (inte, r[2])
             else:
                 cur.update(undo)
-        if target is None and best is not None and best[0] == 0:
-            break
         if deadline is not None and _time.monotonic() > deadline:
             break
 
     if best is not None and best[0] < base_int:
-        return _rebuild_refined(model, sol, space, best[1], best[3])
+        return _rebuild_refined(sol, space, best[1])
     return sol

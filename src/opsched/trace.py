@@ -40,7 +40,7 @@ def _us(t: float) -> int:
     return round(t * US_PER_UNIT)
 
 
-def _lanes(g: ComputationGraph, h: HardwareCluster, sol: Solution):
+def _lanes(h: HardwareCluster, sol: Solution):
     """Stable lane numbering: machines first, then channels, then one
     weight-traffic lane per machine that loads or unloads."""
     machines = {j: pid for pid, j in enumerate(sorted(h.machines))}
@@ -57,7 +57,7 @@ def _lanes(g: ComputationGraph, h: HardwareCluster, sol: Solution):
 
 def build_trace_events(sol: Solution, g: ComputationGraph,
                        h: HardwareCluster) -> list[TraceEvent]:
-    machines, channels, traffic = _lanes(g, h, sol)
+    machines, channels, traffic = _lanes(h, sol)
     events: list[TraceEvent] = []
     for i in sorted(sol.op_times):
         s, e = sol.op_times[i]
@@ -98,7 +98,7 @@ def build_trace_events(sol: Solution, g: ComputationGraph,
 def export_trace(sol: Solution, g: ComputationGraph, h: HardwareCluster,
                  dest: IO[str]) -> None:
     """Write the solution as a chrome://tracing JSON document."""
-    machines, channels, traffic = _lanes(g, h, sol)
+    machines, channels, traffic = _lanes(h, sol)
     trace_events = []
     for j, pid in machines.items():
         trace_events.append({"ph": "M", "pid": pid, "name": "process_name",

@@ -1,0 +1,120 @@
+"""Golden digests that pin the search itself, not just its makespans.
+
+Each case hashes ``Solution.to_json()``: the schedule, status and bound
+byte for byte. The digests were recorded before the solver core was
+consolidated onto one memory-chain step and one earliest-start
+evaluator, so a refactor that changes any branching order, pruning
+decision or post-pass shows up here. Every case runs in well under a
+second.
+"""
+import hashlib
+
+import pytest
+
+from opsched.graph import WeightAsset
+from opsched.model import (ModelOptions, build_model, clear_primal_bound,
+                           set_primal_bound)
+from opsched.scenarios import (DualPipeSpec, dualpipe_primal_bound,
+                               gen_dualpipe)
+from opsched.solver import Solution, SolveConfig, refine_idle, solve
+
+from conftest import cluster, edge, graph, op
+
+
+def _dualpipe(pp, micro_batches):
+    spec = DualPipeSpec(pp=pp, micro_batches=micro_batches)
+    g, h, options = gen_dualpipe(spec)
+    return build_model(g, h, options), dualpipe_primal_bound(spec)
+
+
+def saturation():
+    # the bound leaves no idle on any machine: packed search, capped
+    model, bound = _dualpipe(2, 6)
+    return solve(set_primal_bound(model, bound))
+
+
+def dfs():
+    model, _ = _dualpipe(2, 6)
+    return solve(clear_primal_bound(model), SolveConfig(node_limit=300))
+
+
+def fixed_assignment():
+    g = graph([op("a", 1), op("b", 2), op("c", 2), op("d", 1)],
+              [edge("a", "b", comm=1), edge("a", "c", comm=1),
+               edge("b", "d", comm=2), edge("c", "d", comm=1)])
+    return solve(build_model(g, cluster(2)))
+
+
+def _loading_model(machines, cap):
+    # the weights do not all fit at once, so the search must load and
+    # unload as well as preload
+    weights = [WeightAsset("w0", 2, 1, 1), WeightAsset("w1", 2, 1, 1),
+               WeightAsset("w2", 1, 2, 0)]
+    g = graph([op("a", 2, act=1, refs=["w0"]), op("b", 1, refs=["w1"]),
+               op("c", 2, act=-1, refs=["w0", "w2"]),
+               op("d", 1, refs=["w1", "w2"]), op("e", 1, refs=["w2"])],
+              [edge("a", "c"), edge("b", "c"), edge("b", "d")], weights)
+    return build_model(g, cluster(machines, cap=cap),
+                       ModelOptions(memory_capped=True, dynamic_loading=True))
+
+
+def dynamic_loading_one_machine():
+    return solve(_loading_model(1, 4))
+
+
+def dynamic_loading_two_machines():
+    return solve(_loading_model(2, 3))
+
+
+def capped_memory():
+    weights = [WeightAsset("w0", 1, 1, 1)]
+    g = graph([op("a", 2, mem=1, act=2, refs=["w0"]), op("b", 1, act=2),
+               op("c", 2, act=-2, refs=["w0"]), op("d", 1, act=-2),
+               op("e", 3, mem=1), op("f", 1, act=1), op("g", 1, act=-1)],
+              [edge("a", "c"), edge("b", "d"), edge("a", "d"),
+               edge("f", "g")], weights)
+    return solve(build_model(g, cluster(2, cap=5),
+                             ModelOptions(memory_capped=True)))
+
+
+def idle_refinement_to_target():
+    model, _ = _dualpipe(2, 6)
+    return solve(clear_primal_bound(model),
+                 SolveConfig(node_limit=300, idle_refinement=True,
+                             idle_target=4.0))
+
+
+def idle_refinement_to_zero():
+    g = graph([op("a", 1), op("b", 3), op("c", 1), op("u", 3)],
+              [edge("a", "b"), edge("b", "c")])
+    base = Solution(status="feasible", objective=8.0,
+                    assignment={"a": "m0", "b": "m1", "c": "m0", "u": "m0"},
+                    op_times={"u": (0.0, 3.0), "a": (3.0, 4.0),
+                              "b": (4.0, 7.0), "c": (7.0, 8.0)})
+    return refine_idle(build_model(g, cluster(2)), base, seed=3)
+
+
+GOLDEN = {
+    saturation:
+        "19a0b33eff0b458ad69642f02b15655bfa92205d1cb0b690c1940bdf4f8d7a3a",
+    dfs:
+        "433011ef56d518b74e1af1c8f32130c413614a3c24d740863aad4ecfb7c0e8c6",
+    fixed_assignment:
+        "91946f3334ed62f3afcbcc66cbe848a62bf9a2e50ee22858edb5f6250d66044f",
+    dynamic_loading_one_machine:
+        "c2dc78824012f093a2ebdb04de07b1e144a263b8dcd13a07538ba5564aa5427f",
+    dynamic_loading_two_machines:
+        "91ee270e1718cc2c327a6bff9c7c91ca2a45c5e68ed58e1a9c917dcd02d99ad7",
+    capped_memory:
+        "914cffcabc42e079d0ad8f2ffd49bdb40018bfe529e417c9650772c4dd62e885",
+    idle_refinement_to_target:
+        "eb2deb2f3c5a157250f6b2c6a66dec919a3d0032bb795fcdfcef86b7d516e5d8",
+    idle_refinement_to_zero:
+        "f60481aa8f23706ef1c4ac8659f452b9b228a6796060c267548c9941b78fb947",
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda f: f.__name__)
+def test_solution_digest(case):
+    text = case().to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[case]

@@ -4,8 +4,9 @@ import pytest
 
 from opsched.graph import ComputationGraph, DependencyEdge, WeightAsset
 from opsched.model import (ModelError, ModelOptions, build_model,
-                           set_primal_bound)
-from opsched.scenarios import RandomDagSpec, gen_random_dag
+                           clear_primal_bound, set_primal_bound)
+from opsched.scenarios import (DualPipeSpec, RandomDagSpec, gen_dualpipe,
+                               gen_random_dag)
 from opsched.simulate import verify
 from opsched.solver import (SolveConfig, SolveError, Solution, compact_late,
                             refine_idle, solve, warm_start)
@@ -160,6 +161,15 @@ class TestBoundsAndLimits:
         sol = solve(model)
         assert sol.objective is not None and sol.objective <= 4
 
+    def test_uncapped_model_ignores_capacity_at_primal_bound(self):
+        # weight_mem 5 exceeds capacity 1, which an uncapped model ignores;
+        # the bound 2 leaves no idle, so the saturation search runs
+        g = graph([op(k, 1, mem=5) for k in "abcd"])
+        model = build(g, cluster(2, cap=1))
+        assert solve(model).objective == 2
+        sol = solve(set_primal_bound(model, 2))
+        assert sol.status == "optimal" and sol.objective == 2
+
     def test_node_limit_reports_nonoptimal(self):
         rng = random.Random(5)
         g, h, _ = random_small_instance(rng)
@@ -202,9 +212,20 @@ class TestWarmStart:
 
     def test_hint_accepted_and_optimum_found(self):
         model, first = self.setup_pair()
-        again = solve(warm_start(model, first))
+        again = solve(model, hint=warm_start(model, first))
         assert again.status == "optimal"
         assert again.objective == first.objective
+
+    def test_hint_survives_primal_bound_change(self):
+        g, h, options = gen_dualpipe(DualPipeSpec(pp=2, micro_batches=6))
+        model = clear_primal_bound(build_model(g, h, options))
+        first = solve(model, SolveConfig(node_limit=300))
+        bounded = set_primal_bound(model, first.objective)
+        cfg = SolveConfig(node_limit=1)
+        assert solve(bounded, cfg).objective is None
+        again = solve(bounded, cfg, hint=warm_start(model, first))
+        assert again.objective == first.objective
+        assert again.op_times == first.op_times
 
     def test_infeasible_hint_rejected(self):
         model, first = self.setup_pair()
