@@ -97,20 +97,29 @@ def _parse_instance(doc: dict):
     return g, h, options
 
 
+def _spec(cls, **fields):
+    """Build a scenario spec, reporting a rejected size as a usage error."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise CliError("bad-spec", str(exc), EXIT_USAGE)
+
+
 # -- subcommands -------------------------------------------------------------
 
 
 def _cmd_gen(args) -> int:
     if args.family == "dualpipe":
-        spec = DualPipeSpec(pp=args.pp, micro_batches=args.micro_batches,
-                            memory_mode=args.memory_mode)
+        spec = _spec(DualPipeSpec, pp=args.pp,
+                     micro_batches=args.micro_batches,
+                     memory_mode=args.memory_mode)
         g, h, options = gen_dualpipe(spec)
         doc = _instance_doc(g, h, options,
                             primal_bound=dualpipe_primal_bound(spec))
     else:
-        spec = RandomDagSpec(nodes=args.nodes, seed=args.seed,
-                             max_in_degree=args.max_in_degree,
-                             max_out_degree=args.max_out_degree)
+        spec = _spec(RandomDagSpec, nodes=args.nodes, seed=args.seed,
+                     max_in_degree=args.max_in_degree,
+                     max_out_degree=args.max_out_degree)
         g = gen_random_dag(spec)
         from .graph import Channel, HardwareCluster, Machine
         cap = sum(op.weight_mem for op in g.operations.values()) + 1
@@ -126,7 +135,10 @@ def _cmd_gen(args) -> int:
 def _cmd_coarsen(args) -> int:
     doc = _read_doc(args.input)
     g, h, options = _parse_instance(doc)
-    budget = args.to if args.to else max(1, len(g) // 5)
+    budget = max(1, len(g) // 5) if args.to is None else args.to
+    if budget < 1:
+        raise CliError("bad-spec", f"--to must be >= 1, got {budget}",
+                       EXIT_USAGE)
     coarse, records = coarsen(g, CoarsenConfig.for_graph(g, budget))
     out = _instance_doc(coarse, h, options,
                         coarsen_records=[{"id": r.new_id,
@@ -223,7 +235,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_repro_dualpipe(args) -> int:
-    spec = DualPipeSpec(pp=args.pp)
+    spec = _spec(DualPipeSpec, pp=args.pp)
     g, h, options = gen_dualpipe(spec)
     bound = dualpipe_primal_bound(spec)
     target = dualpipe_bubble_target(spec)

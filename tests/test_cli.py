@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from opsched.cli import EXIT_OK, EXIT_VIOLATIONS, main
+from opsched.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, main
+from opsched.graph import load_computation_graph
 
 ONE_OP = {"graph": {"operations": [{"id": "a", "duration": 1}]},
           "cluster": {"machines": [{"id": "m", "memory_capacity": 1}]}}
@@ -67,3 +68,53 @@ class TestExport:
                      "-o", str(out)]) == EXIT_OK
         assert marker in out.read_text()
         assert capsys.readouterr().err == ""
+
+
+class TestGen:
+    @pytest.mark.parametrize("argv", [
+        ["gen", "dualpipe", "--pp", "3"],
+        ["gen", "random", "--nodes", "0"],
+        ["repro-dualpipe", "--pp", "3"],
+    ])
+    def test_rejected_size_is_one_json_error(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == "bad-spec"
+
+
+class TestCoarsen:
+    def _coarsen(self, tmp_path, extra=None):
+        inst = str(tmp_path / "inst.json")
+        assert main(["gen", "random", "--nodes", "60", "--seed", "3",
+                     "-o", inst]) == EXIT_OK
+        doc = json.loads((tmp_path / "inst.json").read_text())
+        doc.update(extra or {})
+        _write(tmp_path / "inst.json", doc)
+        out = tmp_path / "coarse.json"
+        assert main(["coarsen", "-i", inst, "-o", str(out)]) == EXIT_OK
+        return doc, json.loads(out.read_text())
+
+    def test_records_partition_absorbed_ids(self, tmp_path):
+        doc, out = self._coarsen(tmp_path)
+        original = set(load_computation_graph(doc["graph"]).operations)
+        coarse = set(load_computation_graph(out["graph"]).operations)
+        assert len(coarse) < len(original)
+        records = out["coarsen_records"]
+        absorbed = [i for r in records for i in r["absorbed"]]
+        assert len(absorbed) == len(set(absorbed))
+        assert {r["id"] for r in records} == coarse - original
+        assert set(absorbed) | (coarse & original) == original
+        assert set(absorbed).isdisjoint(coarse)
+        assert out["cluster"] == doc["cluster"]
+        assert "primal_bound" not in out
+
+    def test_primal_bound_carried_over(self, tmp_path):
+        _, out = self._coarsen(tmp_path, {"primal_bound": 123.5})
+        assert out["primal_bound"] == 123.5
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_below_one_is_one_json_error(self, tmp_path, capsys,
+                                                budget):
+        inst = _write(tmp_path / "inst.json", ONE_OP)
+        assert main(["coarsen", "-i", inst, "--to", budget]) == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err)["error"] == "bad-spec"

@@ -1,0 +1,65 @@
+"""In-place contraction against candidate searches that start afresh.
+
+`coarsen` keeps one contraction state and never rechecks a non-edge
+pair that failed once. `get_candidate_edge`, `get_candidate_nonedge` and
+`merge_nodes` each start again from a graph. Replaying coarsen's passes
+through them must give the same merges, which checks the incremental
+bookkeeping on more graphs than the golden digests cover.
+"""
+import pytest
+
+from opsched.coarsen import (CoarsenConfig, coarsen, get_candidate_edge,
+                             get_candidate_nonedge, merge_nodes)
+from opsched.graph import GraphError
+from opsched.scenarios import RandomDagSpec, gen_random_dag
+
+from conftest import edge, graph, op
+
+
+def stepwise(g, cfg):
+    cur, origin, counter = g, {}, 0
+    while len(cur) > cfg.node_budget:
+        merged_any = False
+        for find in (get_candidate_edge, get_candidate_nonedge):
+            while len(cur) > cfg.node_budget:
+                pair = find(cur, cfg)
+                if pair is None:
+                    break
+                counter += 1
+                while f"m{counter:03d}" in cur.operations \
+                        or f"m{counter:03d}" in g.operations:
+                    counter += 1
+                a, b = pair
+                cur, rec = merge_nodes(cur, a, b, f"m{counter:03d}")
+                origin[rec.new_id] = origin.pop(a, {a}) | origin.pop(b, {b})
+                merged_any = True
+        if not merged_any:
+            break
+    return cur, origin
+
+
+def mixed_ids(seed, nodes):
+    # ids on both sides of the merged "m..." ids, comm on every edge
+    base = gen_random_dag(RandomDagSpec(nodes=nodes, seed=seed))
+    name = {i: "az"[k % 3 == 0] + i[1:]
+            for k, i in enumerate(base.operations)}
+    return graph([op(name[o.id], o.duration, mem=o.weight_mem)
+                  for o in base.operations.values()],
+                 [edge(name[a], name[b], 0.25 * (k % 5))
+                  for k, (a, b) in enumerate(base.edges)])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_coarsen_matches_stepwise_search(seed):
+    g = mixed_ids(seed, 50)
+    cfg = CoarsenConfig.for_graph(g, 10)
+    coarse, records = coarsen(g, cfg)
+    expected, origin = stepwise(g, cfg)
+    assert coarse == expected
+    assert {r.new_id: set(r.absorbed) for r in records} == origin
+
+
+def test_self_merge_rejected():
+    g = graph([op("a"), op("b")], [edge("a", "b")])
+    with pytest.raises(GraphError, match="itself"):
+        merge_nodes(g, "a", "a")

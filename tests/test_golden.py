@@ -1,21 +1,29 @@
 """Golden digests that pin the search itself, not just its makespans.
 
-Each case hashes ``Solution.to_json()``: the schedule, status and bound
-byte for byte. The digests were recorded before the solver core was
-consolidated onto one memory-chain step and one earliest-start
+Each solver case hashes ``Solution.to_json()``: the schedule, status and
+bound byte for byte. The digests were recorded before the solver core
+was consolidated onto one memory-chain step and one earliest-start
 evaluator, so a refactor that changes any branching order, pruning
-decision or post-pass shows up here. Every case runs in well under a
-second.
+decision or post-pass shows up here.
+
+Each coarsening case hashes the coarse graph document and the merge
+records. Those digests were recorded while every merge still rebuilt the
+whole graph and every candidate search rescanned all pairs, so the
+in-place contraction must make the same merges in the same order, with
+the same float sums. Every case runs in well under a second.
 """
 import hashlib
+import json
 
 import pytest
 
-from opsched.graph import WeightAsset
+from opsched.coarsen import CoarsenConfig, coarsen
+from opsched.graph import WeightAsset, dump_computation_graph
 from opsched.model import (ModelOptions, build_model, clear_primal_bound,
                            set_primal_bound)
-from opsched.scenarios import (DualPipeSpec, dualpipe_primal_bound,
-                               gen_dualpipe)
+from opsched.scenarios import (DualPipeSpec, RandomDagSpec,
+                               dualpipe_primal_bound, gen_dualpipe,
+                               gen_random_dag)
 from opsched.solver import Solution, SolveConfig, refine_idle, solve
 
 from conftest import cluster, edge, graph, op
@@ -118,3 +126,65 @@ GOLDEN = {
 def test_solution_digest(case):
     text = case().to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[case]
+
+
+def _digest_coarsening(g, cfg):
+    coarse, records = coarsen(g, cfg)
+    doc = {"graph": dump_computation_graph(coarse),
+           "records": [[r.new_id, list(r.absorbed)] for r in records]}
+    return json.dumps(doc, sort_keys=True)
+
+
+def benchmark_shape():
+    # the coarsen-chain benchmark's DAGs: 400 nodes down to ~80
+    g = gen_random_dag(RandomDagSpec(nodes=400, seed=0))
+    return _digest_coarsening(g, CoarsenConfig.for_graph(g, 80))
+
+
+def fractional_parallel_edges():
+    # merging the sources turns their edges into parallel edges whose
+    # fractional comm sums depend on the order of the merges, which
+    # groups the additions; the merged nodes' weight_refs are unions
+    weights = [WeightAsset("w0", 1), WeightAsset("w1", 2),
+               WeightAsset("w2", 1)]
+    g = graph([op("s0", 1, refs=["w1"]), op("s1", 2, refs=["w0", "w2"]),
+               op("s2", 1, refs=["w1"]), op("s3", 3),
+               op("t0", 2, refs=["w2"]), op("t1", 1, refs=["w0"])],
+              [edge("s0", "t0", 0.1), edge("s1", "t0", 0.2),
+               edge("s2", "t0", 0.7), edge("s3", "t0", 0.3),
+               edge("s0", "t1", 0.6), edge("s1", "t1", 0.1),
+               edge("s2", "t1", 0.2), edge("s3", "t1", 0.4)], weights)
+    wide = CoarsenConfig(node_budget=2, edge_merge_max_duration=1e9,
+                         edge_merge_max_memory=1e9,
+                         nonedge_merge_max_duration=1e9,
+                         nonedge_merge_max_memory=1e9)
+    return _digest_coarsening(g, wide)
+
+
+def ids_around_merged():
+    # original ids sort both before ("a...") and after ("z...") the
+    # merged "m..." ids, so the candidate scan interleaves the two
+    base = gen_random_dag(RandomDagSpec(nodes=60, seed=4))
+    name = {i: ("a" if k % 2 else "z") + i[1:]
+            for k, i in enumerate(base.operations)}
+    g = graph([op(name[o.id], o.duration, mem=o.weight_mem)
+               for o in base.operations.values()],
+              [edge(name[a], name[b], 0.1 * k)
+               for k, (a, b) in enumerate(base.edges)])
+    return _digest_coarsening(g, CoarsenConfig.for_graph(g, 12))
+
+
+COARSEN_GOLDEN = {
+    benchmark_shape:
+        "cde3cd2a7223f08efc509a1b1fdc265f7f0aa39b0725316a2d9c79150982161a",
+    fractional_parallel_edges:
+        "1102eff20242562e0215234d58c0ad54e27e1812359fe8283add387b4cf64b16",
+    ids_around_merged:
+        "820370751f7140b9e83c83e92ccd5ec94992f088873ea3677f9ad1d3e17354ed",
+}
+
+
+@pytest.mark.parametrize("case", COARSEN_GOLDEN, ids=lambda f: f.__name__)
+def test_coarsening_digest(case):
+    text = case()
+    assert hashlib.sha256(text.encode()).hexdigest() == COARSEN_GOLDEN[case]
