@@ -159,7 +159,11 @@ def _build(doc: dict):
         raise CliError("infeasible", str(exc), EXIT_INFEASIBLE,
                        tags=["capacity"])
     if doc.get("primal_bound") is not None:
-        model = set_primal_bound(model, doc["primal_bound"])
+        try:
+            model = set_primal_bound(model, doc["primal_bound"])
+        except ModelError as exc:
+            raise CliError("bad-instance",
+                           f"invalid instance document: {exc}", EXIT_USAGE)
     return g, h, model
 
 

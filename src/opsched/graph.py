@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Any, Iterable, Mapping
 
@@ -18,9 +19,21 @@ class GraphError(ValueError):
     """Invalid graph or cluster document (cycle, dangling id, bad field)."""
 
 
+def is_finite_number(value: Any) -> bool:
+    """An int or float, not a bool, that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _check_number(value: Any, what: str, owner: str, allow_negative: bool = False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise GraphError(f"{what} of {owner!r} must be a number, got {value!r}")
+    if not is_finite_number(value):
+        raise GraphError(f"{what} of {owner!r} must be finite, got {value!r}")
     if not allow_negative and value < 0:
         raise GraphError(f"{what} of {owner!r} must be non-negative, got {value!r}")
     return value

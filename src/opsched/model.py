@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .graph import ComputationGraph, GraphError, HardwareCluster, WeightAsset
+from .graph import (ComputationGraph, GraphError, HardwareCluster, WeightAsset,
+                    is_finite_number)
 
 BINARY = "binary"
 CONTINUOUS = "continuous"
@@ -150,8 +151,9 @@ def build_model(g: ComputationGraph, h: HardwareCluster,
 
 def set_primal_bound(model: ScheduleModel, bound: float) -> ScheduleModel:
     """Return a copy of the model with an objective upper bound attached."""
-    if bound <= 0:
-        raise ModelError(f"primal bound must be positive, got {bound}")
+    if not is_finite_number(bound) or bound <= 0:
+        raise ModelError(
+            f"primal bound must be a positive finite number, got {bound!r}")
     return replace(model, primal_bound=bound)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from opsched.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, main
 from opsched.graph import load_computation_graph
+from opsched.trace import US_PER_UNIT
 
 ONE_OP = {"graph": {"operations": [{"id": "a", "duration": 1}]},
           "cluster": {"machines": [{"id": "m", "memory_capacity": 1}]}}
@@ -68,6 +69,68 @@ class TestExport:
                      "-o", str(out)]) == EXIT_OK
         assert marker in out.read_text()
         assert capsys.readouterr().err == ""
+
+
+    def _solved_pp2(self, tmp_path):
+        inst = str(tmp_path / "inst.json")
+        assert main(["gen", "dualpipe", "--pp", "2", "-o", inst]) == EXIT_OK
+        solved = tmp_path / "solved.json"
+        assert main(["solve", "-i", inst, "-o", str(solved)]) == EXIT_OK
+        return solved
+
+    def test_trace_has_one_compute_event_per_op(self, tmp_path):
+        solved = self._solved_pp2(tmp_path)
+        op_times = json.loads(solved.read_text())["solution"]["op_times"]
+        paths = [tmp_path / "t1.json", tmp_path / "t2.json"]
+        for path in paths:
+            assert main(["export", "-i", str(solved), "--format", "trace",
+                         "-o", str(path)]) == EXIT_OK
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        events = json.loads(paths[0].read_text())["traceEvents"]
+        compute = {ev["name"]: (ev["ts"], ev["dur"]) for ev in events
+                   if ev["ph"] == "X" and ev["cat"] == "compute"}
+        assert len(compute) == sum(1 for ev in events if ev["ph"] == "X"
+                                   and ev["cat"] == "compute")
+        assert compute == {
+            i: (round(s * US_PER_UNIT), round((e - s) * US_PER_UNIT))
+            for i, (s, e) in op_times.items()}
+
+    def test_trace_without_solution_is_one_json_error(self, tmp_path,
+                                                      capsys):
+        inst = _write(tmp_path / "inst.json", ONE_OP)
+        assert main(["export", "-i", inst, "--format", "trace"]) \
+            == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err)["error"] == "bad-input"
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize("duration", [
+        float("inf"), pytest.param(10**400, id="int-beyond-float")],
+        ids=repr)
+    @pytest.mark.parametrize("argv", [["export", "--format", "mps"],
+                                      ["export", "--format", "lp"],
+                                      ["solve"]], ids=" ".join)
+    def test_infinite_duration_is_one_json_error(self, tmp_path, capsys,
+                                                 argv, duration):
+        doc = json.loads(json.dumps(ONE_OP))
+        doc["graph"]["operations"][0]["duration"] = duration
+        inst = _write(tmp_path / "inst.json", doc)
+        assert main(argv + ["-i", inst, "-o", str(tmp_path / "out")]) \
+            == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err)["error"] \
+            == "bad-instance"
+
+    @pytest.mark.parametrize("bound", [
+        float("nan"), float("inf"), "x",
+        pytest.param(10**400, id="int-beyond-float")], ids=repr)
+    def test_bad_primal_bound_is_one_json_error(self, tmp_path, capsys,
+                                                bound):
+        inst = _write(tmp_path / "inst.json",
+                      dict(ONE_OP, primal_bound=bound))
+        assert main(["export", "-i", inst, "--format", "mps",
+                     "-o", str(tmp_path / "model.mps")]) == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err)["error"] \
+            == "bad-instance"
 
 
 class TestGen:

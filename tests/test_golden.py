@@ -10,17 +10,27 @@ Each coarsening case hashes the coarse graph document and the merge
 records. Those digests were recorded while every merge still rebuilt the
 whole graph and every candidate search rescanned all pairs, so the
 in-place contraction must make the same merges in the same order, with
-the same float sums. Every case runs in well under a second.
+the same float sums.
+
+Each export case hashes the MPS and the LP text of one model. Those
+digests were recorded while the writers still named every term through
+`VarRef.name`, merged every row through a dict and formatted every
+coefficient afresh, so the streamed writers must emit the same bytes.
+The hand-built store is the only case whose rows repeat a variable.
+Every case runs in well under a second.
 """
 import hashlib
+import io
 import json
 
 import pytest
 
 from opsched.coarsen import CoarsenConfig, coarsen
 from opsched.graph import WeightAsset, dump_computation_graph
-from opsched.model import (ModelOptions, build_model, clear_primal_bound,
-                           set_primal_bound)
+from opsched.model import (BINARY, CONTINUOUS, ConstraintStore,
+                           LinearConstraint, ModelOptions, VarRef,
+                           build_model, clear_primal_bound, set_primal_bound)
+from opsched.mpswriter import export_lp, export_mps
 from opsched.scenarios import (DualPipeSpec, RandomDagSpec,
                                dualpipe_primal_bound, gen_dualpipe,
                                gen_random_dag)
@@ -188,3 +198,77 @@ COARSEN_GOLDEN = {
 def test_coarsening_digest(case):
     text = case()
     assert hashlib.sha256(text.encode()).hexdigest() == COARSEN_GOLDEN[case]
+
+
+def dualpipe_pp2():
+    g, h, options = gen_dualpipe(DualPipeSpec(pp=2))
+    return build_model(g, h, options)
+
+
+def fractional_dynamic():
+    # fractional durations, comm, sizes and costs, dynamic loading with a
+    # cap, and a float primal bound that prints in exponent form
+    weights = [WeightAsset("w0", 1.5, load_cost=0.25, unload_cost=0.5),
+               WeightAsset("w1", 2, load_cost=1.75)]
+    g = graph([op("a", 1.5, mem=0.5, act=1.25, refs=["w0"]),
+               op("b", 0.75, act=-0.5, refs=["w1"]),
+               op("c", 2.25, refs=["w0", "w1"])],
+              [edge("a", "b", 0.3), edge("a", "c", 0.1),
+               edge("b", "c", 1.2)], weights)
+    model = build_model(g, cluster(2, cap=6.5),
+                        ModelOptions(memory_capped=True,
+                                     dynamic_loading=True))
+    return set_primal_bound(model, 1e16)
+
+
+def hand_store():
+    # no generated model repeats a variable within a row, so this store
+    # is built by hand; `cached_property` reads the instance __dict__
+    model = build_model(graph([op("a")]), cluster(1))
+    x = VarRef("x", ("a", "m0"), BINARY)
+    mk = VarRef("makespan", (), CONTINUOUS)
+    t = VarRef("t", ("a",), CONTINUOUS)
+    y = VarRef("y", ("p", "q"), BINARY)
+    free = VarRef("free", ("z",), CONTINUOUS)
+    b = VarRef("b", ("k",), BINARY)
+    rows = (
+        # x repeats: 0.0 + 1 + 3
+        LinearConstraint(((1, x), (2.5, t), (3, x)), "<=", 7, "repeat"),
+        # t repeats: 0.0 + 0.1 + 0.2 is not 0.3
+        LinearConstraint(((0.1, t), (1, y), (0.2, t)), ">=", 0.5, "repeat"),
+        # x cancels to 0 and is left out
+        LinearConstraint(((1, x), (1, mk), (-1, x)), "==", 0, "cancel"),
+        # a zero coefficient is left out
+        LinearConstraint(((0, y), (-1, mk)), ">=", -3, "zero"),
+        # int and float right-hand sides at 1e16 print differently
+        LinearConstraint(((1e16, b), (1, t)), "<=", 10**16, "int-rhs"),
+        LinearConstraint(((-2, b), (1, mk)), "<=", 1e16, "float-rhs"),
+        # an int coefficient at 1e16 prints as the float it sums to
+        LinearConstraint(((10**16, y), (-0.5, t)), ">=", 2.5e15, "int-coef"),
+    )
+    model.__dict__["store"] = ConstraintStore(
+        {(v.kind, v.indices): v for v in (x, mk, t, y, free, b)}, rows)
+    return model
+
+
+EXPORT_GOLDEN = {
+    dualpipe_pp2: (
+        "50f44385d3244ca2789669591b0a23c29e7b28d94f855ed18bbf8ed4c1b59371",
+        "0473a11eea2cb522154224651db24a5c479d24f392175243c1b96e4eff0f72a8"),
+    fractional_dynamic: (
+        "db7d3989cb18850a88c4c97cbc602fc7815c5cce2a290265b42a8c4219381a3a",
+        "55722e9a90c176ad6a0ec3c05a943114838e677b17259ce7920ad09d79838a33"),
+    hand_store: (
+        "024d56ef555257a1c40758180c5db13f5d3f7ff2a8ea225e2439e9609add4424",
+        "d91a167f67ab745937695dd2b65832a35d3fc07f3634687bb671688133684b76"),
+}
+
+
+@pytest.mark.parametrize("case", EXPORT_GOLDEN, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("writer", [export_mps, export_lp],
+                         ids=lambda f: f.__name__)
+def test_export_digest(case, writer):
+    buf = io.StringIO()
+    writer(case(), buf)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == EXPORT_GOLDEN[case][writer is export_lp]

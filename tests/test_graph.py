@@ -35,6 +35,34 @@ class TestOperationValidation:
             WeightAsset("w", -1)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf"),
+              pytest.param(10**400, id="int-beyond-float")]
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("section, field", [
+        ("operations", "duration"), ("operations", "weight_mem"),
+        ("operations", "activation_delta"), ("edges", "comm_duration"),
+        ("weights", "size"), ("weights", "load_cost"),
+        ("weights", "unload_cost")])
+    def test_graph_field(self, section, field, value):
+        doc = {"operations": [{"id": "a", "duration": 1,
+                               "weight_refs": ["w"]},
+                              {"id": "b", "duration": 1}],
+               "edges": [{"from": "a", "to": "b"}],
+               "weights": [{"id": "w", "size": 1}]}
+        doc[section][0][field] = value
+        with pytest.raises(GraphError, match="finite"):
+            load_computation_graph(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    def test_memory_capacity(self, value):
+        with pytest.raises(GraphError, match="finite"):
+            load_cluster(json.dumps(
+                {"machines": [{"id": "m", "memory_capacity": value}]}))
+
+
 class TestGraphConstruction:
     def test_duplicate_op_id_rejected(self):
         with pytest.raises(GraphError):

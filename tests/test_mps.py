@@ -3,7 +3,11 @@ reader and comparing the recovered matrix against the model's own
 constraint store."""
 import io
 
-from opsched.graph import WeightAsset
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from opsched.graph import Channel, HardwareCluster, Machine, WeightAsset
 from opsched.model import ModelOptions, build_model, set_primal_bound
 from opsched.mpswriter import export_lp, export_mps
 
@@ -61,6 +65,46 @@ def parse_mps(text):
     return {"aliases": aliases, "rows": rows, "row_order": row_order,
             "cols": cols, "integer": integer_cols, "rhs": rhs,
             "bounds": bounds}
+
+
+def parse_lp(text):
+    """Minimal CPLEX LP reader for the subset the writer emits."""
+    aliases = {}
+    rows = {}
+    row_order = []
+    section = None
+    objective = None
+    binaries = set()
+    for line in text.splitlines():
+        if line.startswith("\\"):
+            cname, name = line[1:].split("=", 1)
+            aliases[cname.strip()] = name.strip()
+            continue
+        if not line.startswith(" "):
+            section = line
+            continue
+        label, rest = line.split(":", 1) if ":" in line else (None, line)
+        fields = rest.split()
+        if section == "Minimize":
+            objective = fields
+        elif section == "Subject To":
+            *body, sense, rhs = fields
+            coefs = {}
+            sign = coef = 1.0
+            for tok in body:
+                if tok in ("+", "-"):
+                    sign = -1.0 if tok == "-" else 1.0
+                elif tok in aliases:
+                    coefs[tok] = sign * coef
+                    sign = coef = 1.0
+                else:
+                    coef = float(tok)
+            rows[label.strip()] = (coefs, sense, float(rhs))
+            row_order.append(label.strip())
+        elif section == "Binary":
+            binaries.update(fields)
+    return {"aliases": aliases, "objective": objective, "rows": rows,
+            "row_order": row_order, "binary": binaries}
 
 
 def merged(con):
@@ -168,3 +212,74 @@ class TestLpFormat:
 
     def test_deterministic_bytes(self):
         assert self.render_lp(tiny_model()) == self.render_lp(tiny_model())
+
+
+_VALUES = st.sampled_from([0, 1, 2, 3, 0.5, 1.25, 0.1])
+
+
+@st.composite
+def small_instances(draw, dynamic_loading):
+    """1-6 ops on 1-3 machines, with random comm, weights and channels."""
+    weights = [WeightAsset(f"w{k}", draw(_VALUES), draw(_VALUES),
+                           draw(_VALUES))
+               for k in range(draw(st.integers(int(dynamic_loading), 2)))]
+    ops = [op(f"o{k}", draw(_VALUES), mem=draw(_VALUES),
+              act=draw(st.sampled_from([-1, 0, 0.5, 2])),
+              refs=[w.id for w in weights if draw(st.booleans())])
+           for k in range(draw(st.integers(1, 6)))]
+    edges = [edge(a.id, b.id, draw(_VALUES))
+             for k, a in enumerate(ops) for b in ops[k + 1:]
+             if draw(st.booleans())]
+    # every operation fits on every machine, so capped models build
+    cap = 1 + sum(o.weight_mem + max(0, o.activation_delta) for o in ops)
+    cap += sum(w.size for w in weights) + draw(_VALUES)
+    machines = [Machine(f"m{k}", cap)
+                for k in range(draw(st.integers(1, 3)))]
+    channels = [Channel(a.id, b.id) for a in machines for b in machines
+                if a.id != b.id and draw(st.booleans())]
+    return graph(ops, edges, weights), HardwareCluster(machines, channels)
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
+@pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_exports_recover_store(capped, dynamic, data):
+    g, h = data.draw(small_instances(dynamic))
+    model = build_model(g, h, ModelOptions(memory_capped=capped,
+                                           dynamic_loading=dynamic))
+    bound = data.draw(st.sampled_from([None, 4, 2.5, 1e16]))
+    if bound is not None:
+        model = set_primal_bound(model, bound)
+    refs = model.variables.values()
+    binaries = {ref.name for ref in refs if ref.domain == "binary"}
+    want = [(merged(con), con.sense, con.rhs) for con in model.constraints]
+
+    mps = parse_mps(render(model))
+    alias = mps["aliases"]
+    assert list(alias.values()) == [ref.name for ref in refs]
+    sense_of = {"L": "<=", "G": ">=", "E": "=="}
+    got = [({alias[c]: entries[r] for c, entries in mps["cols"].items()
+             if r in entries}, sense_of[mps["rows"][r]],
+            mps["rhs"].get(r, 0.0)) for r in mps["row_order"]]
+    assert got == want
+    assert {alias[c] for c, e in mps["cols"].items() if "COST" in e} \
+        == {"makespan"}
+    # a column with no entry gets no COLUMNS line, so only its bound
+    # says it is binary
+    assert {alias[c] for c in mps["integer"]} \
+        == binaries & {alias[c] for c in mps["cols"]}
+    assert {alias[c] for c, kind in mps["bounds"].items()
+            if kind == "BV"} == binaries
+
+    buf = io.StringIO()
+    export_lp(model, buf)
+    lp = parse_lp(buf.getvalue())
+    alias = lp["aliases"]
+    assert list(alias.values()) == [ref.name for ref in refs]
+    assert [alias[c] for c in lp["objective"]] == ["makespan"]
+    sense_of = {"<=": "<=", ">=": ">=", "=": "=="}
+    got = [({alias[c]: v for c, v in coefs.items()}, sense_of[sense], rhs)
+           for coefs, sense, rhs in map(lp["rows"].get, lp["row_order"])]
+    assert got == want
+    assert {alias[c] for c in lp["binary"]} == binaries
