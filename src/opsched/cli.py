@@ -98,7 +98,8 @@ def _parse_instance(doc: dict):
 
 
 def _spec(cls, **fields):
-    """Build a scenario spec, reporting a rejected size as a usage error."""
+    """Build a scenario spec or solve config, reporting a rejected value
+    as a usage error."""
     try:
         return cls(**fields)
     except ValueError as exc:
@@ -168,13 +169,12 @@ def _build(doc: dict):
 
 
 def _cmd_solve(args) -> int:
+    cfg = _spec(SolveConfig, time_limit=args.time_limit,
+                node_limit=args.node_limit, compaction=args.compaction)
     doc = _read_doc(args.input)
     g, h, model = _build(doc)
     if args.ignore_primal_bound:
         model = clear_primal_bound(model)
-    cfg = SolveConfig(time_limit=args.time_limit,
-                      node_limit=args.node_limit,
-                      compaction=args.compaction)
     sol = solve(model, cfg)
     if sol.status == INFEASIBLE:
         return _fail("infeasible", "no feasible schedule exists",
@@ -185,6 +185,8 @@ def _cmd_solve(args) -> int:
                      EXIT_ERROR, status=sol.status)
     out = dict(doc)
     out["solution"] = sol.to_dict()
+    if args.stats:
+        out["stats"] = sol.stats
     _write_doc(out, args.output)
     return EXIT_OK
 
@@ -244,10 +246,14 @@ def _cmd_repro_dualpipe(args) -> int:
     bound = dualpipe_primal_bound(spec)
     target = dualpipe_bubble_target(spec)
     half = dualpipe_bubble_target(spec, improved=True)
+    bounded_cfg = _spec(SolveConfig, time_limit=args.time_limit)
+    continued_cfg = _spec(SolveConfig, time_limit=args.time_limit,
+                          node_limit=args.node_limit, idle_refinement=True,
+                          idle_target=half)
 
     t0 = time.monotonic()
     model = set_primal_bound(build_model(g, h, options), bound)
-    bounded = solve(model, SolveConfig(time_limit=args.time_limit),
+    bounded = solve(model, bounded_cfg,
                     hint=warm_start(model, dualpipe_reference(spec)))
     rep1 = verify(g, h, bounded, capped=options.memory_capped)
     if not rep1.feasible:
@@ -260,11 +266,7 @@ def _cmd_repro_dualpipe(args) -> int:
                      EXIT_ERROR)
 
     unbounded = clear_primal_bound(model)
-    continued = solve(unbounded,
-                      SolveConfig(time_limit=args.time_limit,
-                                  node_limit=args.node_limit,
-                                  idle_refinement=True,
-                                  idle_target=half),
+    continued = solve(unbounded, continued_cfg,
                       hint=warm_start(unbounded, bounded))
     rep2 = verify(g, h, continued, capped=options.memory_capped)
     if not rep2.feasible:
@@ -356,6 +358,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--compaction", default="none", choices=["none", "late"])
     p.add_argument("--ignore-primal-bound", action="store_true")
+    p.add_argument("--stats", action="store_true",
+                   help="add the search's nodes, timed_out and root_bound "
+                        "under a top-level stats key")
     p.set_defaults(func=_cmd_solve)
 
     p = tbl["verify"] = sub.add_parser("verify", help="replay a solution")

@@ -23,11 +23,13 @@ appends, so violations prune immediately.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
 import random
 import time as _time
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -69,6 +71,13 @@ class SolveConfig:
     def __post_init__(self):
         if self.compaction not in ("none", "late"):
             raise ValueError(f"unknown compaction {self.compaction!r}")
+        # a NaN deadline never passes, so such a search could never stop
+        if not self.time_limit >= 0:
+            raise ValueError(f"time_limit must be >= 0, got "
+                             f"{self.time_limit!r}")
+        if self.node_limit is not None and self.node_limit < 0:
+            raise ValueError(f"node_limit must be >= 0, got "
+                             f"{self.node_limit!r}")
 
 
 @dataclass
@@ -82,6 +91,9 @@ class Solution:
     load_events: list[tuple[str, str, str]] = field(default_factory=list)
     preloads: list[tuple[str, str]] = field(default_factory=list)
     bound: float | None = None
+    # what the search did: {"nodes", "timed_out", "root_bound"}; set by
+    # `solve`, left out of to_dict() and of comparisons
+    stats: dict | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -153,7 +165,11 @@ class _Instance:
         self.dynamic = model.options.dynamic_loading
         self.assets = dict(g.weights)
         midx = {j: k for k, j in enumerate(self.machines)}
-        self.chan = {(midx[a], midx[b]) for (a, b) in h.channels}
+        # bit b of out_mask[a] is set when machine a can send to machine
+        # b; h.channels holds every implicit self-channel (j, j)
+        self.out_mask = [0] * self.nm
+        for (a, b) in h.channels:
+            self.out_mask[midx[a]] |= 1 << midx[b]
 
         self.preds: list[list[int]] = [[] for _ in range(self.n)]
         self.succs: list[list[int]] = [[] for _ in range(self.n)]
@@ -174,6 +190,8 @@ class _Instance:
             self.tail[k] = max(
                 (self.tail[sx] + self.dur[sx] for sx in self.succs[k]),
                 default=0.0)
+        # dispatch priority: longest remaining path first
+        self.prio = [-(self.dur[k] + self.tail[k]) for k in range(self.n)]
         self.head = [0.0] * self.n
         for k in order:
             self.head[k] = max(
@@ -242,6 +260,16 @@ def _mem_step(mem, lift, resident, act, cap):
 
 # -- shared dispatch state ------------------------------------------------------
 
+# The ready set (unplaced ops whose predecessors are all placed) is kept
+# by `_dispatch` and `_undo` as two sorted lists:
+#     ready      (prio, k)
+#     ready_est  (est, prio, k)
+# An op's est (the latest end among its predecessors) is final once it
+# is ready, since every predecessor is placed, so the entry added when
+# it becomes ready is the entry removed when it is dispatched or its
+# last predecessor is undone. `_undo` restores both lists exactly,
+# entry for entry.
+
 
 class _State:
     def __init__(self, inst: _Instance):
@@ -268,9 +296,9 @@ class _State:
         self.load_events: list[tuple[int, str, str]] = []
         self.preloads: list[tuple[str, int]] = []
         self.est = [0.0] * n  # max end over scheduled predecessors
-
-    def committed_idle(self) -> float:
-        return sum(self.free) - sum(self.busy)
+        self.ready = sorted((inst.prio[k], k) for k in range(n)
+                            if not inst.preds[k])
+        self.ready_est = [(self.est[k], prio, k) for (prio, k) in self.ready]
 
     def solution_parts(self):
         inst = self.inst
@@ -291,31 +319,15 @@ class _State:
 def _dispatch(state: _State, k: int, m: int,
               loads: tuple[str, ...] = (), unloads: tuple[str, ...] = (),
               preload: tuple[str, ...] = ()):
-    """Place op k on machine m at its earliest start; return an undo token
-    or None when the placement is infeasible (channel or memory).
+    """Place ready op k on machine m at its earliest start; return an
+    undo token or None when the placement is infeasible (channel or
+    memory), in which case the state is untouched.
 
     Transfers into k that were already dispatched separately (the
     fixed-assignment mode does this for contended nonzero transfers) are
     respected; the rest are appended to their channels here.
     """
     inst = state.inst
-    arrival = 0.0
-    new_comms = []
-    for p in inst.preds[k]:
-        mp = state.mach_of[p]
-        if (mp, m) not in inst.chan:
-            return None
-        if (p, k) in state.comm_sched:
-            arrival = max(arrival, state.comm_sched[p, k][3])
-            continue
-        if mp == m:
-            cs = ce = state.end[p]
-        else:
-            cs = max(state.end[p], state.chan_free.get((mp, m), 0.0))
-            ce = cs + inst.comm[p, k]
-        arrival = max(arrival, ce)
-        new_comms.append(((p, k), (mp, m, cs, ce)))
-
     extra = 0.0
     static_w = state.static_w[m]
     resident = state.resident[m]
@@ -337,37 +349,59 @@ def _dispatch(state: _State, k: int, m: int,
         static_w += lift
         mem = _mem_step(state.mem[m], lift, static_w, inst.act[k],
                         inst.mem_cap[m])
-        resident = resident.union(new)
+        if new and mem is not None:
+            resident = resident.union(new)
     if mem is None:
         return None
 
+    mach_of, out_mask, comm_sched = state.mach_of, inst.out_mask, \
+        state.comm_sched
+    arrival = 0.0
+    new_comms = []
+    for p in inst.preds[k]:
+        mp = mach_of[p]
+        if not out_mask[mp] >> m & 1:
+            return None
+        key = (p, k)
+        if key in comm_sched:
+            arrival = max(arrival, comm_sched[key][3])
+            continue
+        if mp == m:
+            cs = ce = state.end[p]
+        else:
+            cs = max(state.end[p], state.chan_free.get((mp, m), 0.0))
+            ce = cs + inst.comm[key]
+        if ce > arrival:
+            arrival = ce
+        new_comms.append((key, (mp, m, cs, ce)))
+
     start = max(state.free[m], arrival)
     end = start + inst.dur[k] + extra
-
-    undo = {
-        "k": k, "m": m,
-        "free": state.free[m], "busy": state.busy[m],
-        "cur_max_end": state.cur_max_end,
-        "mem": (state.mem[m], state.static_w[m], state.resident[m],
-                state.ever[m]),
-        "chan": [], "comms": [key for key, _ in new_comms],
-        "est": [(sx, state.est[sx]) for sx in inst.succs[k]],
-        "n_loads": len(state.load_events),
-        "n_preloads": len(state.preloads),
-    }
+    succs = inst.succs[k]
+    chan_olds = []
+    undo = (k, m, state.free[m], state.busy[m], state.cur_max_end,
+            state.mem[m], state.static_w[m], state.resident[m],
+            state.ever[m], chan_olds, new_comms,
+            [state.est[sx] for sx in succs],
+            len(state.load_events), len(state.preloads))
     state.mem[m] = mem
     state.static_w[m] = static_w
     state.resident[m] = resident
     state.ever[m] = ever
 
-    for key, (j1, j2, cs, ce) in new_comms:
+    for key, comm in new_comms:
+        j1, j2, cs, ce = comm
         # instantaneous transfers do not occupy the channel
         if j1 != j2 and ce > cs:
             old = state.chan_free.get((j1, j2))
-            undo["chan"].append(((j1, j2), old))
+            chan_olds.append(((j1, j2), old))
             state.chan_free[j1, j2] = max(old or 0.0, ce)
-        state.comm_sched[key] = (j1, j2, cs, ce)
+        comm_sched[key] = comm
 
+    prio, est = inst.prio, state.est
+    ready, ready_est = state.ready, state.ready_est
+    del ready[bisect_left(ready, (prio[k], k))]
+    del ready_est[bisect_left(ready_est, (est[k], prio[k], k))]
     state.mach_of[k] = m
     state.start[k] = start
     state.end[k] = end
@@ -376,9 +410,14 @@ def _dispatch(state: _State, k: int, m: int,
     state.cur_max_end = max(state.cur_max_end, end)
     state.n_done += 1
     state.work_rem -= inst.dur[k]
-    for sx in inst.succs[k]:
-        state.missing_preds[sx] -= 1
-        state.est[sx] = max(state.est[sx], end)
+    missing = state.missing_preds
+    for sx in succs:
+        missing[sx] -= 1
+        if end > est[sx]:
+            est[sx] = end
+        if not missing[sx]:
+            insort(ready, (prio[sx], sx))
+            insort(ready_est, (est[sx], prio[sx], sx))
     for wid in preload:
         state.preloads.append((wid, m))
     for wid in loads:
@@ -388,30 +427,40 @@ def _dispatch(state: _State, k: int, m: int,
     return undo
 
 
-def _undo(state: _State, undo: dict):
+def _undo(state: _State, undo: tuple):
     inst = state.inst
-    k, m = undo["k"], undo["m"]
+    (k, m, free, busy, cur_max_end, mem, static_w, resident, ever,
+     chan_olds, new_comms, est_olds, n_loads, n_preloads) = undo
     state.mach_of[k] = -1
-    state.free[m] = undo["free"]
-    state.busy[m] = undo["busy"]
-    state.cur_max_end = undo["cur_max_end"]
-    (state.mem[m], state.static_w[m], state.resident[m],
-     state.ever[m]) = undo["mem"]
+    state.free[m] = free
+    state.busy[m] = busy
+    state.cur_max_end = cur_max_end
+    state.mem[m] = mem
+    state.static_w[m] = static_w
+    state.resident[m] = resident
+    state.ever[m] = ever
     state.n_done -= 1
     state.work_rem += inst.dur[k]
-    for sx in inst.succs[k]:
-        state.missing_preds[sx] += 1
-    for sx, old in undo["est"]:
-        state.est[sx] = old
-    for key in undo["comms"]:
-        del state.comm_sched[key]
-    for chan_key, old in undo["chan"]:
+    prio, est, missing = inst.prio, state.est, state.missing_preds
+    ready, ready_est = state.ready, state.ready_est
+    for sx, old in zip(inst.succs[k], est_olds):
+        if not missing[sx]:
+            del ready[bisect_left(ready, (prio[sx], sx))]
+            del ready_est[bisect_left(ready_est, (est[sx], prio[sx], sx))]
+        missing[sx] += 1
+        est[sx] = old
+    insort(ready, (prio[k], k))
+    insort(ready_est, (est[k], prio[k], k))
+    comm_sched = state.comm_sched
+    for key, _ in new_comms:
+        del comm_sched[key]
+    for chan_key, old in chan_olds:
         if old is None:
             del state.chan_free[chan_key]
         else:
             state.chan_free[chan_key] = old
-    del state.load_events[undo["n_loads"]:]
-    del state.preloads[undo["n_preloads"]:]
+    del state.load_events[n_loads:]
+    del state.preloads[n_preloads:]
 
 
 # -- search drivers -------------------------------------------------------------
@@ -452,12 +501,16 @@ class _Search:
                 raise SolveError(f"fixed assignment names unknown id: "
                                  f"({op!r}, {j!r})")
             self.pinned[self.inst.idx[op]] = midx[j]
-        self.forbidden: set[tuple[int, int]] = set()
+        self.pinned_order = sorted(self.pinned.items())
+        # per op, the bit mask of machines the pins and exclusions allow
+        self.allowed = [(1 << self.inst.nm) - 1] * self.inst.n
+        for k, m0 in self.pinned.items():
+            self.allowed[k] = 1 << m0
         for (op, j) in cfg.forbidden_assignment:
             if op not in self.inst.idx or j not in midx:
                 raise SolveError(f"forbidden assignment names unknown id: "
                                  f"({op!r}, {j!r})")
-            self.forbidden.add((self.inst.idx[op], midx[j]))
+            self.allowed[self.inst.idx[op]] &= ~(1 << midx[j])
 
     # pruning threshold: must beat the incumbent and respect the bound
     def limit(self) -> float:
@@ -545,16 +598,8 @@ class _Search:
         brem = [0] * nb
         for k in range(n):
             brem[le_of[k]] += dur[k]
-        # machine masks reachable over a channel from each machine
-        out_mask = [0] * nm
-        for (a, b) in inst.chan:
-            out_mask[a] |= 1 << b
-        full = (1 << nm) - 1
-        allowed = [full] * n
-        for k, m0 in self.pinned.items():
-            allowed[k] = 1 << m0
-        for (k, m0) in self.forbidden:
-            allowed[k] &= ~(1 << m0)
+        out_mask = inst.out_mask
+        allowed = self.allowed
         caps = inst.mem_cap
         act = inst.act
         wmem = inst.wmem
@@ -678,28 +723,56 @@ class _Search:
 
         return rec(0)
 
-    def _candidates(self, state: _State):
-        inst = self.inst
-        eligible = [k for k in range(inst.n)
-                    if state.mach_of[k] < 0 and state.missing_preds[k] == 0]
-        cands = []
-        for k in eligible:
-            cg = self.group_of.get(k)
-            if cg is not None and cg[1] > self.chain_started[cg[0]]:
+    # The candidate order of a DFS node is every usable (op, machine)
+    # pair sorted by (lb_start, prio, k, m), lb_start = max(free[m],
+    # est[k]), less the pairs with lb_start < last_start - _EPS. For one
+    # machine m the order is known without a sort: first the ready ops
+    # with est <= free[m], in `ready` order, all at lb_start = free[m];
+    # then those with est > free[m], in `ready_est` order, at lb_start =
+    # est. heapq.merge combines the per-machine streams, and since no two
+    # keys share (k, m) the merged order is exactly the sorted one.
+    #
+    # The streams are lazy: they read `free`, the ready lists, the
+    # predecessors' machines and the symmetry chains when resumed. `_dfs`
+    # resumes them only after the child's `_undo`, which restores all of
+    # that exactly, so each stream sees the state it started from.
+
+    def _candidates(self, state: _State, last_start: float):
+        """The (lb_start, prio, k, m) dispatches a DFS node branches on,
+        in order, lazily."""
+        threshold = last_start - _EPS
+        return heapq.merge(*(self._machine_candidates(state, m, threshold)
+                             for m in range(self.inst.nm)))
+
+    def _machine_candidates(self, state: _State, m: int, threshold: float):
+        allowed, out_mask, preds = self.allowed, self.inst.out_mask, \
+            self.inst.preds
+        group_of, chain_started = self.group_of, self.chain_started
+        mach_of, est = state.mach_of, state.est
+        ready_est = state.ready_est
+        bit = 1 << m
+        free = state.free[m]
+        # ready_est[late:] are the ops with est > free
+        late = bisect_left(ready_est, (free, math.inf))
+        if free >= threshold:
+            early = ((free, prio, k) for (prio, k) in state.ready
+                     if est[k] <= free)
+        else:
+            # every early pair, and every late one with est < threshold,
+            # starts before the previous dispatch
+            early = ()
+            late = max(late, bisect_left(ready_est, (threshold,)))
+        for (lb_start, prio, k) in itertools.chain(
+                early, itertools.islice(ready_est, late, None)):
+            mask = allowed[k]
+            for p in preds[k]:
+                mask &= out_mask[mach_of[p]]
+            if not mask & bit:
                 continue
-            machines = ((self.pinned[k],) if k in self.pinned
-                        else range(inst.nm))
-            for m in machines:
-                if (k, m) in self.forbidden:
-                    continue
-                if any((state.mach_of[p], m) not in inst.chan
-                       for p in inst.preds[k]):
-                    continue
-                arr = state.est[k]
-                lb_start = max(state.free[m], arr)
-                cands.append((lb_start, -(inst.dur[k] + inst.tail[k]), k, m))
-        cands.sort()
-        return cands
+            cg = group_of.get(k)
+            if cg is not None and cg[1] > chain_started[cg[0]]:
+                continue
+            yield (lb_start, prio, k, m)
 
     def _ext_choices(self, state: _State, k: int, m: int):
         """Load/unload/preload alternatives for dispatching op k on m.
@@ -730,15 +803,19 @@ class _Search:
         lb = state.cur_max_end
         lb = max(lb, inst.load_bound(sum(state.free), state.work_rem))
         min_free = min(state.free)
-        for k in range(inst.n):
-            if state.mach_of[k] < 0 and state.missing_preds[k] == 0:
-                est = max(state.est[k], min_free)
-                lb = max(lb, est + inst.dur[k] + inst.tail[k])
+        est, dur, tail = state.est, inst.dur, inst.tail
+        for _, k in state.ready:
+            start = est[k]
+            if min_free > start:
+                start = min_free
+            finish = start + dur[k] + tail[k]
+            if finish > lb:
+                lb = finish
         if self.pinned:
             rem = [0.0] * inst.nm
-            for k in range(inst.n):
-                if state.mach_of[k] < 0 and k in self.pinned:
-                    rem[self.pinned[k]] += inst.dur[k]
+            for k, m in self.pinned_order:
+                if state.mach_of[k] < 0:
+                    rem[m] += inst.dur[k]
             for m in range(inst.nm):
                 lb = max(lb, state.free[m] + rem[m])
         return lb
@@ -750,12 +827,10 @@ class _Search:
             self.record_leaf(state)
             return True
         complete = True
-        for (lb_start, _, k, m) in self._candidates(state):
-            # canonical dispatch order: every schedule the dispatcher can
-            # produce is reachable with nondecreasing start times, so
-            # starting before the previous dispatch only revisits states
-            if lb_start < last_start - _EPS:
-                continue
+        # canonical dispatch order: every schedule the dispatcher can
+        # produce is reachable with nondecreasing start times, so the
+        # candidates skip starts before the previous dispatch
+        for (lb_start, _, k, m) in self._candidates(state, last_start):
             if self.should_stop():
                 return False
             cg = self.group_of.get(k)
@@ -792,14 +867,11 @@ class _Search:
 
     def _assignment_feasible(self, assign) -> bool:
         inst = self.inst
-        for k, m in self.pinned.items():
-            if assign[k] != m:
-                return False
         for k, m in enumerate(assign):
-            if (k, m) in self.forbidden:
+            if not self.allowed[k] >> m & 1:
                 return False
         for (p, k) in inst.comm:
-            if (assign[p], assign[k]) not in inst.chan:
+            if not inst.out_mask[assign[p]] >> assign[k] & 1:
                 return False
         # aggregate load bound per machine
         loads = [0.0] * inst.nm
@@ -823,9 +895,7 @@ class _Search:
             j1, j2 = assign[p], assign[k]
             cs = max(state.end[p], state.chan_free.get((j1, j2), 0.0))
             cands.append((cs, 0, ("comm", p, k)))
-        for k in range(inst.n):
-            if state.mach_of[k] >= 0 or state.missing_preds[k] != 0:
-                continue
+        for _, k in state.ready:
             if any(assign[p] != assign[k] and (p, k) not in state.comm_sched
                    for p in inst.preds[k]):
                 continue
@@ -849,10 +919,9 @@ class _Search:
                 rem[assign[k]] += inst.dur[k]
         for m in range(inst.nm):
             lb = max(lb, state.free[m] + rem[m])
-        for k in range(inst.n):
-            if state.mach_of[k] < 0 and state.missing_preds[k] == 0:
-                lb = max(lb, max(state.est[k], 0.0) + inst.dur[k]
-                         + inst.tail[k])
+        for _, k in state.ready:
+            lb = max(lb, max(state.est[k], 0.0) + inst.dur[k]
+                     + inst.tail[k])
         return lb
 
     def _seq_dfs(self, state: _State, assign) -> bool:
@@ -924,16 +993,21 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None, *,
 
     sol = search.incumbent
     root = search.root
+    stats = {"nodes": search.nodes, "timed_out": search.timed_out,
+             "root_bound": root}
     if sol is None:
         if search.timed_out:
-            return Solution(status=TIME_LIMIT, objective=None, bound=root)
-        if exhausted and complete_mode and search.primal_bound is None:
-            return Solution(status=INFEASIBLE, objective=None, bound=root)
-        # a primal-bound target pruned the tree; absence of a schedule
-        # within the target does not prove infeasibility
-        return Solution(status=FEASIBLE, objective=None, bound=root)
+            status = TIME_LIMIT
+        elif exhausted and complete_mode and search.primal_bound is None:
+            status = INFEASIBLE
+        else:
+            # a primal-bound target pruned the tree; absence of a schedule
+            # within the target does not prove infeasibility
+            status = FEASIBLE
+        return Solution(status=status, objective=None, bound=root,
+                        stats=stats)
 
-    sol = replace(sol)
+    sol = replace(sol, stats=stats)
     if exhausted and complete_mode:
         sol.status = OPTIMAL
         sol.bound = sol.objective

@@ -326,3 +326,51 @@ def random_loading_instance(rng):
         chans.append(Channel("m1", "m0"))
     h = HardwareCluster(machines, chans)
     return g, h
+
+
+# -- DFS candidate-order oracle ----------------------------------------------
+
+
+def candidate_order_oracle(search, state, last_start, eps=1e-9):
+    """The dispatches a DFS node of `search` branches on, in order.
+
+    Lists every usable (operation, machine) pair of the node, sorts the
+    (lb_start, prio, k, m) keys in full and drops the starts before
+    `last_start - eps`: the solver's candidate order before it was
+    generated lazily. It reads the search's data (pins, forbidden pairs,
+    symmetry chains, channels) straight from its inputs.
+    """
+    inst = search.inst
+    midx = {j: m for m, j in enumerate(inst.machines)}
+    chan = {(midx[a], midx[b]) for (a, b) in inst.model.cluster.channels}
+    forbidden = {(inst.idx[o], midx[j])
+                 for (o, j) in search.cfg.forbidden_assignment}
+    eligible = [k for k in range(inst.n)
+                if state.mach_of[k] < 0 and state.missing_preds[k] == 0]
+    cands = []
+    for k in eligible:
+        cg = search.group_of.get(k)
+        if cg is not None and cg[1] > search.chain_started[cg[0]]:
+            continue
+        machines = ((search.pinned[k],) if k in search.pinned
+                    else range(inst.nm))
+        for m in machines:
+            if (k, m) in forbidden:
+                continue
+            if any((state.mach_of[p], m) not in chan
+                   for p in inst.preds[k]):
+                continue
+            lb_start = max(state.free[m], state.est[k])
+            cands.append((lb_start, -(inst.dur[k] + inst.tail[k]), k, m))
+    cands.sort()
+    return [c for c in cands if not c[0] < last_start - eps]
+
+
+def ready_recount(state):
+    """Both ready lists of a DFS state, recounted from scratch."""
+    inst = state.inst
+    ready = [k for k in range(inst.n)
+             if state.mach_of[k] < 0 and state.missing_preds[k] == 0]
+    prio = {k: -(inst.dur[k] + inst.tail[k]) for k in ready}
+    return (sorted((prio[k], k) for k in ready),
+            sorted((state.est[k], prio[k], k) for k in ready))

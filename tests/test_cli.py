@@ -5,6 +5,7 @@ import pytest
 
 from opsched.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, main
 from opsched.graph import load_computation_graph
+from opsched.scenarios import DualPipeSpec, dualpipe_bubble_target
 from opsched.trace import US_PER_UNIT
 
 ONE_OP = {"graph": {"operations": [{"id": "a", "duration": 1}]},
@@ -181,3 +182,62 @@ class TestCoarsen:
         inst = _write(tmp_path / "inst.json", ONE_OP)
         assert main(["coarsen", "-i", inst, "--to", budget]) == EXIT_USAGE
         assert json.loads(capsys.readouterr().err)["error"] == "bad-spec"
+
+
+class TestSolve:
+    @pytest.mark.parametrize("limit", [["--time-limit", "nan"],
+                                       ["--time-limit", "-1"],
+                                       ["--node-limit", "-5"]], ids=" ".join)
+    @pytest.mark.parametrize("argv", [["solve"],
+                                      ["repro-dualpipe", "--pp", "2"]],
+                             ids=" ".join)
+    def test_limit_that_never_stops_is_one_json_error(self, tmp_path, capsys,
+                                                      argv, limit):
+        # a NaN time limit made the deadline unreachable: the search ran
+        # until its tree was exhausted
+        inst = _write(tmp_path / "inst.json", ONE_OP)
+        if argv == ["solve"]:
+            argv = argv + ["-i", inst]
+        assert main(argv + limit) == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err)["error"] == "bad-spec"
+
+    @pytest.mark.parametrize("limit", [["--time-limit", "inf"],
+                                       ["--time-limit", "0"]], ids=" ".join)
+    def test_infinite_and_zero_time_limits_stay_valid(self, tmp_path, limit):
+        inst = _write(tmp_path / "inst.json", ONE_OP)
+        assert main(["solve", "-i", inst, "-o", str(tmp_path / "out.json")]
+                    + limit) == EXIT_OK
+
+    def test_stats_only_when_asked(self, tmp_path):
+        inst = str(tmp_path / "inst.json")
+        assert main(["gen", "dualpipe", "--pp", "2", "-o", inst]) == EXIT_OK
+        plain, stats = tmp_path / "plain.json", tmp_path / "stats.json"
+        base = ["solve", "-i", inst, "--ignore-primal-bound",
+                "--node-limit", "50"]
+        assert main(base + ["-o", str(plain)]) == EXIT_OK
+        assert main(base + ["--stats", "-o", str(stats)]) == EXIT_OK
+        plain, stats = (json.loads(p.read_text()) for p in (plain, stats))
+        assert "stats" not in plain
+        # the search reaches the root bound before the node budget
+        assert stats.pop("stats") == {"nodes": 25, "timed_out": False,
+                                      "root_bound": 12.0}
+        assert stats == plain
+
+
+class TestReproDualpipe:
+    def test_pp2_runs_to_completion(self, tmp_path, capsys):
+        out = tmp_path / "repro.json"
+        assert main(["repro-dualpipe", "--pp", "2", "-o", str(out)]) \
+            == EXIT_OK
+        spec = DualPipeSpec(pp=2)
+        target = dualpipe_bubble_target(spec)
+        half = dualpipe_bubble_target(spec, improved=True)
+        printed = capsys.readouterr().out
+        assert (f"bubble(dualpipe-bound)={int(target)}, "
+                f"bubble(continued)={int(half)}") in printed
+        assert "pp=2 makespan(bound)=12 makespan(continued)=12 " in printed
+        report = tmp_path / "report.json"
+        assert main(["verify", "-i", str(out), "-o", str(report)]) \
+            == EXIT_OK
+        rep = json.loads(report.read_text())
+        assert rep["makespan"] == 12 and rep["bubble_total"] == half

@@ -1,0 +1,97 @@
+"""The DFS's lazily merged candidate order and incremental ready set,
+checked node by node against a full enumerate-sort-filter oracle and a
+from-scratch recount of the ready set."""
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from opsched import solver
+from opsched.graph import Channel, HardwareCluster, Machine, WeightAsset
+from opsched.model import ModelOptions, build_model
+
+from conftest import (candidate_order_oracle, edge, graph, op,
+                      ready_recount)
+
+# few distinct values, so starts, ests and priorities often tie
+_VALUES = st.sampled_from([0, 1, 1, 2, 3, 0.5, 1.25])
+
+
+@st.composite
+def dfs_cases(draw, dynamic_loading):
+    """2-8 ops on 1-3 machines with sparse channels, random comm and
+    weights, plus pins, forbidden pairs and symmetry chains."""
+    weights = [WeightAsset(f"w{k}", draw(_VALUES), draw(_VALUES),
+                           draw(_VALUES))
+               for k in range(draw(st.integers(int(dynamic_loading), 2)))]
+    ops = [op(f"o{k}", draw(_VALUES), mem=draw(_VALUES),
+              act=draw(st.sampled_from([-1, 0, 0.5, 2])),
+              refs=[w.id for w in weights if draw(st.booleans())])
+           for k in range(draw(st.integers(2, 8)))]
+    edges = [edge(a.id, b.id, draw(st.sampled_from([0, 0, 1, 0.5])))
+             for k, a in enumerate(ops) for b in ops[k + 1:]
+             if draw(st.integers(0, 2)) == 0]
+    cap = 1 + sum(o.weight_mem + max(0, o.activation_delta) for o in ops)
+    cap += sum(w.size for w in weights) + draw(_VALUES)
+    machines = [Machine(f"m{k}", cap)
+                for k in range(draw(st.integers(1, 3)))]
+    channels = [Channel(a.id, b.id) for a in machines for b in machines
+                if a.id != b.id and draw(st.booleans())]
+    ids, mids = [o.id for o in ops], [j.id for j in machines]
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(mids))
+    pins = tuple(draw(st.lists(pairs, max_size=2)))
+    forbidden = tuple(draw(st.lists(pairs, max_size=3)))
+    # disjoint groups of up to two ops each, cut into one or two chains
+    order = draw(st.permutations(ids))
+    groups = [tuple(order[i:i + 2])
+              for i in range(0, draw(st.integers(0, len(ids))), 2)]
+    cut = draw(st.integers(0, len(groups)))
+    chains = tuple(c for c in (tuple(groups[:cut]), tuple(groups[cut:]))
+                   if c)
+    cfg = solver.SolveConfig(node_limit=300, fixed_assignment=pins,
+                             forbidden_assignment=forbidden,
+                             batch_symmetry=chains)
+    return graph(ops, edges, weights), HardwareCluster(machines, channels), \
+        cfg
+
+
+class _CheckedSearch(solver._Search):
+    def _candidates(self, state, last_start):
+        expected = candidate_order_oracle(self, state, last_start)
+        # the whole order, generated at once from the node's state
+        assert list(super()._candidates(state, last_start)) == expected
+        # and generated lazily, resumed only after each child's undo
+        seen = 0
+        for cand in super()._candidates(state, last_start):
+            assert cand == expected[seen]
+            seen += 1
+            yield cand
+        assert seen == len(expected)
+
+
+def _checked(step):
+    def run(state, *args):
+        out = step(state, *args)
+        assert (state.ready, state.ready_est) == ready_recount(state)
+        return out
+    return run
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
+@pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_lazy_order_matches_oracle(capped, dynamic, data):
+    g, h, cfg = data.draw(dfs_cases(dynamic))
+    model = build_model(g, h, ModelOptions(memory_capped=capped,
+                                           dynamic_loading=dynamic))
+    search = _CheckedSearch(model, cfg, None)
+    state = solver._State(search.inst)
+    assert (state.ready, state.ready_est) == ready_recount(state)
+    with mock.patch.object(solver, "_dispatch", _checked(solver._dispatch)), \
+            mock.patch.object(solver, "_undo", _checked(solver._undo)):
+        search._dfs(state)
+    assert search.nodes > 0
+    assert (state.ready, state.ready_est) == ready_recount(state)
+    assert state.n_done == 0

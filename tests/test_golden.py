@@ -17,22 +17,31 @@ digests were recorded while the writers still named every term through
 `VarRef.name`, merged every row through a dict and formatted every
 coefficient afresh, so the streamed writers must emit the same bytes.
 The hand-built store is the only case whose rows repeat a variable.
+
+The DFS cases below `dfs` were recorded while every DFS node still
+listed, sorted and filtered all (operation, machine) pairs and rescanned
+every operation for its bound, so the incremental ready lists and the
+lazily merged candidate order must branch in the same order.
 Every case runs in well under a second.
 """
+import contextlib
 import hashlib
 import io
 import json
 
 import pytest
 
+from opsched.cli import main
 from opsched.coarsen import CoarsenConfig, coarsen
-from opsched.graph import WeightAsset, dump_computation_graph
+from opsched.graph import (WeightAsset, dump_computation_graph, load_cluster,
+                           load_computation_graph)
 from opsched.model import (BINARY, CONTINUOUS, ConstraintStore,
                            LinearConstraint, ModelOptions, VarRef,
                            build_model, clear_primal_bound, set_primal_bound)
 from opsched.mpswriter import export_lp, export_mps
 from opsched.scenarios import (DualPipeSpec, RandomDagSpec,
-                               dualpipe_primal_bound, gen_dualpipe,
+                               dualpipe_assignment, dualpipe_primal_bound,
+                               dualpipe_symmetry, gen_dualpipe,
                                gen_random_dag)
 from opsched.solver import Solution, SolveConfig, refine_idle, solve
 
@@ -54,6 +63,58 @@ def saturation():
 def dfs():
     model, _ = _dualpipe(2, 6)
     return solve(clear_primal_bound(model), SolveConfig(node_limit=300))
+
+
+def _bench_dag():
+    # the instance `opsched gen random --nodes 400 --machines 3 --seed 0`
+    # writes: the coarsen-chain benchmark's wide-frontier DFS shape
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["gen", "random", "--nodes", "400", "--machines", "3",
+                     "--seed", "0"]) == 0
+    doc = json.loads(out.getvalue())
+    return (load_computation_graph(doc["graph"]),
+            load_cluster(doc["cluster"]))
+
+
+def dfs_bench_direct():
+    g, h = _bench_dag()
+    return solve(build_model(g, h), SolveConfig(node_limit=1000))
+
+
+def dfs_bench_coarse():
+    g, h = _bench_dag()
+    coarse, _ = coarsen(g, CoarsenConfig.for_graph(g, len(g) // 5))
+    return solve(build_model(coarse, h), SolveConfig(node_limit=1000))
+
+
+def dfs_symmetry_pins_forbidden():
+    # zero comm; two symmetry chains, the first micro-batch of each
+    # direction pinned, and a few (op, device) pairs forbidden
+    spec = DualPipeSpec(pp=2, micro_batches=6)
+    model, _ = _dualpipe(2, 6)
+    pins = tuple((o, d) for (o, d) in dualpipe_assignment(spec)
+                 if o[-5:-3] in ("01", "04"))
+    forbidden = (("f02s00", "d01"), ("bw03s01", "d00"),
+                 ("bi05s01", "d01"), ("f06s00", "d00"))
+    return solve(clear_primal_bound(model),
+                 SolveConfig(node_limit=1000,
+                             batch_symmetry=dualpipe_symmetry(spec),
+                             fixed_assignment=pins,
+                             forbidden_assignment=forbidden))
+
+
+def dfs_fractional_ring():
+    # nonzero fractional comm and durations on a one-way ring, so some
+    # placements have no channel; 3**14 assignments is past the
+    # enumeration limit, so the DFS runs
+    base = gen_random_dag(RandomDagSpec(nodes=14, seed=5))
+    g = graph([op(o.id, o.duration + 0.25 * (k % 3), mem=o.weight_mem)
+               for k, o in enumerate(base.operations.values())],
+              [edge(a, b, 0.5 + 0.75 * (k % 4))
+               for k, (a, b) in enumerate(base.edges)])
+    h = cluster(3, channels=[("m0", "m1"), ("m1", "m2"), ("m2", "m0")])
+    return solve(build_model(g, h), SolveConfig(node_limit=1000))
 
 
 def fixed_assignment():
@@ -117,6 +178,14 @@ GOLDEN = {
         "19a0b33eff0b458ad69642f02b15655bfa92205d1cb0b690c1940bdf4f8d7a3a",
     dfs:
         "433011ef56d518b74e1af1c8f32130c413614a3c24d740863aad4ecfb7c0e8c6",
+    dfs_bench_direct:
+        "b53d699b7a5ef1d469b42072f03b12d282ba7bc83176adc4106636bcd4e4a68b",
+    dfs_bench_coarse:
+        "2ca11c5b5928bccb3e7945fa30ddac0753c5c345f2e6697b7e5455dbf37315a7",
+    dfs_symmetry_pins_forbidden:
+        "9bc770dbbeac7f4229e3f9b28dd2cf090564a543a9735482a10c080f09c7ff9d",
+    dfs_fractional_ring:
+        "7b2a2b5d420ac00287b4b7590c7a5aa1476a86d4c648daaeceeb5b023d7e5619",
     fixed_assignment:
         "91946f3334ed62f3afcbcc66cbe848a62bf9a2e50ee22858edb5f6250d66044f",
     dynamic_loading_one_machine:

@@ -314,3 +314,31 @@ class TestDeterminismAndSerialization:
         g = graph([op("a", 1), op("b", 1)], [edge("a", "b", comm=2)])
         sol = solve(build(g, cluster(2)))
         assert Solution.from_json(sol.to_json()) == sol
+
+
+class TestSolveConfig:
+    @pytest.mark.parametrize("fields", [
+        {"time_limit": float("nan")}, {"time_limit": -1.0},
+        {"node_limit": -5}], ids=repr)
+    def test_limit_that_never_stops_is_rejected(self, fields):
+        with pytest.raises(ValueError):
+            SolveConfig(**fields)
+
+    def test_infinite_and_zero_limits_stay_valid(self):
+        SolveConfig(time_limit=float("inf"))
+        SolveConfig(time_limit=0.0, node_limit=0)
+
+    def test_zero_node_limit_stops_at_the_root(self):
+        g = graph([op("a", 1), op("b", 2)], [edge("a", "b")])
+        sol = solve(build(g, cluster(2)), SolveConfig(node_limit=0))
+        assert sol.status == "time-limit" and sol.objective is None
+        assert sol.stats == {"nodes": 1, "timed_out": True,
+                             "root_bound": 3.0}
+
+    def test_stats_stay_out_of_the_document(self):
+        g = graph([op("a", 1), op("b", 2)], [edge("a", "b")])
+        sol = solve(build(g, cluster(2)))
+        assert sol.stats == {"nodes": 3, "timed_out": False,
+                             "root_bound": 3.0}
+        assert "stats" not in sol.to_dict()
+        assert Solution.from_json(sol.to_json()).stats is None
