@@ -310,10 +310,34 @@ def _apply_config(parser: argparse.ArgumentParser, subparsers: dict,
                        EXIT_USAGE)
     for key, value in doc.items():
         if isinstance(value, dict) and key in subparsers:
-            subparsers[key].set_defaults(
-                **{k.replace("-", "_"): v for k, v in value.items()})
+            target = subparsers[key]
+            defaults = {k.replace("-", "_"): v for k, v in value.items()}
         else:
-            parser.set_defaults(**{key.replace("-", "_"): value})
+            target = parser
+            defaults = {key.replace("-", "_"): value}
+        target.set_defaults(**{dest: _config_value(target, dest, v)
+                               for dest, v in defaults.items()})
+
+
+def _config_value(parser: argparse.ArgumentParser, dest: str, value):
+    """A config-file value, converted as the flag's own text would be."""
+    action = next((a for a in parser._actions if a.dest == dest), None)
+    if action is None or value is None and action.default is None:
+        return value
+    if action.type is not None:
+        # the JSON spelling of the value, so a list or a bool never slips
+        # through a numeric type and 1.5 is no int
+        text = value if isinstance(value, str) else json.dumps(value)
+        try:
+            value = action.type(text)
+        except (TypeError, ValueError):
+            raise CliError("bad-spec", f"config value {value!r} for "
+                           f"{dest!r} is not a valid {action.type.__name__}",
+                           EXIT_USAGE)
+    if action.choices is not None and value not in action.choices:
+        raise CliError("bad-spec", f"config value {value!r} for {dest!r} "
+                       f"is not one of {list(action.choices)}", EXIT_USAGE)
+    return value
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -359,8 +383,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--compaction", default="none", choices=["none", "late"])
     p.add_argument("--ignore-primal-bound", action="store_true")
     p.add_argument("--stats", action="store_true",
-                   help="add the search's nodes, timed_out and root_bound "
-                        "under a top-level stats key")
+                   help="add the search's nodes, timed_out, stop reason "
+                        "and root_bound under a top-level stats key")
     p.set_defaults(func=_cmd_solve)
 
     p = tbl["verify"] = sub.add_parser("verify", help="replay a solution")

@@ -5,7 +5,10 @@ Three search modes share the same bounding machinery:
 * saturation search — runs first whenever the aggregate load bound
   meets the pruning limit exactly, so no machine may ever idle; it
   dispatches chronologically on the earliest-free machine at exact
-  start times, with per-op deadlines and deadline-work cuts.
+  start times, with per-op deadlines and deadline-work cuts. It keeps
+  its ready ops sorted by priority and by deadline, with each one's
+  usable machines fixed when it becomes ready, so a node touches only
+  the ops its cuts and candidates need.
 * depth-first dispatching (DFS) — branches on (operation, machine) in
   chronological order, appending induced transfers to their channels.
   Complete (hence exact on exhaustion) whenever all communication
@@ -19,7 +22,10 @@ Three search modes share the same bounding machinery:
 Lower bounds combine the remaining critical path with an aggregate
 machine-load bound. Per-machine memory feasibility is one recurrence
 along the machine's operation order (`_mem_step`); it is monotone under
-appends, so violations prune immediately.
+appends, so violations prune immediately. With static weights, ops of
+one memory class step a machine's chain alike, so both memory-capped
+searches remember each class's step for as long as the machine's memory
+state lasts, and skip the ops that do not fit without retrying them.
 """
 from __future__ import annotations
 
@@ -91,8 +97,8 @@ class Solution:
     load_events: list[tuple[str, str, str]] = field(default_factory=list)
     preloads: list[tuple[str, str]] = field(default_factory=list)
     bound: float | None = None
-    # what the search did: {"nodes", "timed_out", "root_bound"}; set by
-    # `solve`, left out of to_dict() and of comparisons
+    # what the search did: {"nodes", "timed_out", "stop", "root_bound"};
+    # set by `solve`, left out of to_dict() and of comparisons
     stats: dict | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
@@ -155,13 +161,19 @@ class _Instance:
         self.wmem = [g.operations[i].weight_mem for i in self.ops]
         self.refs = [tuple(sorted(set(g.operations[i].weight_refs)))
                      for i in self.ops]
+        # index of each op's distinct (weight_mem, activation, weight_refs):
+        # ops of one class make the same static memory step (see
+        # `_static_step`)
+        classes: dict[tuple, int] = {}
+        self.mem_class = [classes.setdefault(c, len(classes))
+                          for c in zip(self.wmem, self.act, self.refs)]
         self.machines: list[str] = list(h.machines)
         self.nm = len(self.machines)
         self.cap = [h.machines[j].memory_capacity for j in self.machines]
+        self.capped = model.options.memory_capped
         # the capacity each memory chain is checked against; None when
         # the model is uncapped
-        self.mem_cap = (self.cap if model.options.memory_capped
-                        else [None] * self.nm)
+        self.mem_cap = self.cap if self.capped else [None] * self.nm
         self.dynamic = model.options.dynamic_loading
         self.assets = dict(g.weights)
         midx = {j: k for k, j in enumerate(self.machines)}
@@ -258,6 +270,43 @@ def _mem_step(mem, lift, resident, act, cap):
     return (need, prefix, min_all, max_prefix)
 
 
+def _static_step(inst, mem, static_w, resident, k, cap):
+    """Static mode: op k appended to a machine whose chain is `mem`, whose
+    weight total is `static_w` and whose resident assets are `resident`.
+    Returns the three updated, or None if the chain no longer fits `cap`.
+    It depends on the op only through its memory class (`mem_class`).
+    """
+    new = [w for w in inst.refs[k] if w not in resident]
+    lift = inst.wmem[k] + sum(inst.assets[w].size for w in new)
+    static_w += lift
+    mem = _mem_step(mem, lift, static_w, inst.act[k], cap)
+    if mem is None:
+        return None
+    return mem, static_w, resident.union(new) if new else resident
+
+
+# The memory-class memo. In static mode a machine's memory state is its
+# chain, weight total and resident assets, and `_static_step` on it
+# depends on the op only through the op's memory class. So both
+# memory-capped searches keep, per machine, a dict from memory class to
+# that step (None: ops of the class do not fit) for the machine's
+# current state:
+#     _State.memo[m]           the DFS (`_dfs` fills it)
+#     memo[m] in _run_packed   the saturation search
+# A dispatch on machine m starts an empty dict for m's new state, and its
+# undo puts m's state and the old dict back. Undo restores exactly, so an
+# entry holds for as long as its dict is current: at the later siblings
+# of the node that computed it, and at every node below in which m has
+# received nothing. That covers each node's own candidates, so a step is
+# computed at most once per (machine, class) per node, and usually far
+# less often. An op whose class does not fit is passed over before any
+# other work. That changes no decision: the search would reject it, and
+# nothing a node reads changes between two of its candidates unless a
+# child ran in between, after which the node checks whether to stop.
+
+_UNKNOWN = object()  # a memory class not yet in a memo
+
+
 # -- shared dispatch state ------------------------------------------------------
 
 # The ready set (unplaced ops whose predecessors are all placed) is kept
@@ -296,6 +345,8 @@ class _State:
         self.load_events: list[tuple[int, str, str]] = []
         self.preloads: list[tuple[str, int]] = []
         self.est = [0.0] * n  # max end over scheduled predecessors
+        # per machine: the memory-class memo of its current memory state
+        self.memo: list[dict] = [{} for _ in range(nm)]
         self.ready = sorted((inst.prio[k], k) for k in range(n)
                             if not inst.preds[k])
         self.ready_est = [(self.est[k], prio, k) for (prio, k) in self.ready]
@@ -318,10 +369,11 @@ class _State:
 
 def _dispatch(state: _State, k: int, m: int,
               loads: tuple[str, ...] = (), unloads: tuple[str, ...] = (),
-              preload: tuple[str, ...] = ()):
+              preload: tuple[str, ...] = (), step=None):
     """Place ready op k on machine m at its earliest start; return an
     undo token or None when the placement is infeasible (channel or
-    memory), in which case the state is untouched.
+    memory), in which case the state is untouched. In static mode `step`
+    may carry the `_static_step` result the caller already computed.
 
     Transfers into k that were already dispatched separately (the
     fixed-assignment mode does this for contended nonzero transfers) are
@@ -343,16 +395,15 @@ def _dispatch(state: _State, k: int, m: int,
                         inst.act[k], inst.mem_cap[m])
         resident = resident.union(loads).difference(unloads)
         ever = ever.union(preload, loads)
+        if mem is None:
+            return None
     else:
-        new = [w for w in inst.refs[k] if w not in resident]
-        lift = inst.wmem[k] + sum(inst.assets[w].size for w in new)
-        static_w += lift
-        mem = _mem_step(state.mem[m], lift, static_w, inst.act[k],
-                        inst.mem_cap[m])
-        if new and mem is not None:
-            resident = resident.union(new)
-    if mem is None:
-        return None
+        if step is None:
+            step = _static_step(inst, state.mem[m], static_w, resident, k,
+                                inst.mem_cap[m])
+            if step is None:
+                return None
+        mem, static_w, resident = step
 
     mach_of, out_mask, comm_sched = state.mach_of, inst.out_mask, \
         state.comm_sched
@@ -381,13 +432,14 @@ def _dispatch(state: _State, k: int, m: int,
     chan_olds = []
     undo = (k, m, state.free[m], state.busy[m], state.cur_max_end,
             state.mem[m], state.static_w[m], state.resident[m],
-            state.ever[m], chan_olds, new_comms,
+            state.ever[m], state.memo[m], chan_olds, new_comms,
             [state.est[sx] for sx in succs],
             len(state.load_events), len(state.preloads))
     state.mem[m] = mem
     state.static_w[m] = static_w
     state.resident[m] = resident
     state.ever[m] = ever
+    state.memo[m] = {}
 
     for key, comm in new_comms:
         j1, j2, cs, ce = comm
@@ -429,7 +481,7 @@ def _dispatch(state: _State, k: int, m: int,
 
 def _undo(state: _State, undo: tuple):
     inst = state.inst
-    (k, m, free, busy, cur_max_end, mem, static_w, resident, ever,
+    (k, m, free, busy, cur_max_end, mem, static_w, resident, ever, memo,
      chan_olds, new_comms, est_olds, n_loads, n_preloads) = undo
     state.mach_of[k] = -1
     state.free[m] = free
@@ -439,6 +491,7 @@ def _undo(state: _State, undo: tuple):
     state.static_w[m] = static_w
     state.resident[m] = resident
     state.ever[m] = ever
+    state.memo[m] = memo
     state.n_done -= 1
     state.work_rem += inst.dur[k]
     prio, est, missing = inst.prio, state.est, state.missing_preds
@@ -475,6 +528,8 @@ class _Search:
         self.deadline = _time.monotonic() + cfg.time_limit
         self.nodes = 0
         self.timed_out = False
+        # the budget that ended the search: "node-limit" or "time-limit"
+        self.stop: str | None = None
         self.incumbent: Solution | None = None
         self.incumbent_obj: float | None = None
         self.root = self.inst.root_bound()
@@ -526,8 +581,10 @@ class _Search:
         self.nodes += 1
         if self.cfg.node_limit is not None and self.nodes > self.cfg.node_limit:
             self.timed_out = True
+            self.stop = "node-limit"
         elif self.nodes % 2048 == 0 and _time.monotonic() > self.deadline:
             self.timed_out = True
+            self.stop = "time-limit"
         return self.timed_out
 
     def should_stop(self) -> bool:
@@ -594,76 +651,102 @@ class _Search:
         # deadline buckets: distinct latest feasible end times
         les = sorted({lim - t for t in tail})
         le_of = [les.index(lim - t) for t in tail]
-        nb = len(les)
-        brem = [0] * nb
+        brem = [0] * len(les)
         for k in range(n):
             brem[le_of[k]] += dur[k]
+        # machine capacity up to each deadline
+        room = [nm * le for le in les]
+        accumulate = itertools.accumulate
+        # latest start that leaves room for the op and its critical tail
+        late = [lim - dur[k] - tail[k] for k in range(n)]
+        # the ready ops are kept as two sorted lists of ranks: `ready` in
+        # (priority, k) order, `due` in (late, k) order
+        by_prio = sorted(range(n), key=lambda k: (inst.prio[k], k))
+        by_late = sorted(range(n), key=lambda k: (late[k], k))
+        prio_rank = [0] * n
+        late_rank = [0] * n
+        for r in range(n):
+            prio_rank[by_prio[r]] = r
+            late_rank[by_late[r]] = r
         out_mask = inst.out_mask
         allowed = self.allowed
         caps = inst.mem_cap
-        act = inst.act
-        wmem = inst.wmem
-        sizes = {w: a.size for w, a in inst.assets.items()}
-        preds = [tuple(p) for p in inst.preds]
-        succs = [tuple(s) for s in inst.succs]
-        refs = inst.refs
+        mem_class = inst.mem_class
+        preds = inst.preds
+        succs = inst.succs
 
         free = [0] * nm
         mach_of = [-1] * n
-        end = [0] * n
         est = [0] * n
         missing = [len(p) for p in preds]
-        avail = {k for k in range(n) if not missing[k]}
+        # per ready op, the machines it may still use: its allowed ones
+        # that every predecessor's machine can send to
+        rmask = list(allowed)
+        ready = sorted(prio_rank[k] for k in range(n) if not missing[k])
+        due = sorted(late_rank[k] for k in range(n) if not missing[k])
+        # ready ops the deadline cut prunes whatever the machines do:
+        # est > late, or no usable machine (the cut then takes lim as the
+        # op's earliest machine, and late < lim since dur >= 1)
+        doomed = sum(1 for k in range(n)
+                     if not missing[k] and (not rmask[k] or late[k] < 0))
         mem = [_MEM0] * nm
         static = [0.0] * nm
         assets: list[frozenset[str]] = [frozenset()] * nm
-        seq: list[tuple[int, int]] = []
+        memo: list[dict] = [{} for _ in range(nm)]
+        seq: list[int] = []  # the dispatched ops, in dispatch order
         group_of = self.group_of
         chain_started = self.chain_started
 
         def leaf() -> None:
             state = _State(inst)
-            for (k, m) in seq:
-                _dispatch(state, k, m, (), (), ())
+            for k in seq:
+                _dispatch(state, k, mach_of[k])
             self.record_leaf(state)
 
-        def rec(t_floor: int) -> bool:
+        # Each node dispatches on machine m, and every child restores what
+        # it changed exactly before the next sibling is tried: `free`,
+        # `est`, `missing`, both rank lists, `doomed`, `brem`, the chains
+        # and machine m's memory state and memo. `rmask` needs no
+        # restoring: an op's mask is final once it is ready, and is
+        # rewritten when it becomes ready again. So the node can walk
+        # `ready` itself while its children run, and the memo of m's
+        # state holds throughout (see the memory-class memo above).
+
+        def rec() -> bool:
+            nonlocal doomed
             if self.out_of_budget():
                 return False
             if len(seq) == n:
                 leaf()
                 return True
-            m = -1
-            t = lim
-            for j in range(nm):
-                fj = free[j]
-                if fj < t:
-                    t = fj; m = j
-            if m < 0:
+            t = min(free)
+            if t >= lim or doomed:
                 return True
-            cum = 0
-            for b in range(nb):
-                cum += brem[b]
-                if cum and cum > nm * (les[b] - t):
+            m = free.index(t)
+            nt = nm * t
+            for cum, room_b in zip(accumulate(brem), room):
+                if cum > room_b - nt and cum:
                     return True
-            cands = []
-            for k in avail:
-                mask = allowed[k]
-                e = est[k]
-                for p in preds[k]:
-                    mask &= out_mask[mach_of[p]]
-                mf = lim
+            # an op due before the latest free machine needs one of its
+            # own machines free by then; later ops always have one
+            top = max(free)
+            for r in due:
+                k = by_late[r]
+                lk = late[k]
+                if lk >= top:
+                    break
+                mask = rmask[k]
                 for j in range(nm):
-                    if (mask >> j) & 1 and free[j] < mf:
-                        mf = free[j]
-                smin = e if e > mf else mf
-                if smin > lim - dur[k] - tail[k]:
+                    if mask >> j & 1 and free[j] <= lk:
+                        break
+                else:
                     return True
-                if (mask >> m) & 1 and e <= t:
-                    cands.append((-(dur[k] + tail[k]), k))
-            cands.sort()
             complete = True
-            for (_, k) in cands:
+            steps = memo[m]
+            for r in ready:
+                k = by_prio[r]
+                if est[k] > t or not rmask[k] >> m & 1:
+                    continue
                 cg = group_of.get(k)
                 if cg is not None:
                     if cg[1] > chain_started[cg[0]]:
@@ -674,54 +757,63 @@ class _Search:
                 e_new = t + dur[k]
                 if e_new > lim:
                     continue
-                o_mem, o_static, held = mem[m], static[m], assets[m]
-                lift = wmem[k]
-                n_held = held
-                for w in refs[k]:
-                    if w not in held:
-                        lift += sizes[w]
-                        n_held = n_held | {w}
-                n_mem = _mem_step(o_mem, lift, o_static + lift, act[k],
-                                  caps[m])
-                if n_mem is None:
+                c = mem_class[k]
+                step = steps.get(c, _UNKNOWN)
+                if step is _UNKNOWN:
+                    step = steps[c] = _static_step(
+                        inst, mem[m], static[m], assets[m], k, caps[m])
+                if step is None:
                     continue
-                mem[m], static[m], assets[m] = n_mem, o_static + lift, n_held
+                o_mem, o_static, held = mem[m], static[m], assets[m]
+                mem[m], static[m], assets[m] = step
+                memo[m] = {}
                 free[m] = e_new
                 mach_of[k] = m
-                end[k] = e_new
-                avail.discard(k)
+                del ready[bisect_left(ready, prio_rank[k])]
+                del due[bisect_left(due, late_rank[k])]
                 brem[le_of[k]] -= dur[k]
                 if fresh:
                     chain_started[cg[0]] += 1
-                o_ests = [(s, est[s]) for s in succs[k]]
+                o_ests = [est[s] for s in succs[k]]
                 for s in succs[k]:
                     missing[s] -= 1
-                    if not missing[s]:
-                        avail.add(s)
                     if e_new > est[s]:
                         est[s] = e_new
-                seq.append((k, m))
-                if not rec(t):
+                    if not missing[s]:
+                        mask = allowed[s]
+                        for p in preds[s]:
+                            mask &= out_mask[mach_of[p]]
+                        rmask[s] = mask
+                        if not mask or est[s] > late[s]:
+                            doomed += 1
+                        insort(ready, prio_rank[s])
+                        insort(due, late_rank[s])
+                seq.append(k)
+                if not rec():
                     complete = False
                 seq.pop()
-                for (s, v) in o_ests:
-                    est[s] = v
-                for s in succs[k]:
+                for s, v in zip(succs[k], o_ests):
                     if not missing[s]:
-                        avail.discard(s)
+                        if not rmask[s] or est[s] > late[s]:
+                            doomed -= 1
+                        del ready[bisect_left(ready, prio_rank[s])]
+                        del due[bisect_left(due, late_rank[s])]
                     missing[s] += 1
+                    est[s] = v
                 if fresh:
                     chain_started[cg[0]] -= 1
                 brem[le_of[k]] += dur[k]
-                avail.add(k)
+                insort(ready, prio_rank[k])
+                insort(due, late_rank[k])
                 mach_of[k] = -1
                 free[m] = t
                 mem[m], static[m], assets[m] = o_mem, o_static, held
+                memo[m] = steps
                 if self.should_stop():
                     return False
             return complete
 
-        return rec(0)
+        return rec()
 
     # The candidate order of a DFS node is every usable (op, machine)
     # pair sorted by (lb_start, prio, k, m), lb_start = max(free[m],
@@ -735,7 +827,11 @@ class _Search:
     # The streams are lazy: they read `free`, the ready lists, the
     # predecessors' machines and the symmetry chains when resumed. `_dfs`
     # resumes them only after the child's `_undo`, which restores all of
-    # that exactly, so each stream sees the state it started from.
+    # that exactly, so each stream sees the state it started from. A
+    # stream also passes over the ops whose memory class its machine's
+    # memo knows not to fit; the memo only grows while the stream runs,
+    # and `_dfs` rejects such a pair itself when the stream yielded it
+    # before its class failed.
 
     def _candidates(self, state: _State, last_start: float):
         """The (lb_start, prio, k, m) dispatches a DFS node branches on,
@@ -750,6 +846,7 @@ class _Search:
         group_of, chain_started = self.group_of, self.chain_started
         mach_of, est = state.mach_of, state.est
         ready_est = state.ready_est
+        mem_class, memo = self.inst.mem_class, state.memo[m]
         bit = 1 << m
         free = state.free[m]
         # ready_est[late:] are the ops with est > free
@@ -764,6 +861,8 @@ class _Search:
             late = max(late, bisect_left(ready_est, (threshold,)))
         for (lb_start, prio, k) in itertools.chain(
                 early, itertools.islice(ready_est, late, None)):
+            if memo and memo.get(mem_class[k], _UNKNOWN) is None:
+                continue
             mask = allowed[k]
             for p in preds[k]:
                 mask &= out_mask[mach_of[p]]
@@ -823,20 +922,33 @@ class _Search:
     def _dfs(self, state: _State, last_start: float = 0.0) -> bool:
         if self.out_of_budget():
             return False
-        if state.n_done == self.inst.n:
+        inst = self.inst
+        if state.n_done == inst.n:
             self.record_leaf(state)
             return True
         complete = True
+        # only a capped static model can fail a memory step
+        memo_on = inst.capped and not inst.dynamic
         # canonical dispatch order: every schedule the dispatcher can
         # produce is reachable with nondecreasing start times, so the
         # candidates skip starts before the previous dispatch
         for (lb_start, _, k, m) in self._candidates(state, last_start):
             if self.should_stop():
                 return False
+            step = None
+            if memo_on:
+                memo, c = state.memo[m], inst.mem_class[k]
+                step = memo.get(c, _UNKNOWN)
+                if step is _UNKNOWN:
+                    step = memo[c] = _static_step(
+                        inst, state.mem[m], state.static_w[m],
+                        state.resident[m], k, inst.mem_cap[m])
+                if step is None:
+                    continue
             cg = self.group_of.get(k)
             fresh_group = cg is not None and cg[1] == self.chain_started[cg[0]]
             for loads, unloads, preload in self._ext_choices(state, k, m):
-                undo = _dispatch(state, k, m, loads, unloads, preload)
+                undo = _dispatch(state, k, m, loads, unloads, preload, step)
                 if undo is None:
                     continue
                 if fresh_group:
@@ -993,8 +1105,11 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None, *,
 
     sol = search.incumbent
     root = search.root
+    # a search that neither ran out of budget nor explored its whole tree
+    # stopped at an incumbent that meets the primal or the root bound
+    stop = search.stop or ("exhausted" if exhausted else "bound-met")
     stats = {"nodes": search.nodes, "timed_out": search.timed_out,
-             "root_bound": root}
+             "stop": stop, "root_bound": root}
     if sol is None:
         if search.timed_out:
             status = TIME_LIMIT

@@ -220,8 +220,71 @@ class TestSolve:
         assert "stats" not in plain
         # the search reaches the root bound before the node budget
         assert stats.pop("stats") == {"nodes": 25, "timed_out": False,
+                                      "stop": "bound-met",
                                       "root_bound": 12.0}
         assert stats == plain
+
+    @pytest.mark.parametrize("limit, stop", [
+        (["--node-limit", "300"], "node-limit"),
+        # the clock is read every 2,048 nodes
+        (["--time-limit", "0"], "time-limit")], ids=lambda v: str(v))
+    def test_stop_names_the_budget_that_ended_the_search(self, tmp_path,
+                                                         limit, stop):
+        inst, out = str(tmp_path / "inst.json"), tmp_path / "out.json"
+        assert main(["gen", "dualpipe", "--pp", "2", "--micro-batches", "6",
+                     "-o", inst]) == EXIT_OK
+        assert main(["solve", "-i", inst, "--ignore-primal-bound", "--stats",
+                     "-o", str(out)] + limit) == EXIT_OK
+        doc = json.loads(out.read_text())
+        # the status label stays time-limit for both budgets
+        assert doc["solution"]["status"] == "time-limit"
+        assert doc["stats"]["stop"] == stop and doc["stats"]["timed_out"]
+        assert doc["stats"]["nodes"] == (301 if stop == "node-limit"
+                                         else 2048)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("value", [[1], "abc", True, {"s": 1}, None],
+                             ids=repr)
+    def test_value_of_the_wrong_type_is_one_json_error(self, tmp_path,
+                                                       capsys, value):
+        # a list once reached SolveConfig and died in a TypeError
+        # traceback with exit 1
+        inst = _write(tmp_path / "inst.json", ONE_OP)
+        cfg = _write(tmp_path / "cfg.json", {"solve": {"time_limit": value}})
+        assert main(["--config", cfg, "solve", "-i", inst]) == EXIT_USAGE
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "bad-spec" and "time_limit" in err["message"]
+
+    @pytest.mark.parametrize("solve_cfg", [{"node-limit": 1.5},
+                                           {"compaction": "early"}],
+                             ids=repr)
+    def test_int_and_choice_flags_check_config_values(self, tmp_path, capsys,
+                                                      solve_cfg):
+        inst = _write(tmp_path / "inst.json", ONE_OP)
+        cfg = _write(tmp_path / "cfg.json", {"solve": solve_cfg})
+        assert main(["--config", cfg, "solve", "-i", inst]) == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err)["error"] == "bad-spec"
+
+    def test_values_are_converted_like_flags(self, tmp_path):
+        inst = str(tmp_path / "inst.json")
+        assert main(["gen", "dualpipe", "--pp", "2", "--micro-batches", "6",
+                     "-o", inst]) == EXIT_OK
+        cfg = _write(tmp_path / "cfg.json",
+                     {"solve": {"node-limit": "300", "time_limit": 60,
+                                "compaction": "none"}})
+        out = tmp_path / "out.json"
+        assert main(["--config", cfg, "solve", "-i", inst,
+                     "--ignore-primal-bound", "--stats", "-o", str(out)]) \
+            == EXIT_OK
+        assert json.loads(out.read_text())["stats"]["nodes"] == 301
+        # null is accepted where the flag's default is None, and a flag
+        # given on the command line still wins
+        cfg = _write(tmp_path / "cfg.json", {"solve": {"node_limit": None}})
+        assert main(["--config", cfg, "solve", "-i", inst,
+                     "--ignore-primal-bound", "--node-limit", "100",
+                     "--stats", "-o", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["stats"]["nodes"] == 101
 
 
 class TestReproDualpipe:

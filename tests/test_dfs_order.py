@@ -1,6 +1,7 @@
-"""The DFS's lazily merged candidate order and incremental ready set,
-checked node by node against a full enumerate-sort-filter oracle and a
-from-scratch recount of the ready set."""
+"""The DFS's lazily merged candidate order, incremental ready set and
+memory-class memo, checked node by node against a full
+enumerate-sort-filter oracle, a from-scratch recount of the ready set
+and fresh memory steps."""
 from unittest import mock
 
 import pytest
@@ -32,8 +33,19 @@ def dfs_cases(draw, dynamic_loading):
     edges = [edge(a.id, b.id, draw(st.sampled_from([0, 0, 1, 0.5])))
              for k, a in enumerate(ops) for b in ops[k + 1:]
              if draw(st.integers(0, 2)) == 0]
-    cap = 1 + sum(o.weight_mem + max(0, o.activation_delta) for o in ops)
-    cap += sum(w.size for w in weights) + draw(_VALUES)
+    if draw(st.booleans()):
+        # room for everything at once
+        cap = 1 + sum(o.weight_mem + max(0, o.activation_delta)
+                      for o in ops)
+        cap += sum(w.size for w in weights) + draw(_VALUES)
+    else:
+        # room for little more than the largest op, so memory steps fail
+        size = {w.id: w.size for w in weights}
+        cap = draw(_VALUES) + max(
+            [1] + [o.weight_mem + max(0, o.activation_delta)
+                   + (0 if dynamic_loading
+                      else sum(size[r] for r in o.weight_refs))
+                   for o in ops])
     machines = [Machine(f"m{k}", cap)
                 for k in range(draw(st.integers(1, 3)))]
     channels = [Channel(a.id, b.id) for a in machines for b in machines
@@ -56,24 +68,54 @@ def dfs_cases(draw, dynamic_loading):
         cfg
 
 
+def _known_unfit(state, cand):
+    """Whether the memo of the candidate's machine says that its op does
+    not fit; if so, checked with a fresh memory step."""
+    inst, (_, _, k, m) = state.inst, cand
+    if state.memo[m].get(inst.mem_class[k], ()) is not None:
+        return False
+    assert solver._static_step(inst, state.mem[m], state.static_w[m],
+                               state.resident[m], k,
+                               inst.mem_cap[m]) is None
+    return True
+
+
+def _check_memo(state):
+    """Every memo entry equals a fresh memory step of its class on its
+    machine's current memory state."""
+    inst = state.inst
+    member = {c: k for k, c in enumerate(inst.mem_class)}
+    for m, memo in enumerate(state.memo):
+        for c, step in memo.items():
+            assert step == solver._static_step(
+                inst, state.mem[m], state.static_w[m], state.resident[m],
+                member[c], inst.mem_cap[m])
+
+
 class _CheckedSearch(solver._Search):
     def _candidates(self, state, last_start):
         expected = candidate_order_oracle(self, state, last_start)
-        # the whole order, generated at once from the node's state
-        assert list(super()._candidates(state, last_start)) == expected
-        # and generated lazily, resumed only after each child's undo
+        # the whole order, generated at once from the node's state, less
+        # the ops known not to fit
+        assert list(super()._candidates(state, last_start)) == \
+            [c for c in expected if not _known_unfit(state, c)]
+        # and generated lazily, resumed only after each child's undo;
+        # the memo grows meanwhile, so more pairs may be left out
         seen = 0
         for cand in super()._candidates(state, last_start):
-            assert cand == expected[seen]
+            while expected[seen] != cand:
+                assert _known_unfit(state, expected[seen])
+                seen += 1
             seen += 1
             yield cand
-        assert seen == len(expected)
+        assert all(_known_unfit(state, c) for c in expected[seen:])
 
 
 def _checked(step):
     def run(state, *args):
         out = step(state, *args)
         assert (state.ready, state.ready_est) == ready_recount(state)
+        _check_memo(state)
         return out
     return run
 

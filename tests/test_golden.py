@@ -22,6 +22,12 @@ The DFS cases below `dfs` were recorded while every DFS node still
 listed, sorted and filtered all (operation, machine) pairs and rescanned
 every operation for its bound, so the incremental ready lists and the
 lazily merged candidate order must branch in the same order.
+
+The memory-capped search cases pin the node count as well as the
+digest. They were recorded while every saturation-search node still
+rescanned and sorted its ready ops and every node of either search
+recomputed each memory step, so the incremental ready ops and the
+per-node memory-class memo must visit the same nodes.
 Every case runs in well under a second.
 """
 import contextlib
@@ -41,9 +47,10 @@ from opsched.model import (BINARY, CONTINUOUS, ConstraintStore,
 from opsched.mpswriter import export_lp, export_mps
 from opsched.scenarios import (DualPipeSpec, RandomDagSpec,
                                dualpipe_assignment, dualpipe_primal_bound,
-                               dualpipe_symmetry, gen_dualpipe,
-                               gen_random_dag)
-from opsched.solver import Solution, SolveConfig, refine_idle, solve
+                               dualpipe_reference, dualpipe_symmetry,
+                               gen_dualpipe, gen_random_dag)
+from opsched.solver import (Solution, SolveConfig, refine_idle, solve,
+                            warm_start)
 
 from conftest import cluster, edge, graph, op
 
@@ -205,6 +212,74 @@ GOLDEN = {
 def test_solution_digest(case):
     text = case().to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[case]
+
+
+def saturation_continued_pp4():
+    # the continued phase of `repro-dualpipe --pp 4`: no primal bound,
+    # the bounded solve's schedule (makespan 25) as the incumbent, so the
+    # saturation search looks for 24 until its node budget
+    spec = DualPipeSpec(pp=4)
+    model, bound = _dualpipe(4, None)
+    model = set_primal_bound(model, bound)
+    bounded = solve(model, hint=warm_start(model, dualpipe_reference(spec)))
+    unbounded = clear_primal_bound(model)
+    return solve(unbounded, SolveConfig(node_limit=20000),
+                 hint=warm_start(unbounded, bounded))
+
+
+def saturation_pins_forbidden_symmetry():
+    # 3 machines on a one-way ring, so an op pinned to m0 has no machine
+    # left once a predecessor sits on m1; total work 21 = 3 x the bound
+    # 7. The symmetry chain only orders o00 before o01. The search
+    # reaches a schedule after 3,627 nodes, past memory failures,
+    # empty masks and chain skips.
+    weights = [WeightAsset("w0", 1), WeightAsset("w1", 2)]
+    g = graph([op("o00", 3, act=1), op("o01", 2, refs=["w1"]),
+               op("o02", 1, act=-1), op("o03", 1, mem=1, refs=["w0"]),
+               op("o04", 2, mem=1, act=1), op("o05", 3, act=1, refs=["w0"]),
+               op("o06", 3, mem=1), op("o07", 1, mem=1, act=-1),
+               op("o08", 1, act=1, refs=["w1"]), op("o09", 1),
+               op("o10", 2, act=1, refs=["w1"]), op("o11", 1, act=1)],
+              [edge("o01", "o11"), edge("o02", "o06"), edge("o02", "o11"),
+               edge("o03", "o08"), edge("o03", "o10"), edge("o04", "o10"),
+               edge("o04", "o11"), edge("o06", "o11"), edge("o07", "o09"),
+               edge("o07", "o10"), edge("o09", "o11")], weights)
+    h = cluster(3, cap=6, channels=[("m0", "m1"), ("m1", "m2"),
+                                    ("m2", "m0")])
+    model = set_primal_bound(
+        build_model(g, h, ModelOptions(memory_capped=True)), 7)
+    return solve(model, SolveConfig(
+        node_limit=20000, batch_symmetry=(("o00",), ("o01",)),
+        fixed_assignment=(("o05", "m0"),),
+        forbidden_assignment=(("o02", "m1"), ("o07", "m2"))))
+
+
+def dfs_dualpipe_pp6():
+    # no hint and no bound: the DFS fills activation memory and then
+    # backtracks, so most (op, device) attempts fail the memory chain
+    model, _ = _dualpipe(6, None)
+    return solve(clear_primal_bound(model), SolveConfig(node_limit=2000))
+
+
+# case -> (nodes, sha256 of to_json())
+SEARCH_GOLDEN = {
+    saturation_continued_pp4: (
+        20001,
+        "725e762a3d0aadf4ed823a05e9c675204ff5f22e55c13a8d1644623b08f5223a"),
+    saturation_pins_forbidden_symmetry: (
+        3627,
+        "43f726308785aab8377454d5ffabce72f5896688189128b6e6bab5d59e2a55cd"),
+    dfs_dualpipe_pp6: (
+        2001,
+        "d3b5705e72bd551a48f48d9a3b6d35b6f151b115a19268ccd15b841a2aa400eb"),
+}
+
+
+@pytest.mark.parametrize("case", SEARCH_GOLDEN, ids=lambda f: f.__name__)
+def test_search_nodes_and_digest(case):
+    sol = case()
+    digest = hashlib.sha256(sol.to_json().encode()).hexdigest()
+    assert (sol.stats["nodes"], digest) == SEARCH_GOLDEN[case]
 
 
 def _digest_coarsening(g, cfg):

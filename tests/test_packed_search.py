@@ -1,0 +1,133 @@
+"""The saturation search, checked against a copy of the node loop it
+replaced (`conftest.packed_search_oracle`): same node count, same
+completeness, same schedule, on small capped instances whose load bound
+meets the primal bound exactly."""
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from opsched import solver
+from opsched.graph import Channel, HardwareCluster, Machine, WeightAsset
+from opsched.model import ModelOptions, build_model, set_primal_bound
+
+from conftest import edge, graph, op, packed_search_oracle
+
+
+@st.composite
+def packed_cases(draw):
+    """3-9 ops of integral duration >= 1 on 1-3 machines, zero comm,
+    total work a multiple of the machine count; binding memory caps,
+    sparse channels, pins, forbidden pairs and symmetry chains."""
+    nm = draw(st.integers(1, 3))
+    weights = [WeightAsset(f"w{k}", draw(st.integers(1, 2)))
+               for k in range(draw(st.integers(0, 2)))]
+    ops = [op(f"o{k}", draw(st.sampled_from([1, 1, 1, 2])),
+              mem=draw(st.sampled_from([0, 0, 1])),
+              act=draw(st.sampled_from([-1, 0, 1, 1, 2])),
+              refs=[w.id for w in weights if draw(st.booleans())])
+           for k in range(draw(st.integers(3, 9)))]
+    last = ops[-1]
+    extra = -sum(o.duration for o in ops) % nm
+    ops[-1] = op(last.id, last.duration + extra, mem=last.weight_mem,
+                 act=last.activation_delta, refs=last.weight_refs)
+    edges = [edge(a.id, b.id) for k, a in enumerate(ops) for b in ops[k + 1:]
+             if draw(st.integers(0, 6)) == 0]
+    size = {w.id: w.size for w in weights}
+    # every op fits an empty machine, and little more than that
+    need = max(o.weight_mem + sum(size[r] for r in o.weight_refs)
+               + max(0, o.activation_delta) for o in ops)
+    machines = [Machine(f"m{j}", max(1, need) + draw(st.integers(0, 4)))
+                for j in range(nm)]
+    channels = [Channel(a.id, b.id) for a in machines for b in machines
+                if a.id != b.id and draw(st.booleans())]
+    ids, mids = [o.id for o in ops], [j.id for j in machines]
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(mids))
+    pins = tuple(draw(st.lists(pairs, max_size=2)))
+    forbidden = tuple(draw(st.lists(pairs, max_size=3)))
+    # disjoint groups of up to two ops each, cut into one or two chains
+    order = draw(st.permutations(ids))
+    groups = [tuple(order[i:i + 2])
+              for i in range(0, draw(st.integers(0, len(ids))), 2)]
+    cut = draw(st.integers(0, len(groups)))
+    chains = tuple(c for c in (tuple(groups[:cut]), tuple(groups[cut:]))
+                   if c)
+    g = graph(ops, edges, weights)
+    model = build_model(g, HardwareCluster(machines, channels),
+                        ModelOptions(memory_capped=True))
+    model = set_primal_bound(model, g.total_duration() // nm)
+    cfg = solver.SolveConfig(node_limit=2000, fixed_assignment=pins,
+                             forbidden_assignment=forbidden,
+                             batch_symmetry=chains)
+    return model, cfg
+
+
+def _outcome(search, complete):
+    inc = search.incumbent
+    return (complete, search.nodes, search.timed_out,
+            None if inc is None else inc.to_json(), search.chain_started)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(case=packed_cases())
+def test_saturation_search_matches_oracle(case):
+    model, cfg = case
+    search = solver._Search(model, cfg, None)
+    complete = search._run_packed()
+    assert complete is not None  # the preconditions hold by construction
+    oracle = solver._Search(model, cfg, None)
+    assert _outcome(search, complete) == \
+        _outcome(oracle, packed_search_oracle(oracle))
+
+
+def _two_machines(ops, edges, bound):
+    h = HardwareCluster([Machine("m0", 3), Machine("m1", 3)],
+                        [Channel("m0", "m1"), Channel("m1", "m0")])
+    g = graph([op(i, d, act=a) for (i, d, a) in ops],
+              [edge(x, y) for (x, y) in edges])
+    return set_primal_bound(
+        build_model(g, h, ModelOptions(memory_capped=True)), bound)
+
+
+# without the aggregate deadline-work cut these take 32 and 34 nodes
+DEADLINE_WORK_CASES = {
+    "stops-at-a-schedule": (_two_machines(
+        [("o0", 1, 1), ("o1", 3, -1), ("o2", 1, -1), ("o3", 1, -1),
+         ("o4", 3, 0), ("o5", 1, 0), ("o6", 1, 1), ("o7", 1, -1)],
+        [("o0", "o1"), ("o2", "o7"), ("o3", "o6"), ("o4", "o5"),
+         ("o4", "o6"), ("o5", "o7"), ("o6", "o7")], 6), 23),
+    "exhausts": (_two_machines(
+        [("o0", 2, 1), ("o1", 2, 0), ("o2", 2, 0), ("o3", 2, 1),
+         ("o4", 1, 0), ("o5", 1, 1), ("o6", 1, 1), ("o7", 1, 1),
+         ("o8", 1, 0), ("o9", 3, 1)],
+        [("o0", "o1"), ("o0", "o2"), ("o1", "o4"), ("o1", "o7"),
+         ("o2", "o4"), ("o2", "o6"), ("o3", "o6"), ("o4", "o6"),
+         ("o4", "o9"), ("o5", "o7"), ("o7", "o8"), ("o7", "o9")], 8), 16),
+}
+
+
+@pytest.mark.parametrize("name", DEADLINE_WORK_CASES)
+def test_deadline_work_cut_matches_oracle(name):
+    # random small instances rarely need this cut to prune
+    model, nodes = DEADLINE_WORK_CASES[name]
+    cfg = solver.SolveConfig(node_limit=2000)
+    search = solver._Search(model, cfg, None)
+    oracle = solver._Search(model, cfg, None)
+    assert _outcome(search, search._run_packed()) == \
+        _outcome(oracle, packed_search_oracle(oracle))
+    assert search.nodes == nodes
+
+
+@pytest.mark.parametrize("budget", [0, 1, 7])
+def test_node_budget_stops_both_alike(budget):
+    # a stop inside the search must leave the same partial picture
+    g = graph([op("a", 2), op("b", 1), op("c", 1), op("d", 2)],
+              [edge("a", "c"), edge("b", "d")])
+    h = HardwareCluster([Machine("m0", 9), Machine("m1", 9)],
+                        [Channel("m0", "m1"), Channel("m1", "m0")])
+    model = set_primal_bound(
+        build_model(g, h, ModelOptions(memory_capped=True)), 3)
+    cfg = solver.SolveConfig(node_limit=budget)
+    search = solver._Search(model, cfg, None)
+    oracle = solver._Search(model, cfg, None)
+    assert _outcome(search, search._run_packed()) == \
+        _outcome(oracle, packed_search_oracle(oracle))

@@ -333,12 +333,21 @@ class TestSolveConfig:
         sol = solve(build(g, cluster(2)), SolveConfig(node_limit=0))
         assert sol.status == "time-limit" and sol.objective is None
         assert sol.stats == {"nodes": 1, "timed_out": True,
-                             "root_bound": 3.0}
+                             "stop": "node-limit", "root_bound": 3.0}
 
     def test_stats_stay_out_of_the_document(self):
         g = graph([op("a", 1), op("b", 2)], [edge("a", "b")])
         sol = solve(build(g, cluster(2)))
+        # the first schedule meets the root bound
         assert sol.stats == {"nodes": 3, "timed_out": False,
-                             "root_bound": 3.0}
+                             "stop": "bound-met", "root_bound": 3.0}
         assert "stats" not in sol.to_dict()
         assert Solution.from_json(sol.to_json()).stats is None
+
+    def test_exhausted_search_says_so(self):
+        # optimum 4 against a root bound of 3: only the whole tree proves it
+        g = graph([op("a", 2), op("b", 2), op("c", 2)])
+        sol = solve(build(g, cluster(2)))
+        assert sol.status == "optimal" and sol.objective == 4
+        assert sol.stats["stop"] == "exhausted"
+        assert not sol.stats["timed_out"]
