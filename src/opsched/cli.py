@@ -47,6 +47,13 @@ class CliError(Exception):
         self.extra = extra
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as `CliError`; subcommand parsers share it."""
+
+    def error(self, message):
+        raise CliError("bad-usage", f"{self.prog}: {message}", EXIT_USAGE)
+
+
 def _fail(kind: str, message: str, code: int = EXIT_ERROR, **extra) -> int:
     doc = {"error": kind, "message": message}
     doc.update(extra)
@@ -145,9 +152,8 @@ def _cmd_coarsen(args) -> int:
                         coarsen_records=[{"id": r.new_id,
                                           "absorbed": list(r.absorbed)}
                                          for r in records])
-    for key in ("primal_bound",):
-        if key in doc:
-            out[key] = doc[key]
+    if "primal_bound" in doc:
+        out["primal_bound"] = doc["primal_bound"]
     _write_doc(out, args.output)
     return EXIT_OK
 
@@ -170,7 +176,7 @@ def _build(doc: dict):
 
 def _cmd_solve(args) -> int:
     cfg = _spec(SolveConfig, time_limit=args.time_limit,
-                node_limit=args.node_limit, compaction=args.compaction)
+                node_limit=args.node_limit)
     doc = _read_doc(args.input)
     g, h, model = _build(doc)
     if args.ignore_primal_bound:
@@ -221,23 +227,24 @@ def _cmd_export(args) -> int:
     if args.format in ("mps", "lp"):
         _, _, model = _build(doc)
         writer = export_mps if args.format == "mps" else export_lp
-        if args.output in (None, "-"):
-            writer(model, sys.stdout)
-        else:
-            with open(args.output, "w") as fh:
-                writer(model, fh)
-        return EXIT_OK
-    g, h, _ = _parse_instance(doc)
-    if "solution" not in doc:
-        raise CliError("bad-input", "document carries no solution",
-                       EXIT_USAGE)
-    sol = Solution.from_dict(doc["solution"])
+        parts = (model,)
+    else:
+        g, h, _ = _parse_instance(doc)
+        if "solution" not in doc:
+            raise CliError("bad-input", "document carries no solution",
+                           EXIT_USAGE)
+        writer = export_trace
+        parts = (Solution.from_dict(doc["solution"]), g, h)
     if args.output in (None, "-"):
-        export_trace(sol, g, h, sys.stdout)
+        writer(*parts, sys.stdout)
     else:
         with open(args.output, "w") as fh:
-            export_trace(sol, g, h, fh)
+            writer(*parts, fh)
     return EXIT_OK
+
+
+def _same_schedule(a: Solution, b: Solution) -> bool:
+    return a.assignment == b.assignment and a.op_times == b.op_times
 
 
 def _cmd_repro_dualpipe(args) -> int:
@@ -248,13 +255,12 @@ def _cmd_repro_dualpipe(args) -> int:
     half = dualpipe_bubble_target(spec, improved=True)
     bounded_cfg = _spec(SolveConfig, time_limit=args.time_limit)
     continued_cfg = _spec(SolveConfig, time_limit=args.time_limit,
-                          node_limit=args.node_limit, idle_refinement=True,
-                          idle_target=half)
+                          node_limit=args.node_limit)
 
     t0 = time.monotonic()
     model = set_primal_bound(build_model(g, h, options), bound)
-    bounded = solve(model, bounded_cfg,
-                    hint=warm_start(model, dualpipe_reference(spec)))
+    reference = warm_start(model, dualpipe_reference(spec))
+    bounded = solve(model, bounded_cfg, hint=reference)
     rep1 = verify(g, h, bounded, capped=options.memory_capped)
     if not rep1.feasible:
         return _fail("verification-failed",
@@ -266,8 +272,15 @@ def _cmd_repro_dualpipe(args) -> int:
                      EXIT_ERROR)
 
     unbounded = clear_primal_bound(model)
-    continued = solve(unbounded, continued_cfg,
-                      hint=warm_start(unbounded, bounded))
+    # the refinement shares the continued search's deadline
+    deadline = time.monotonic() + continued_cfg.time_limit
+    searched = solve(unbounded, continued_cfg,
+                     hint=warm_start(unbounded, bounded))
+    # looked up at call time, as `dualpipe_reference` does, so that a
+    # wrapper set on `opsched.solver` sees the call
+    from .solver import refine_idle
+    continued = refine_idle(unbounded, searched, target=half,
+                            deadline=deadline)
     rep2 = verify(g, h, continued, capped=options.memory_capped)
     if not rep2.feasible:
         return _fail("verification-failed",
@@ -284,6 +297,12 @@ def _cmd_repro_dualpipe(args) -> int:
           f"makespan(continued)={continued.objective:g} "
           f"status={continued.status} "
           f"elapsed={time.monotonic() - t0:.1f}s")
+    bound_src = "hint" if _same_schedule(bounded, reference) else "search"
+    cont_src = ("refine" if not _same_schedule(continued, searched) else
+                "hint" if _same_schedule(searched, bounded) else "search")
+    print(f"source(bound)={bound_src} stop(bound)={bounded.stats['stop']} "
+          f"source(continued)={cont_src} "
+          f"stop(continued)={searched.stats['stop']}")
     if args.output:
         _write_doc(_instance_doc(g, h, options,
                                  primal_bound=bound,
@@ -295,8 +314,10 @@ def _cmd_repro_dualpipe(args) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
-def _apply_config(parser: argparse.ArgumentParser, subparsers: dict,
-                  path: str | None):
+def _apply_config(sections: dict, path: str | None):
+    """Set the flag defaults a JSON config file gives, one object per
+    subcommand: ``{"solve": {"node_limit": 7}}``. A key that names no
+    subcommand, or no flag of its subcommand, is a `bad-config` error."""
     if not path:
         return
     try:
@@ -308,21 +329,27 @@ def _apply_config(parser: argparse.ArgumentParser, subparsers: dict,
     if not isinstance(doc, dict):
         raise CliError("bad-config", "config root must be an object",
                        EXIT_USAGE)
-    for key, value in doc.items():
-        if isinstance(value, dict) and key in subparsers:
-            target = subparsers[key]
-            defaults = {k.replace("-", "_"): v for k, v in value.items()}
-        else:
-            target = parser
-            defaults = {key.replace("-", "_"): value}
-        target.set_defaults(**{dest: _config_value(target, dest, v)
-                               for dest, v in defaults.items()})
+    for key, section in doc.items():
+        if key not in sections or not isinstance(section, dict):
+            raise CliError("bad-config", f"config key {key!r} is not an "
+                           f"object for one of {sorted(sections)}",
+                           EXIT_USAGE)
+        for name, value in section.items():
+            dest = name.replace("-", "_")
+            flags = [(p, a) for p in sections[key] for a in p._actions
+                     if a.dest == dest and a.option_strings
+                     and dest != "help"]
+            if not flags:
+                raise CliError("bad-config", f"config key {key}.{name} "
+                               f"names no flag of {key!r}", EXIT_USAGE)
+            for parser, action in flags:
+                parser.set_defaults(**{dest: _config_value(action, value)})
 
 
-def _config_value(parser: argparse.ArgumentParser, dest: str, value):
+def _config_value(action: argparse.Action, value):
     """A config-file value, converted as the flag's own text would be."""
-    action = next((a for a in parser._actions if a.dest == dest), None)
-    if action is None or value is None and action.default is None:
+    dest = action.dest
+    if value is None and action.default is None:
         return value
     if action.type is not None:
         # the JSON spelling of the value, so a list or a bool never slips
@@ -341,16 +368,17 @@ def _config_value(parser: argparse.ArgumentParser, dest: str, value):
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    parser = argparse.ArgumentParser(
+    """The parser, and per config-file section the parsers holding its
+    flags."""
+    parser = _Parser(
         prog="opsched",
         description="Operator-level schedule planning on device clusters.")
     parser.add_argument("--config", default=None,
                         help="JSON config file with flag defaults "
                              f"(default from ${CONFIG_ENV})")
     sub = parser.add_subparsers(dest="command", required=True)
-    tbl = {}
 
-    p = tbl["gen"] = sub.add_parser("gen", help="generate an instance")
+    p = sub.add_parser("gen", help="generate an instance")
     fam = p.add_subparsers(dest="family", required=True)
     d = fam.add_parser("dualpipe")
     d.add_argument("--pp", type=int, required=True)
@@ -368,38 +396,37 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     r.add_argument("-o", "--output", default=None)
     r.set_defaults(func=_cmd_gen)
 
-    p = tbl["coarsen"] = sub.add_parser("coarsen", help="merge graph nodes")
+    p = sub.add_parser("coarsen", help="merge graph nodes")
     p.add_argument("-i", "--input", default=None)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--to", type=int, default=None,
                    help="target node count")
     p.set_defaults(func=_cmd_coarsen)
 
-    p = tbl["solve"] = sub.add_parser("solve", help="solve an instance")
+    p = sub.add_parser("solve", help="solve an instance")
     p.add_argument("-i", "--input", default=None)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--time-limit", type=float, default=60.0)
     p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--compaction", default="none", choices=["none", "late"])
     p.add_argument("--ignore-primal-bound", action="store_true")
     p.add_argument("--stats", action="store_true",
                    help="add the search's nodes, timed_out, stop reason "
                         "and root_bound under a top-level stats key")
     p.set_defaults(func=_cmd_solve)
 
-    p = tbl["verify"] = sub.add_parser("verify", help="replay a solution")
+    p = sub.add_parser("verify", help="replay a solution")
     p.add_argument("-i", "--input", default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_verify)
 
-    p = tbl["export"] = sub.add_parser("export", help="write trace/MPS/LP")
+    p = sub.add_parser("export", help="write trace/MPS/LP")
     p.add_argument("-i", "--input", default=None)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--format", default="trace",
                    choices=["trace", "mps", "lp"])
     p.set_defaults(func=_cmd_export)
 
-    p = tbl["repro-dualpipe"] = sub.add_parser(
+    p = sub.add_parser(
         "repro-dualpipe", help="run the pipeline bubble benchmark")
     p.add_argument("--pp", type=int, required=True)
     p.add_argument("--time-limit", type=float, default=600.0)
@@ -407,15 +434,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_repro_dualpipe)
 
-    return parser, tbl
+    sections = {name: (p,) for name, p in sub.choices.items()}
+    sections["gen"] = (d, r)  # the family parsers hold gen's flags
+    return parser, sections
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, tbl = build_parser()
+    parser, sections = build_parser()
     try:
         pre, _ = parser.parse_known_args(argv)
-        _apply_config(parser, tbl,
-                      pre.config or os.environ.get(CONFIG_ENV))
+        _apply_config(sections, pre.config or os.environ.get(CONFIG_ENV))
         args = parser.parse_args(argv)
         return args.func(args)
     except CliError as exc:

@@ -8,7 +8,6 @@ degrees.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 
 from .graph import (Channel, ComputationGraph, DependencyEdge,
@@ -146,21 +145,6 @@ def dualpipe_bubble_target(spec: DualPipeSpec, improved: bool = False
     for the improved schedule found by continued search."""
     bubble = (spec.pp // 2 - 1) * (spec.t_f + 2 * spec.t_b - 3 * spec.t_w)
     return bubble / 2 if improved else bubble
-
-
-def micro_batch_groups(g: ComputationGraph) -> tuple[tuple[str, ...], ...]:
-    """Operation groups per micro-batch, for solver symmetry breaking.
-
-    Micro-batches are structurally identical and share all weights, so
-    restricting the search to dispatch them in index order loses no
-    solutions.
-    """
-    by_mb: dict[int, list[str]] = {}
-    for i in g.operations:
-        m = re.fullmatch(r"(?:f|bi|bw)(\d+)s\d+", i)
-        if m:
-            by_mb.setdefault(int(m.group(1)), []).append(i)
-    return tuple(tuple(sorted(by_mb[m])) for m in sorted(by_mb))
 
 
 def dualpipe_assignment(spec: DualPipeSpec) -> tuple[tuple[str, str], ...]:

@@ -66,17 +66,9 @@ class SolveConfig:
     # fixed_assignment, the standard vehicle for symmetry-breaking
     # restrictions the caller can justify (e.g. ring rotations)
     forbidden_assignment: tuple[tuple[str, str], ...] = ()
-    compaction: str = "none"  # or "late": right-justify at fixed makespan
     node_limit: int | None = None
-    # post-pass: reorder machine sequences to shrink interior idle at
-    # unchanged makespan (see refine_idle); with idle_target set the
-    # refinement stops once the interior idle matches the target exactly
-    idle_refinement: bool = False
-    idle_target: float | None = None
 
     def __post_init__(self):
-        if self.compaction not in ("none", "late"):
-            raise ValueError(f"unknown compaction {self.compaction!r}")
         # a NaN deadline never passes, so such a search could never stop
         if not self.time_limit >= 0:
             raise ValueError(f"time_limit must be >= 0, got "
@@ -533,6 +525,9 @@ class _Search:
         self.incumbent: Solution | None = None
         self.incumbent_obj: float | None = None
         self.root = self.inst.root_bound()
+        pb = -math.inf if self.primal_bound is None else self.primal_bound
+        # an incumbent this short meets the root or the primal bound
+        self.good_enough = max(self.root, pb) + _EPS
 
         if hint is not None and hint.objective is not None:
             self.incumbent = replace(hint, status=FEASIBLE)
@@ -588,15 +583,8 @@ class _Search:
         return self.timed_out
 
     def should_stop(self) -> bool:
-        if self.timed_out:
-            return True
-        if (self.primal_bound is not None and self.incumbent_obj is not None
-                and self.incumbent_obj <= self.primal_bound + _EPS):
-            return True
-        if (self.incumbent_obj is not None
-                and self.incumbent_obj <= self.root + _EPS):
-            return True
-        return False
+        return self.timed_out or (self.incumbent_obj is not None
+                                  and self.incumbent_obj <= self.good_enough)
 
     def record_leaf(self, state: _State):
         obj = state.cur_max_end
@@ -1087,6 +1075,9 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None, *,
     `hint` is a feasible schedule (see `warm_start`) that the search
     starts from as its incumbent and can then only improve on.
 
+    The result is the search's incumbent as found; post-passes such as
+    `refine_idle` are the caller's to run.
+
     The result's ``status`` is ``optimal`` only when the explored mode is
     complete for the instance (all-zero communication durations, or the
     fixed-assignment enumeration was used) and the search ran to
@@ -1122,26 +1113,10 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None, *,
         return Solution(status=status, objective=None, bound=root,
                         stats=stats)
 
-    sol = replace(sol, stats=stats)
-    if exhausted and complete_mode:
-        sol.status = OPTIMAL
-        sol.bound = sol.objective
-    elif sol.objective is not None and sol.objective <= root + _EPS:
-        sol.status = OPTIMAL
-        sol.bound = sol.objective
-    elif search.timed_out:
-        sol.status = TIME_LIMIT
-        sol.bound = root
-    else:
-        sol.status = FEASIBLE
-        sol.bound = root
-    if cfg.compaction == "late" and sol.objective is not None:
-        sol = compact_late(model, sol)
-    if cfg.idle_refinement and sol.objective is not None:
-        sol = replace(refine_idle(model, sol, target=cfg.idle_target,
-                                  deadline=search.deadline),
-                      status=sol.status, bound=sol.bound)
-    return sol
+    if (exhausted and complete_mode) or sol.objective <= root + _EPS:
+        return replace(sol, status=OPTIMAL, bound=sol.objective, stats=stats)
+    return replace(sol, status=TIME_LIMIT if search.timed_out else FEASIBLE,
+                   bound=root, stats=stats)
 
 
 def warm_start(model: ScheduleModel, hint: Solution) -> Solution:
@@ -1157,68 +1132,6 @@ def warm_start(model: ScheduleModel, hint: Solution) -> Solution:
             "warm-start hint is infeasible: "
             + "; ".join(str(v) for v in report.violations[:5]))
     return hint
-
-
-def compact_late(model: ScheduleModel, sol: Solution) -> Solution:
-    """Right-justify a schedule at fixed makespan and fixed sequences.
-
-    Every task moves as late as its machine successor, channel successor,
-    and data consumers allow; ramp-up idle migrates to the schedule
-    boundary while structurally forced gaps remain. Order on every
-    machine and channel is preserved, so feasibility carries over.
-    """
-    g = model.graph
-    T = sol.objective
-    ops = list(g.operations)
-    mach_seq: dict[str, list[str]] = {}
-    for i in sorted(ops, key=lambda i: (sol.op_times[i][0], i)):
-        mach_seq.setdefault(sol.assignment[i], []).append(i)
-    chan_seq: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for key in sorted(sol.comm_times,
-                      key=lambda kk: (sol.comm_times[kk][1], kk)):
-        chan, _, _ = sol.comm_times[key]
-        if chan[0] != chan[1]:
-            chan_seq.setdefault(chan, []).append(key)
-
-    latest_end: dict[str, float] = {i: T for i in ops}
-    comm_latest_end: dict[tuple[str, str], float] = {}
-    new_op: dict[str, tuple[float, float]] = {}
-    new_comm: dict[tuple[str, str], tuple[tuple[str, str], float, float]] = {}
-
-    for i in reversed(g.topo_order()):
-        le = latest_end[i]
-        # machine successor
-        seq = mach_seq[sol.assignment[i]]
-        pos = seq.index(i)
-        if pos + 1 < len(seq) and seq[pos + 1] in new_op:
-            le = min(le, new_op[seq[pos + 1]][0])
-        dur_i = sol.op_times[i][1] - sol.op_times[i][0]
-        # outgoing transfers
-        for k in g.successors(i):
-            key = (i, k)
-            if key not in sol.comm_times:
-                le = min(le, new_op[k][0] if k in new_op else T)
-                continue
-            chan, cs, ce = sol.comm_times[key]
-            cd = ce - cs
-            lc_end = new_op[k][0] if k in new_op else T
-            if chan[0] != chan[1]:
-                cseq = chan_seq[chan]
-                cpos = cseq.index(key)
-                if cpos + 1 < len(cseq) and cseq[cpos + 1] in comm_latest_end:
-                    nxt = cseq[cpos + 1]
-                    lc_end = min(lc_end, new_comm[nxt][1])
-            new_cs = lc_end - cd
-            new_comm[key] = (chan, new_cs, lc_end)
-            comm_latest_end[key] = lc_end
-            le = min(le, new_cs)
-        new_op[i] = (le - dur_i, le)
-
-    return replace(
-        sol,
-        op_times={i: new_op[i] for i in ops},
-        comm_times={k: new_comm[k] for k in sol.comm_times},
-    )
 
 
 # -- fixed-order evaluation ---------------------------------------------------
@@ -1256,6 +1169,10 @@ def earliest_starts(dur: Sequence[float], succ: Sequence[Sequence[int]],
 
 
 # -- interior-idle refinement -------------------------------------------------
+
+# annealing budget of `refine_idle`: restarts, each of this many moves
+_REFINE_RESTARTS = 4
+_REFINE_ITERATIONS = 400_000
 
 
 class _SeqSpace:
@@ -1348,22 +1265,23 @@ def refine_idle(model: ScheduleModel, sol: Solution, *,
                 time_cap: float | None = None,
                 target: float | None = None,
                 seed: int = 0,
-                iterations: int = 400_000,
-                restarts: int = 4,
                 deadline: float | None = None) -> Solution:
     """Reduce a schedule's interior idle by reordering machine sequences.
 
-    A seeded annealing pass perturbs per-machine operation orders (single
+    A post-pass for a search result, which `solve` never runs itself. A
+    seeded annealing pass perturbs per-machine operation orders (single
     relocations plus coordinated shifts along dependency chains) without
     touching the assignment, keeping makespan within ``time_cap``
-    (default: the schedule's own makespan). With ``target`` set, the
+    (default: the schedule's own makespan); each order is laid out
+    right-compacted (`_SeqSpace.evaluate`). With ``target`` set, the
     search stops at a schedule whose interior idle equals the target
     exactly; otherwise it minimizes and stops at the first schedule
     without interior idle. With ``deadline`` (a monotonic-clock
-    timestamp) the pass stops early and keeps the best order found. Only
-    applies to schedules whose cross-machine transfers all take zero time
-    and to models without dynamic weight loading; anything else is
-    returned unchanged.
+    timestamp) the pass stops early and keeps the best order found. The
+    result keeps the input's status, bound and stats. Only applies to
+    schedules whose cross-machine transfers all take zero time and to
+    models without dynamic weight loading; anything else is returned
+    unchanged.
     """
     if model.options.dynamic_loading or not sol.op_times:
         return sol
@@ -1391,13 +1309,13 @@ def refine_idle(model: ScheduleModel, sol: Solution, *,
 
     best = None  # (interior, starts)
     devs = sorted(base)
-    for round_no in range(restarts):
+    for round_no in range(_REFINE_RESTARTS):
         rng = random.Random(seed + round_no)
         cur = {j: list(s) for j, s in base.items()}
         T, inte = base_T, base_int
         c = cost(T, inte)
-        period = max(1, iterations // 4)
-        for it in range(iterations):
+        period = _REFINE_ITERATIONS // 4
+        for it in range(_REFINE_ITERATIONS):
             if (deadline is not None and it % 512 == 0
                     and _time.monotonic() > deadline):
                 break

@@ -1,4 +1,5 @@
 """The command line, driven through `opsched.cli.main`."""
+import hashlib
 import json
 
 import pytest
@@ -256,23 +257,59 @@ class TestConfig:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "bad-spec" and "time_limit" in err["message"]
 
-    @pytest.mark.parametrize("solve_cfg", [{"node-limit": 1.5},
-                                           {"compaction": "early"}],
-                             ids=repr)
+    @pytest.mark.parametrize("case", [("solve", {"node-limit": 1.5}),
+                                      ("export", {"format": "pdf"})],
+                             ids=lambda case: repr(case[1]))
     def test_int_and_choice_flags_check_config_values(self, tmp_path, capsys,
-                                                      solve_cfg):
+                                                      case):
+        command, values = case
         inst = _write(tmp_path / "inst.json", ONE_OP)
-        cfg = _write(tmp_path / "cfg.json", {"solve": solve_cfg})
-        assert main(["--config", cfg, "solve", "-i", inst]) == EXIT_USAGE
+        cfg = _write(tmp_path / "cfg.json", {command: values})
+        assert main(["--config", cfg, command, "-i", inst]) == EXIT_USAGE
         assert json.loads(capsys.readouterr().err)["error"] == "bad-spec"
+
+    @pytest.mark.parametrize("doc", [
+        {"solve": {"node_limt": 7}},
+        {"node_limit": 7},
+        {"solve": {"compaction": "none"}},
+        {"solve": {"help": True}},
+        {"gen": {"nodes_count": 7}},
+        {"bogus": {}},
+        {"solve": 7}], ids=repr)
+    def test_key_that_names_no_flag_is_one_json_error(self, tmp_path, capsys,
+                                                      doc):
+        # such a key was dropped: the solve ran to its default limits
+        inst = _write(tmp_path / "inst.json", ONE_OP)
+        cfg = _write(tmp_path / "cfg.json", doc)
+        out = tmp_path / "out.json"
+        assert main(["--config", cfg, "solve", "-i", inst,
+                     "-o", str(out)]) == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err)["error"] == "bad-config"
+        assert not out.exists()
+
+    def test_gen_keys_reach_the_family_parsers(self, tmp_path):
+        # the gen flags live on the dualpipe and random parsers; a gen key
+        # was dropped, and pp=2 kept its default of 4 micro-batches
+        cfg = _write(tmp_path / "cfg.json", {"gen": {"micro_batches": 6,
+                                                     "seed": 5}})
+        paths = [str(tmp_path / f"{k}.json") for k in range(4)]
+        assert main(["--config", cfg, "gen", "dualpipe", "--pp", "2",
+                     "-o", paths[0]]) == EXIT_OK
+        assert main(["gen", "dualpipe", "--pp", "2", "--micro-batches", "6",
+                     "-o", paths[1]]) == EXIT_OK
+        assert main(["--config", cfg, "gen", "random", "--nodes", "9",
+                     "-o", paths[2]]) == EXIT_OK
+        assert main(["gen", "random", "--nodes", "9", "--seed", "5",
+                     "-o", paths[3]]) == EXIT_OK
+        docs = [(tmp_path / f"{k}.json").read_text() for k in range(4)]
+        assert docs[0] == docs[1] and docs[2] == docs[3]
 
     def test_values_are_converted_like_flags(self, tmp_path):
         inst = str(tmp_path / "inst.json")
         assert main(["gen", "dualpipe", "--pp", "2", "--micro-batches", "6",
                      "-o", inst]) == EXIT_OK
         cfg = _write(tmp_path / "cfg.json",
-                     {"solve": {"node-limit": "300", "time_limit": 60,
-                                "compaction": "none"}})
+                     {"solve": {"node-limit": "300", "time_limit": 60}})
         out = tmp_path / "out.json"
         assert main(["--config", cfg, "solve", "-i", inst,
                      "--ignore-primal-bound", "--stats", "-o", str(out)]) \
@@ -285,6 +322,30 @@ class TestConfig:
                      "--ignore-primal-bound", "--node-limit", "100",
                      "--stats", "-o", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["stats"]["nodes"] == 101
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--bogus"],
+        ["solve", "--compaction", "late"],
+        ["gen", "dualpipe"],
+        ["solve", "--time-limit", "abc"],
+        ["export", "--format", "pdf"],
+        ["bogus"],
+        pytest.param([], id="no-command")], ids=" ".join)
+    def test_argparse_failure_is_one_json_error(self, capsys, argv):
+        # argparse printed usage text and raised SystemExit(2) out of main
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "bad-usage" and err["message"]
+
+    def test_help_still_prints_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "-h"])
+        assert exc.value.code == 0
+        assert "--node-limit" in capsys.readouterr().out
 
 
 class TestReproDualpipe:
@@ -304,3 +365,16 @@ class TestReproDualpipe:
             == EXIT_OK
         rep = json.loads(report.read_text())
         assert rep["makespan"] == 12 and rep["bubble_total"] == half
+
+    def test_pp2_output_bytes_and_sources(self, tmp_path, capsys):
+        # the digest dates from when `solve` ran the idle refinement
+        # itself; the explicit `refine_idle` call writes the same bytes
+        out = tmp_path / "repro.json"
+        assert main(["repro-dualpipe", "--pp", "2", "-o", str(out)]) \
+            == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "aa67090707278c036e2d3fc6bdbacb9edd234bbd987a49e1a86bb1a279139655"
+        # both searches stop at their hint, which meets the root bound
+        assert ("source(bound)=hint stop(bound)=bound-met "
+                "source(continued)=hint stop(continued)=bound-met") \
+            in capsys.readouterr().out.splitlines()

@@ -165,9 +165,9 @@ def capped_memory():
 
 def idle_refinement_to_target():
     model, _ = _dualpipe(2, 6)
-    return solve(clear_primal_bound(model),
-                 SolveConfig(node_limit=300, idle_refinement=True,
-                             idle_target=4.0))
+    model = clear_primal_bound(model)
+    return refine_idle(model, solve(model, SolveConfig(node_limit=300)),
+                       target=4.0)
 
 
 def idle_refinement_to_zero():

@@ -8,8 +8,8 @@ from opsched.model import (ModelError, ModelOptions, build_model,
 from opsched.scenarios import (DualPipeSpec, RandomDagSpec, gen_dualpipe,
                                gen_random_dag)
 from opsched.simulate import verify
-from opsched.solver import (SolveConfig, SolveError, Solution, compact_late,
-                            refine_idle, solve, warm_start)
+from opsched.solver import (SolveConfig, SolveError, Solution, refine_idle,
+                            solve, warm_start)
 
 from conftest import (brute_force_dynamic_makespan, brute_force_makespan,
                       cluster, edge, graph, op, random_small_instance)
@@ -237,31 +237,6 @@ class TestWarmStart:
 
 
 class TestPostPasses:
-    def staircase(self):
-        # chain a->b->c spread over two machines leaves interior idle on
-        # the machine holding the middle op
-        g = graph([op("a", 2), op("b", 2), op("c", 2), op("x", 5)],
-                  [edge("a", "b"), edge("b", "c")])
-        return g, cluster(2)
-
-    def test_compact_late_right_justifies(self):
-        g, h = self.staircase()
-        model = build(g, h)
-        sol = solve(model, SolveConfig(compaction="late"))
-        T = sol.objective
-        assert max(e for _, e in sol.op_times.values()) == T
-        # the chain tail is flush against the makespan
-        assert sol.op_times["c"][1] == T
-        assert verify(g, h, sol).feasible
-
-    def test_compact_late_keeps_makespan(self):
-        g, h = self.staircase()
-        model = build(g, h)
-        plain = solve(model)
-        packed = compact_late(model, plain)
-        assert packed.objective == plain.objective
-        assert verify(g, h, packed).feasible
-
     def test_refine_idle_reduces_interior(self):
         # m0 runs the filler first, so the chain head starts late and
         # m0 sits idle waiting for the chain tail; running the head
@@ -296,7 +271,7 @@ class TestPostPasses:
         g = graph([op("a", 1), op("b", 3), op("c", 1), op("u", 3)],
                   [edge("a", "b"), edge("b", "c")])
         model = build(g, cluster(2))
-        sol = solve(model, SolveConfig(idle_refinement=True))
+        sol = refine_idle(model, solve(model))
         assert sol.status == "optimal"
         assert sol.bound == sol.objective
 
