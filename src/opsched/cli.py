@@ -104,6 +104,16 @@ def _parse_instance(doc: dict):
     return g, h, options
 
 
+def _solution(doc: dict) -> Solution:
+    if "solution" not in doc:
+        raise CliError("bad-input", "document carries no solution",
+                       EXIT_USAGE)
+    try:
+        return Solution.from_dict(doc["solution"])
+    except ValueError as exc:
+        raise CliError("bad-input", str(exc), EXIT_USAGE)
+
+
 def _spec(cls, **fields):
     """Build a scenario spec or solve config, reporting a rejected value
     as a usage error."""
@@ -200,10 +210,7 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     doc = _read_doc(args.input)
     g, h, options = _parse_instance(doc)
-    if "solution" not in doc:
-        raise CliError("bad-input", "document carries no solution",
-                       EXIT_USAGE)
-    sol = Solution.from_dict(doc["solution"])
+    sol = _solution(doc)
     report = verify(g, h, sol, capped=options.memory_capped,
                     dynamic=options.dynamic_loading)
     out = {"feasible": report.feasible,
@@ -230,11 +237,8 @@ def _cmd_export(args) -> int:
         parts = (model,)
     else:
         g, h, _ = _parse_instance(doc)
-        if "solution" not in doc:
-            raise CliError("bad-input", "document carries no solution",
-                           EXIT_USAGE)
         writer = export_trace
-        parts = (Solution.from_dict(doc["solution"]), g, h)
+        parts = (_solution(doc), g, h)
     if args.output in (None, "-"):
         writer(*parts, sys.stdout)
     else:

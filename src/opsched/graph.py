@@ -200,48 +200,6 @@ class ComputationGraph:
         """Topological order of operation ids, ties broken by id."""
         return self._topo
 
-    def redundant_edges(self) -> set[tuple[str, str]]:
-        """Edges (i1,i2) bypassed by a single intermediate hop.
-
-        Returns exactly the edges for which some i3 has both (i1,i3) and
-        (i3,i2) in the edge set. Multi-hop bypasses are deliberately not
-        flagged; use ``transitively_redundant_edges`` for the full
-        reduction.
-        """
-        out = set()
-        for (a, b) in self._edges:
-            succ_a = set(self._succ[a])
-            if any(m in succ_a for m in self._pred[b] if m != a):
-                out.add((a, b))
-        return out
-
-    def transitively_redundant_edges(self) -> set[tuple[str, str]]:
-        """Edges implied by any longer path (full transitive reduction)."""
-        reach_cache: dict[str, set[str]] = {}
-        for i in reversed(self._topo):
-            r: set[str] = set()
-            for s in self._succ[i]:
-                r.add(s)
-                r |= reach_cache[s]
-            reach_cache[i] = r
-        out = set()
-        for (a, b) in self._edges:
-            if any(m != b and b in reach_cache[m] for m in self._succ[a]):
-                out.add((a, b))
-        return out
-
-    def reachable_from(self, op_id: str) -> set[str]:
-        """All operations reachable from `op_id` via edges (excluding it)."""
-        seen: set[str] = set()
-        stack = list(self._succ[op_id])
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            stack.extend(self._succ[n])
-        return seen
-
     def critical_path_length(self) -> float:
         """Longest path measured in operation durations (comm ignored)."""
         dist: dict[str, float] = {}
@@ -313,9 +271,6 @@ class HardwareCluster:
     @property
     def channels(self) -> Mapping[tuple[str, str], Channel]:
         return self._channels
-
-    def has_channel(self, j1: str, j2: str) -> bool:
-        return (j1, j2) in self._channels
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HardwareCluster):

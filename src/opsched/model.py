@@ -15,8 +15,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .graph import (ComputationGraph, GraphError, HardwareCluster, WeightAsset,
-                    is_finite_number)
+from .graph import ComputationGraph, HardwareCluster, is_finite_number
 
 BINARY = "binary"
 CONTINUOUS = "continuous"

@@ -16,9 +16,8 @@ to the machine counts as resident throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from .graph import ComputationGraph, HardwareCluster, WeightAsset
+from .graph import ComputationGraph, HardwareCluster
 from .solver import Solution
 
 _EPS = 1e-9
@@ -36,21 +35,17 @@ class VerifyReport:
     channel_busy: dict[tuple[str, str], float] = field(default_factory=dict)
 
 
-def verify(g: ComputationGraph, h: HardwareCluster, sol: Solution,
-           weights: Iterable[WeightAsset] | None = None, *,
+def verify(g: ComputationGraph, h: HardwareCluster, sol: Solution, *,
            capped: bool = True,
            dynamic: bool | None = None) -> VerifyReport:
     """Replay `sol` against the problem and report feasibility + metrics.
 
-    `weights` supplies assets not already on the graph. `dynamic`
-    selects the weight-loading interpretation of memory; by default it
-    is inferred from the presence of load events or preloads. With
-    `capped` false, capacity violations are not flagged (levels are
+    `dynamic` selects the weight-loading interpretation of memory; by
+    default it is inferred from the presence of load events or preloads.
+    With `capped` false, capacity violations are not flagged (levels are
     still traced).
     """
-    assets = dict(g.weights)
-    for w in weights or ():
-        assets[w.id] = w
+    assets = g.weights
     if dynamic is None:
         dynamic = bool(sol.load_events or sol.preloads)
 

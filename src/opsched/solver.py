@@ -39,6 +39,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
+from .graph import is_finite_number
 from .model import ScheduleModel
 
 OPTIMAL = "optimal"
@@ -50,6 +51,9 @@ _EPS = 1e-9
 
 # the fixed-assignment mode runs when machines ** ops is at most this
 _ENUMERATION_LIMIT = 100_000
+
+# the second argument of `isinstance`, for `map` over a sequence
+_STR = itertools.repeat(str)
 
 
 @dataclass(frozen=True)
@@ -114,19 +118,71 @@ class Solution:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "Solution":
+        """Inverse of `to_dict`. A document of another shape, or a time
+        that is not a finite number, raises ValueError."""
+        def bad(what, value, key=None):
+            where = what if key is None else f"{what}[{key!r}]"
+            return ValueError(f"malformed solution {where}: {value!r}")
+
+        # these run once per op and transfer, so they format a message
+        # only for a bad value
+        def strings(value, n, what, key=None):
+            if (not isinstance(value, (list, tuple)) or len(value) != n
+                    or not all(map(isinstance, value, _STR))):
+                raise bad(what, value, key)
+            return tuple(value)
+
+        def times(value, what, key):
+            if (not isinstance(value, (list, tuple)) or len(value) != 2
+                    or not all(map(is_finite_number, value))):
+                raise bad(what, value, key)
+            return tuple(value)
+
+        def get(key, kind):
+            value = doc.get(key, kind())
+            if not isinstance(value, kind):
+                raise bad(key, value)
+            return value
+
+        def number(key):
+            value = doc.get(key)
+            if value is not None and not is_finite_number(value):
+                raise bad(key, value)
+            return value
+
+        if not isinstance(doc, Mapping):
+            raise bad("document", doc)
+        if not isinstance(doc.get("status"), str):
+            raise bad("status", doc.get("status"))
+        assignment = get("assignment", dict)
+        if not all(map(isinstance, itertools.chain(*assignment.items()),
+                       _STR)):
+            raise bad("assignment", assignment)
         comm = {}
-        for key, (chan, start, end) in doc.get("comm_times", {}).items():
-            a, b = key.split("->")
-            comm[(a, b)] = (tuple(chan), start, end)
+        for key, value in get("comm_times", dict).items():
+            ends = key.split("->")
+            if len(ends) != 2:
+                raise bad("comm_times key", key)
+            if not isinstance(value, (list, tuple)) or len(value) != 3:
+                raise bad("comm_times", value, key)
+            comm[tuple(ends)] = (strings(value[0], 2, "comm_times", key),
+                                 *times(value[1:], "comm_times", key))
+        load_events = [strings(ev, 3, "load event")
+                       for ev in get("load_events", list)]
+        for ev in load_events:
+            if ev[2] not in ("load", "unload"):
+                raise bad("load event", ev)
         return cls(
             status=doc["status"],
-            objective=doc.get("objective"),
-            assignment=dict(doc.get("assignment", {})),
-            op_times={i: tuple(t) for i, t in doc.get("op_times", {}).items()},
+            objective=number("objective"),
+            assignment=dict(assignment),
+            op_times={i: times(t, "op_times", i)
+                      for i, t in get("op_times", dict).items()},
             comm_times=comm,
-            load_events=[tuple(ev) for ev in doc.get("load_events", [])],
-            preloads=[tuple(p) for p in doc.get("preloads", [])],
-            bound=doc.get("bound"),
+            load_events=load_events,
+            preloads=[strings(p, 2, "preload")
+                      for p in get("preloads", list)],
+            bound=number("bound"),
         )
 
     @classmethod
@@ -1302,7 +1358,8 @@ def refine_idle(model: ScheduleModel, sol: Solution, *,
     if target is not None and base_int == target and base_T <= cap + _EPS:
         return _rebuild_refined(sol, space, base_e)
     if target is None and base_int <= 0:
-        return sol
+        return (_rebuild_refined(sol, space, base_e)
+                if base_T <= cap + _EPS else sol)
 
     def cost(T, interior):
         return 1000.0 * max(0.0, T - cap) + interior

@@ -105,6 +105,32 @@ class TestExport:
         assert json.loads(capsys.readouterr().err)["error"] == "bad-input"
 
 
+class TestBadSolution:
+    @pytest.mark.parametrize("solution", [
+        pytest.param({}, id="empty"),
+        pytest.param([], id="list"),
+        pytest.param({"status": "feasible", "objective": 1,
+                      "comm_times": {"ab": [["m", "m"], 1, 1]}},
+                     id="comm-key-without-arrow"),
+        pytest.param({"status": "feasible", "objective": 1,
+                      "assignment": {"a": "m"}, "op_times": {"a": [1]}},
+                     id="one-number-time"),
+        pytest.param({"status": "feasible", "objective": 1,
+                      "assignment": {"a": "m"},
+                      "op_times": {"a": [0, float("nan")]}},
+                     id="nan-time"),
+    ])
+    @pytest.mark.parametrize("argv", [["verify"],
+                                      ["export", "--format", "trace"]],
+                             ids=" ".join)
+    def test_malformed_solution_is_one_json_error(self, tmp_path, capsys,
+                                                  argv, solution):
+        inst = _write(tmp_path / "inst.json", dict(ONE_OP, solution=solution))
+        assert main(argv + ["-i", inst, "-o", str(tmp_path / "out")]) \
+            == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err)["error"] == "bad-input"
+
+
 class TestBadNumbers:
     @pytest.mark.parametrize("duration", [
         float("inf"), pytest.param(10**400, id="int-beyond-float")],

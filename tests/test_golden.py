@@ -23,6 +23,10 @@ listed, sorted and filtered all (operation, machine) pairs and rescanned
 every operation for its bound, so the incremental ready lists and the
 lazily merged candidate order must branch in the same order.
 
+Each trace case hashes the chrome-tracing document of one solved
+schedule. Those digests were recorded while the exporter still built an
+intermediate event object per span before turning it into JSON.
+
 The memory-capped search cases pin the node count as well as the
 digest. They were recorded while every saturation-search node still
 rescanned and sorted its ready ops and every node of either search
@@ -51,6 +55,7 @@ from opsched.scenarios import (DualPipeSpec, RandomDagSpec,
                                gen_dualpipe, gen_random_dag)
 from opsched.solver import (Solution, SolveConfig, refine_idle, solve,
                             warm_start)
+from opsched.trace import export_trace
 
 from conftest import cluster, edge, graph, op
 
@@ -416,3 +421,37 @@ def test_export_digest(case, writer):
     writer(case(), buf)
     digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
     assert digest == EXPORT_GOLDEN[case][writer is export_lp]
+
+
+def trace_dualpipe_pp2():
+    # `opsched gen dualpipe --pp 2`, solved: compute and transfer lanes
+    spec = DualPipeSpec(pp=2)
+    g, h, options = gen_dualpipe(spec)
+    model = set_primal_bound(build_model(g, h, options),
+                             dualpipe_primal_bound(spec))
+    return solve(model), g, h
+
+
+def trace_dynamic_loading():
+    # a load and an unload on the weight-traffic lane, and two preloads
+    model = _loading_model(1, 4)
+    sol = solve(model)
+    assert {kind for (_i, _w, kind) in sol.load_events} == {"load", "unload"}
+    assert sol.preloads
+    return sol, model.graph, model.cluster
+
+
+TRACE_GOLDEN = {
+    trace_dualpipe_pp2:
+        "ee9e4edc284f583354b1e738730a9e1ebedc6e1cb9d1a70f47f2d8afe737a250",
+    trace_dynamic_loading:
+        "8eb664320461f7479e774cae60def640610fafa96c82911f2ca51c8d321fb670",
+}
+
+
+@pytest.mark.parametrize("case", TRACE_GOLDEN, ids=lambda f: f.__name__)
+def test_trace_digest(case):
+    buf = io.StringIO()
+    export_trace(*case(), buf)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == TRACE_GOLDEN[case]

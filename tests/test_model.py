@@ -99,6 +99,22 @@ class TestConstraintStore:
         durs = {c.rhs for c in m.constraints if c.tag == "duration"}
         assert durs == {2, 3, 1}
 
+    def test_duration_constraints_gain_load_terms_when_dynamic(self):
+        m = build_model(small_graph(), cluster(2),
+                        ModelOptions(dynamic_loading=True))
+        dur_a = next(c for c in m.constraints
+                     if c.tag == "duration"
+                     and any(v.indices[:1] == ("a",) for _, v in c.terms
+                             if v.kind == "e"))
+        # the load decision enters the occupied interval
+        assert "l" in {v.kind for _, v in dur_a.terms}
+
+    def test_presence_rows_only_for_referencing_ops(self):
+        m = build_model(small_graph(), cluster(2),
+                        ModelOptions(dynamic_loading=True))
+        presence = [c for c in m.constraints if c.tag == "weight-presence"]
+        assert len(presence) == 1  # only op a references w
+
     def test_comm_forbidden_for_missing_channels(self):
         h = cluster(2, channels=[("m0", "m1")])  # no m1->m0 channel
         m = build_model(small_graph(), h)

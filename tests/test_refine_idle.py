@@ -91,3 +91,21 @@ def test_refined_schedule_is_feasible_and_no_worse(capped, case):
     assert out.status == sol.status and out.bound == sol.bound
     assert after.makespan <= before.makespan + 1e-9
     assert after.bubble_total <= before.bubble_total + 1e-9
+
+
+def test_layout_without_interior_idle_is_returned_laid_out():
+    # the machine order a, b already has no interior idle once laid out
+    # again, so there is nothing to anneal; the gap of the input itself
+    # still goes
+    g = graph([op("a", 1), op("b", 1)])
+    h = cluster(1)
+    sol = Solution(status="feasible", objective=4.0,
+                   assignment={"a": "m0", "b": "m0"},
+                   op_times={"a": (0.0, 1.0), "b": (3.0, 4.0)})
+    before = verify(g, h, sol)
+    assert (before.bubble_total, before.makespan) == (2, 4)
+    out = refine_idle(build_model(g, h), sol)
+    after = verify(g, h, out)
+    assert after.feasible
+    assert (after.bubble_total, after.makespan, out.objective) == (0, 2, 2)
+    assert out.assignment == sol.assignment and out.status == sol.status
