@@ -27,7 +27,7 @@ from .scenarios import (DualPipeSpec, RandomDagSpec, dualpipe_bubble_target,
 from .simulate import verify
 from .solver import (INFEASIBLE, Solution, SolveConfig, SolveError,
                      solve, warm_start)
-from .trace import export_trace
+from .trace import trace_document
 
 CONFIG_ENV = "OPSCHED_CONFIG"
 
@@ -64,12 +64,15 @@ def _fail(kind: str, message: str, code: int = EXIT_ERROR, **extra) -> int:
 def _read_doc(path: str | None) -> dict:
     try:
         if path in (None, "-"):
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError("bad-input", f"cannot read document: {exc}",
-                       EXIT_USAGE)
+        raise CliError("bad-input", f"cannot read document: {exc}", EXIT_USAGE)
+    if not isinstance(doc, dict):
+        raise CliError("bad-input", "document is not an object", EXIT_USAGE)
+    return doc
 
 
 def _write_doc(doc: dict, path: str | None):
@@ -231,19 +234,20 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export(args) -> int:
     doc = _read_doc(args.input)
-    if args.format in ("mps", "lp"):
-        _, _, model = _build(doc)
-        writer = export_mps if args.format == "mps" else export_lp
-        parts = (model,)
-    else:
+    if args.format == "trace":
         g, h, _ = _parse_instance(doc)
-        writer = export_trace
-        parts = (_solution(doc), g, h)
+        try:
+            _write_doc(trace_document(_solution(doc), g, h), args.output)
+        except ValueError as exc:
+            raise CliError("bad-input", str(exc), EXIT_USAGE)
+        return EXIT_OK
+    _, _, model = _build(doc)
+    writer = export_mps if args.format == "mps" else export_lp
     if args.output in (None, "-"):
-        writer(*parts, sys.stdout)
+        writer(model, sys.stdout)
     else:
         with open(args.output, "w") as fh:
-            writer(*parts, fh)
+            writer(model, fh)
     return EXIT_OK
 
 

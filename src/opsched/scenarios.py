@@ -147,38 +147,6 @@ def dualpipe_bubble_target(spec: DualPipeSpec, improved: bool = False
     return bubble / 2 if improved else bubble
 
 
-def dualpipe_assignment(spec: DualPipeSpec) -> tuple[tuple[str, str], ...]:
-    """Bidirectional stage placement: device d hosts stage d for the
-    first half of the micro-batches (flowing down the ring) and stage
-    pp-1-d for the second half (flowing up), so each device holds two
-    stage replicas of the parameters."""
-    pp, mb = spec.pp, spec.n_micro_batches
-    down = (mb + 1) // 2
-    pins = []
-    for m in range(1, mb + 1):
-        for s in range(pp):
-            d = s if m <= down else pp - 1 - s
-            dev = f"d{d:02d}"
-            for kind in ("f", "bi", "bw"):
-                pins.append((_op_id(kind, m, s), dev))
-    return tuple(pins)
-
-
-def dualpipe_symmetry(spec: DualPipeSpec) -> tuple:
-    """Two symmetry chains (down-flowing and up-flowing micro-batches);
-    within each direction, micro-batches are interchangeable."""
-    pp, mb = spec.pp, spec.n_micro_batches
-    down = (mb + 1) // 2
-
-    def group(m: int) -> tuple[str, ...]:
-        return tuple(sorted(_op_id(kind, m, s)
-                            for kind in ("f", "bi", "bw")
-                            for s in range(pp)))
-
-    return (tuple(group(m) for m in range(1, down + 1)),
-            tuple(group(m) for m in range(down + 1, mb + 1)))
-
-
 def _rank_token_order(pp: int, half_batches: int, rank: int) -> list[tuple]:
     """Per-device token order of the hand-built bidirectional schedule.
 

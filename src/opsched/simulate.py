@@ -54,6 +54,8 @@ def verify(g: ComputationGraph, h: HardwareCluster, sol: Solution, *,
     def flag(kind: str, ids: tuple[str, ...], time: float):
         bad.append((kind, ids, float(time)))
 
+    for i in sorted({*sol.op_times, *sol.assignment} - g.operations.keys()):
+        flag("unknown-op", (i,), 0.0)
     for i in g.operations:
         if i not in sol.op_times or i not in sol.assignment:
             flag("missing-op", (i,), 0.0)

@@ -59,17 +59,6 @@ _STR = itertools.repeat(str)
 @dataclass(frozen=True)
 class SolveConfig:
     time_limit: float = 60.0
-    # chains of interchangeable operation groups (identical structure and
-    # costs); within a chain, group k+1 may only start dispatching after
-    # group k did; independent chains are unordered relative to each
-    # other. A flat tuple of groups counts as a single chain.
-    batch_symmetry: tuple = ()
-    # (op, machine) pins restricting the assignment search
-    fixed_assignment: tuple[tuple[str, str], ...] = ()
-    # (op, machine) pairs excluded from the assignment search; with
-    # fixed_assignment, the standard vehicle for symmetry-breaking
-    # restrictions the caller can justify (e.g. ring rotations)
-    forbidden_assignment: tuple[tuple[str, str], ...] = ()
     node_limit: int | None = None
 
     def __post_init__(self):
@@ -589,35 +578,6 @@ class _Search:
             self.incumbent = replace(hint, status=FEASIBLE)
             self.incumbent_obj = hint.objective
 
-        chains = cfg.batch_symmetry
-        if chains and chains[0] and isinstance(chains[0][0], str):
-            chains = (chains,)
-        self.group_of: dict[int, tuple[int, int]] = {}
-        for ci, chain in enumerate(chains):
-            for gi, group in enumerate(chain):
-                for op in group:
-                    if op in self.inst.idx:
-                        self.group_of[self.inst.idx[op]] = (ci, gi)
-        self.chain_started = [0] * len(chains)
-
-        self.pinned: dict[int, int] = {}
-        midx = {j: k for k, j in enumerate(self.inst.machines)}
-        for (op, j) in cfg.fixed_assignment:
-            if op not in self.inst.idx or j not in midx:
-                raise SolveError(f"fixed assignment names unknown id: "
-                                 f"({op!r}, {j!r})")
-            self.pinned[self.inst.idx[op]] = midx[j]
-        self.pinned_order = sorted(self.pinned.items())
-        # per op, the bit mask of machines the pins and exclusions allow
-        self.allowed = [(1 << self.inst.nm) - 1] * self.inst.n
-        for k, m0 in self.pinned.items():
-            self.allowed[k] = 1 << m0
-        for (op, j) in cfg.forbidden_assignment:
-            if op not in self.inst.idx or j not in midx:
-                raise SolveError(f"forbidden assignment names unknown id: "
-                                 f"({op!r}, {j!r})")
-            self.allowed[self.inst.idx[op]] &= ~(1 << midx[j])
-
     # pruning threshold: must beat the incumbent and respect the bound
     def limit(self) -> float:
         lim = float("inf")
@@ -663,8 +623,7 @@ class _Search:
         packed = self._run_packed()
         if packed is not None:
             return packed
-        state = _State(self.inst)
-        return self._dfs(state)
+        return self._dfs(_State(self.inst))
 
     def _run_packed(self) -> bool | None:
         """Saturation search, used when the aggregate load bound meets the
@@ -713,7 +672,7 @@ class _Search:
             prio_rank[by_prio[r]] = r
             late_rank[by_late[r]] = r
         out_mask = inst.out_mask
-        allowed = self.allowed
+        every = (1 << nm) - 1
         caps = inst.mem_cap
         mem_class = inst.mem_class
         preds = inst.preds
@@ -723,23 +682,21 @@ class _Search:
         mach_of = [-1] * n
         est = [0] * n
         missing = [len(p) for p in preds]
-        # per ready op, the machines it may still use: its allowed ones
-        # that every predecessor's machine can send to
-        rmask = list(allowed)
+        # per ready op, the machines it may still use: those that every
+        # predecessor's machine can send to
+        rmask = [every] * n
         ready = sorted(prio_rank[k] for k in range(n) if not missing[k])
         due = sorted(late_rank[k] for k in range(n) if not missing[k])
         # ready ops the deadline cut prunes whatever the machines do:
         # est > late, or no usable machine (the cut then takes lim as the
-        # op's earliest machine, and late < lim since dur >= 1)
-        doomed = sum(1 for k in range(n)
-                     if not missing[k] and (not rmask[k] or late[k] < 0))
+        # op's earliest machine, and late < lim since dur >= 1); a source
+        # may use every machine and has est 0
+        doomed = sum(1 for k in range(n) if not missing[k] and late[k] < 0)
         mem = [_MEM0] * nm
         static = [0.0] * nm
         assets: list[frozenset[str]] = [frozenset()] * nm
         memo: list[dict] = [{} for _ in range(nm)]
         seq: list[int] = []  # the dispatched ops, in dispatch order
-        group_of = self.group_of
-        chain_started = self.chain_started
 
         def leaf() -> None:
             state = _State(inst)
@@ -749,12 +706,12 @@ class _Search:
 
         # Each node dispatches on machine m, and every child restores what
         # it changed exactly before the next sibling is tried: `free`,
-        # `est`, `missing`, both rank lists, `doomed`, `brem`, the chains
-        # and machine m's memory state and memo. `rmask` needs no
-        # restoring: an op's mask is final once it is ready, and is
-        # rewritten when it becomes ready again. So the node can walk
-        # `ready` itself while its children run, and the memo of m's
-        # state holds throughout (see the memory-class memo above).
+        # `est`, `missing`, both rank lists, `doomed`, `brem` and machine
+        # m's memory state and memo. `rmask` needs no restoring: an op's
+        # mask is final once it is ready, and is rewritten when it becomes
+        # ready again. So the node can walk `ready` itself while its
+        # children run, and the memo of m's state holds throughout (see
+        # the memory-class memo above).
 
         def rec() -> bool:
             nonlocal doomed
@@ -791,13 +748,6 @@ class _Search:
                 k = by_prio[r]
                 if est[k] > t or not rmask[k] >> m & 1:
                     continue
-                cg = group_of.get(k)
-                if cg is not None:
-                    if cg[1] > chain_started[cg[0]]:
-                        continue
-                    fresh = cg[1] == chain_started[cg[0]]
-                else:
-                    fresh = False
                 e_new = t + dur[k]
                 if e_new > lim:
                     continue
@@ -816,15 +766,13 @@ class _Search:
                 del ready[bisect_left(ready, prio_rank[k])]
                 del due[bisect_left(due, late_rank[k])]
                 brem[le_of[k]] -= dur[k]
-                if fresh:
-                    chain_started[cg[0]] += 1
                 o_ests = [est[s] for s in succs[k]]
                 for s in succs[k]:
                     missing[s] -= 1
                     if e_new > est[s]:
                         est[s] = e_new
                     if not missing[s]:
-                        mask = allowed[s]
+                        mask = every
                         for p in preds[s]:
                             mask &= out_mask[mach_of[p]]
                         rmask[s] = mask
@@ -844,8 +792,6 @@ class _Search:
                         del due[bisect_left(due, late_rank[s])]
                     missing[s] += 1
                     est[s] = v
-                if fresh:
-                    chain_started[cg[0]] -= 1
                 brem[le_of[k]] += dur[k]
                 insort(ready, prio_rank[k])
                 insort(due, late_rank[k])
@@ -868,14 +814,13 @@ class _Search:
     # est. heapq.merge combines the per-machine streams, and since no two
     # keys share (k, m) the merged order is exactly the sorted one.
     #
-    # The streams are lazy: they read `free`, the ready lists, the
-    # predecessors' machines and the symmetry chains when resumed. `_dfs`
-    # resumes them only after the child's `_undo`, which restores all of
-    # that exactly, so each stream sees the state it started from. A
-    # stream also passes over the ops whose memory class its machine's
-    # memo knows not to fit; the memo only grows while the stream runs,
-    # and `_dfs` rejects such a pair itself when the stream yielded it
-    # before its class failed.
+    # The streams are lazy: they read `free`, the ready lists and the
+    # predecessors' machines when resumed. `_dfs` resumes them only after
+    # the child's `_undo`, which restores all of that exactly, so each
+    # stream sees the state it started from. A stream also passes over
+    # the ops whose memory class its machine's memo knows not to fit; the
+    # memo only grows while the stream runs, and `_dfs` rejects such a
+    # pair itself when the stream yielded it before its class failed.
 
     def _candidates(self, state: _State, last_start: float):
         """The (lb_start, prio, k, m) dispatches a DFS node branches on,
@@ -885,11 +830,8 @@ class _Search:
                              for m in range(self.inst.nm)))
 
     def _machine_candidates(self, state: _State, m: int, threshold: float):
-        allowed, out_mask, preds = self.allowed, self.inst.out_mask, \
-            self.inst.preds
-        group_of, chain_started = self.group_of, self.chain_started
-        mach_of, est = state.mach_of, state.est
-        ready_est = state.ready_est
+        out_mask, preds = self.inst.out_mask, self.inst.preds
+        mach_of, est, ready_est = state.mach_of, state.est, state.ready_est
         mem_class, memo = self.inst.mem_class, state.memo[m]
         bit = 1 << m
         free = state.free[m]
@@ -907,15 +849,11 @@ class _Search:
                 early, itertools.islice(ready_est, late, None)):
             if memo and memo.get(mem_class[k], _UNKNOWN) is None:
                 continue
-            mask = allowed[k]
             for p in preds[k]:
-                mask &= out_mask[mach_of[p]]
-            if not mask & bit:
-                continue
-            cg = group_of.get(k)
-            if cg is not None and cg[1] > chain_started[cg[0]]:
-                continue
-            yield (lb_start, prio, k, m)
+                if not out_mask[mach_of[p]] & bit:
+                    break
+            else:
+                yield (lb_start, prio, k, m)
 
     def _ext_choices(self, state: _State, k: int, m: int):
         """Load/unload/preload alternatives for dispatching op k on m.
@@ -954,13 +892,6 @@ class _Search:
             finish = start + dur[k] + tail[k]
             if finish > lb:
                 lb = finish
-        if self.pinned:
-            rem = [0.0] * inst.nm
-            for k, m in self.pinned_order:
-                if state.mach_of[k] < 0:
-                    rem[m] += inst.dur[k]
-            for m in range(inst.nm):
-                lb = max(lb, state.free[m] + rem[m])
         return lb
 
     def _dfs(self, state: _State, last_start: float = 0.0) -> bool:
@@ -989,19 +920,13 @@ class _Search:
                         state.resident[m], k, inst.mem_cap[m])
                 if step is None:
                     continue
-            cg = self.group_of.get(k)
-            fresh_group = cg is not None and cg[1] == self.chain_started[cg[0]]
             for loads, unloads, preload in self._ext_choices(state, k, m):
                 undo = _dispatch(state, k, m, loads, unloads, preload, step)
                 if undo is None:
                     continue
-                if fresh_group:
-                    self.chain_started[cg[0]] += 1
                 if self._node_bound(state) <= self.limit() + _EPS:
                     if not self._dfs(state, lb_start):
                         complete = False
-                if fresh_group:
-                    self.chain_started[cg[0]] -= 1
                 _undo(state, undo)
                 if self.should_stop():
                     return False
@@ -1023,9 +948,6 @@ class _Search:
 
     def _assignment_feasible(self, assign) -> bool:
         inst = self.inst
-        for k, m in enumerate(assign):
-            if not self.allowed[k] >> m & 1:
-                return False
         for (p, k) in inst.comm:
             if not inst.out_mask[assign[p]] >> assign[k] & 1:
                 return False
@@ -1033,8 +955,7 @@ class _Search:
         loads = [0.0] * inst.nm
         for k, m in enumerate(assign):
             loads[m] += inst.dur[k]
-        lb = max(loads)
-        return lb <= self.limit() + _EPS
+        return max(loads) <= self.limit() + _EPS
 
     def _seq_candidates(self, state: _State, assign):
         inst = self.inst
@@ -1139,8 +1060,7 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None, *,
     fixed-assignment enumeration was used) and the search ran to
     exhaustion, or when the incumbent matches a valid relaxation bound.
     """
-    cfg = cfg or SolveConfig()
-    search = _Search(model, cfg, hint)
+    search = _Search(model, cfg or SolveConfig(), hint)
     inst = search.inst
     if (not inst.zero_comm and not inst.dynamic
             and inst.nm ** inst.n <= _ENUMERATION_LIMIT):

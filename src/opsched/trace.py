@@ -14,18 +14,41 @@ from typing import IO
 from .graph import ComputationGraph, HardwareCluster
 from .solver import Solution
 
-__all__ = ["export_trace", "US_PER_UNIT"]
+__all__ = ["export_trace", "trace_document", "US_PER_UNIT"]
 
 US_PER_UNIT = 1000
 
 
 def export_trace(sol: Solution, g: ComputationGraph, h: HardwareCluster,
                  dest: IO[str]) -> None:
-    """Write the solution as a chrome://tracing JSON document.
+    """Write `trace_document` of the solution as JSON."""
+    json.dump(trace_document(sol, g, h), dest, indent=1, sort_keys=True)
+    dest.write("\n")
+
+
+def trace_document(sol: Solution, g: ComputationGraph,
+                   h: HardwareCluster) -> dict:
+    """The chrome://tracing JSON document of the solution.
 
     Lanes are numbered stably: machines first, then channels, then one
-    weight-traffic lane per machine that loads or unloads."""
-    loaders = {sol.assignment[i] for (i, _w, _k) in sol.load_events}
+    weight-traffic lane per machine that loads or unloads. A solution
+    that names an op the graph lacks, leaves a timed op on no machine of
+    `h`, or loads or unloads for an untimed op or an unknown weight
+    raises ValueError."""
+    for i in sorted({*sol.op_times, *sol.assignment}):
+        if i not in g.operations:
+            raise ValueError(f"solution names operation {i!r}, not in graph")
+        if i in sol.op_times and sol.assignment.get(i) not in h.machines:
+            raise ValueError(f"timed operation {i!r} has no cluster machine")
+    loads_of: dict[str, list[str]] = {}
+    unloads_of: dict[str, list[str]] = {}
+    for (i, wid, kind) in sol.load_events:
+        if i not in sol.op_times or wid not in g.weights:
+            raise ValueError(f"load event of {i!r} or {wid!r} is unknown")
+        (loads_of if kind == "load" else unloads_of).setdefault(
+            i, []).append(wid)
+    loaded = sorted(set(loads_of) | set(unloads_of))
+    loaders = {sol.assignment[i] for i in loaded}
     labels = {("machine", j): f"machine {j}" for j in sorted(h.machines)}
     labels.update({("channel", c): f"channel {c[0]}->{c[1]}"
                    for c in sorted(h.channels)})
@@ -52,12 +75,7 @@ def export_trace(sol: Solution, g: ComputationGraph, h: HardwareCluster,
 
     # load/unload events extend the op's machine interval: the op's
     # listed loads run right before its compute window, unloads after
-    loads_of: dict[str, list[str]] = {}
-    unloads_of: dict[str, list[str]] = {}
-    for (i, wid, kind) in sol.load_events:
-        (loads_of if kind == "load" else unloads_of).setdefault(
-            i, []).append(wid)
-    for i in sorted(set(loads_of) | set(unloads_of)):
+    for i in loaded:
         s, e = sol.op_times[i]
         lane = ("weights", sol.assignment[i])
         t = s
@@ -71,8 +89,6 @@ def export_trace(sol: Solution, g: ComputationGraph, h: HardwareCluster,
             span(f"unload {wid}", "unload", t, cost, lane)
             t += cost
 
-    doc = {"traceEvents": events,
-           "displayTimeUnit": "ms",
-           "metadata": {"us_per_time_unit": US_PER_UNIT}}
-    json.dump(doc, dest, indent=1, sort_keys=True)
-    dest.write("\n")
+    return {"traceEvents": events,
+            "displayTimeUnit": "ms",
+            "metadata": {"us_per_time_unit": US_PER_UNIT}}

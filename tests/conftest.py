@@ -340,26 +340,16 @@ def candidate_order_oracle(search, state, last_start, eps=1e-9):
     Lists every usable (operation, machine) pair of the node, sorts the
     (lb_start, prio, k, m) keys in full and drops the starts before
     `last_start - eps`: the solver's candidate order before it was
-    generated lazily. It reads the search's data (pins, forbidden pairs,
-    symmetry chains, channels) straight from its inputs.
+    generated lazily. It reads the channels straight from the cluster.
     """
     inst = search.inst
     midx = {j: m for m, j in enumerate(inst.machines)}
     chan = {(midx[a], midx[b]) for (a, b) in inst.model.cluster.channels}
-    forbidden = {(inst.idx[o], midx[j])
-                 for (o, j) in search.cfg.forbidden_assignment}
     eligible = [k for k in range(inst.n)
                 if state.mach_of[k] < 0 and state.missing_preds[k] == 0]
     cands = []
     for k in eligible:
-        cg = search.group_of.get(k)
-        if cg is not None and cg[1] > search.chain_started[cg[0]]:
-            continue
-        machines = ((search.pinned[k],) if k in search.pinned
-                    else range(inst.nm))
-        for m in machines:
-            if (k, m) in forbidden:
-                continue
+        for m in range(inst.nm):
             if any((state.mach_of[p], m) not in chan
                    for p in inst.preds[k]):
                 continue
@@ -388,8 +378,8 @@ def packed_search_oracle(search):
     rescans all ready ops, rebuilds each op's machine mask over its
     predecessors, takes the deadline cut over every one of them, sorts
     the candidates and recomputes every memory step. Same return value
-    as `_Search._run_packed`; the search's node count, incumbent and
-    symmetry-chain state change exactly as they would there.
+    as `_Search._run_packed`; the search's node count and incumbent
+    change exactly as they would there.
     """
     from opsched import solver
 
@@ -413,7 +403,6 @@ def packed_search_oracle(search):
     for k in range(n):
         brem[le_of[k]] += dur[k]
     out_mask = inst.out_mask
-    allowed = search.allowed
     caps = inst.mem_cap
     act = inst.act
     wmem = inst.wmem
@@ -432,8 +421,6 @@ def packed_search_oracle(search):
     static = [0.0] * nm
     assets = [frozenset()] * nm
     seq = []
-    group_of = search.group_of
-    chain_started = search.chain_started
 
     def leaf():
         state = solver._State(inst)
@@ -462,7 +449,7 @@ def packed_search_oracle(search):
                 return True
         cands = []
         for k in avail:
-            mask = allowed[k]
+            mask = (1 << nm) - 1
             e = est[k]
             for p in preds[k]:
                 mask &= out_mask[mach_of[p]]
@@ -478,13 +465,6 @@ def packed_search_oracle(search):
         cands.sort()
         complete = True
         for (_, k) in cands:
-            cg = group_of.get(k)
-            if cg is not None:
-                if cg[1] > chain_started[cg[0]]:
-                    continue
-                fresh = cg[1] == chain_started[cg[0]]
-            else:
-                fresh = False
             e_new = t + dur[k]
             if e_new > lim:
                 continue
@@ -505,8 +485,6 @@ def packed_search_oracle(search):
             end[k] = e_new
             avail.discard(k)
             brem[le_of[k]] -= dur[k]
-            if fresh:
-                chain_started[cg[0]] += 1
             o_ests = [(s, est[s]) for s in succs[k]]
             for s in succs[k]:
                 missing[s] -= 1
@@ -524,8 +502,6 @@ def packed_search_oracle(search):
                 if not missing[s]:
                     avail.discard(s)
                 missing[s] += 1
-            if fresh:
-                chain_started[cg[0]] -= 1
             brem[le_of[k]] += dur[k]
             avail.add(k)
             mach_of[k] = -1

@@ -131,6 +131,74 @@ class TestBadSolution:
         assert json.loads(capsys.readouterr().err)["error"] == "bad-input"
 
 
+def _solved_one_op(assignment=None, op_times=None):
+    return dict(ONE_OP, solution={
+        "status": "feasible", "objective": 1,
+        "assignment": {"a": "m"} if assignment is None else assignment,
+        "op_times": {"a": [0, 1]} if op_times is None else op_times})
+
+
+# a well-formed solution that does not match its instance
+MISMATCHED = {
+    "unassigned-op": _solved_one_op(assignment={}),
+    "unknown-machine": _solved_one_op(assignment={"a": "zz"}),
+    "op-times-key-not-in-graph": _solved_one_op(
+        op_times={"a": [0, 1], "zz": [1, 2]}),
+    "assignment-key-not-in-graph": _solved_one_op(
+        assignment={"a": "m", "zz": "m"}),
+}
+
+
+class TestMismatchedSolution:
+    @pytest.mark.parametrize("name", MISMATCHED)
+    def test_trace_export_is_one_json_error(self, tmp_path, capsys, name):
+        inst = _write(tmp_path / "inst.json", MISMATCHED[name])
+        out = tmp_path / "trace.json"
+        assert main(["export", "-i", inst, "--format", "trace",
+                     "-o", str(out)]) == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err)["error"] == "bad-input"
+        assert not out.exists()
+
+    def test_trace_export_rejects_a_load_of_an_unknown_weight(
+            self, tmp_path, capsys):
+        doc = _solved_one_op()
+        doc["solution"]["load_events"] = [["a", "w", "load"]]
+        inst = _write(tmp_path / "inst.json", doc)
+        assert main(["export", "-i", inst, "--format", "trace"]) \
+            == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err)["error"] == "bad-input"
+
+    @pytest.mark.parametrize("name, kind", [
+        ("unassigned-op", "missing-op"),
+        ("unknown-machine", "unknown-machine"),
+        ("op-times-key-not-in-graph", "unknown-op"),
+        ("assignment-key-not-in-graph", "unknown-op")])
+    def test_verify_reports_a_violation(self, tmp_path, capsys, name, kind):
+        inst = _write(tmp_path / "inst.json", MISMATCHED[name])
+        report = tmp_path / "report.json"
+        assert main(["verify", "-i", inst, "-o", str(report)]) \
+            == EXIT_VIOLATIONS
+        violations = json.loads(report.read_text())["violations"]
+        assert [v["kind"] for v in violations] == [kind]
+        assert json.loads(capsys.readouterr().err)["error"] \
+            == "verification-failed"
+
+
+class TestBadRoot:
+    @pytest.mark.parametrize("root", ["[]", "1", '"x"'])
+    @pytest.mark.parametrize("argv", [["verify"], ["export"], ["solve"],
+                                      ["coarsen"]], ids=" ".join)
+    def test_non_object_document_is_one_json_error(self, tmp_path, capsys,
+                                                   argv, root):
+        inst = tmp_path / "inst.json"
+        inst.write_text(root)
+        assert main(argv + ["-i", str(inst), "-o", str(tmp_path / "out")]) \
+            == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == "bad-input"
+        assert err.count("\n") == 1
+
+
 class TestBadNumbers:
     @pytest.mark.parametrize("duration", [
         float("inf"), pytest.param(10**400, id="int-beyond-float")],

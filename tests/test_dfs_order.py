@@ -22,7 +22,7 @@ _VALUES = st.sampled_from([0, 1, 1, 2, 3, 0.5, 1.25])
 @st.composite
 def dfs_cases(draw, dynamic_loading):
     """2-8 ops on 1-3 machines with sparse channels, random comm and
-    weights, plus pins, forbidden pairs and symmetry chains."""
+    weights."""
     weights = [WeightAsset(f"w{k}", draw(_VALUES), draw(_VALUES),
                            draw(_VALUES))
                for k in range(draw(st.integers(int(dynamic_loading), 2)))]
@@ -50,20 +50,7 @@ def dfs_cases(draw, dynamic_loading):
                 for k in range(draw(st.integers(1, 3)))]
     channels = [Channel(a.id, b.id) for a in machines for b in machines
                 if a.id != b.id and draw(st.booleans())]
-    ids, mids = [o.id for o in ops], [j.id for j in machines]
-    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(mids))
-    pins = tuple(draw(st.lists(pairs, max_size=2)))
-    forbidden = tuple(draw(st.lists(pairs, max_size=3)))
-    # disjoint groups of up to two ops each, cut into one or two chains
-    order = draw(st.permutations(ids))
-    groups = [tuple(order[i:i + 2])
-              for i in range(0, draw(st.integers(0, len(ids))), 2)]
-    cut = draw(st.integers(0, len(groups)))
-    chains = tuple(c for c in (tuple(groups[:cut]), tuple(groups[cut:]))
-                   if c)
-    cfg = solver.SolveConfig(node_limit=300, fixed_assignment=pins,
-                             forbidden_assignment=forbidden,
-                             batch_symmetry=chains)
+    cfg = solver.SolveConfig(node_limit=300)
     return graph(ops, edges, weights), HardwareCluster(machines, channels), \
         cfg
 

@@ -50,8 +50,7 @@ from opsched.model import (BINARY, CONTINUOUS, ConstraintStore,
                            build_model, clear_primal_bound, set_primal_bound)
 from opsched.mpswriter import export_lp, export_mps
 from opsched.scenarios import (DualPipeSpec, RandomDagSpec,
-                               dualpipe_assignment, dualpipe_primal_bound,
-                               dualpipe_reference, dualpipe_symmetry,
+                               dualpipe_primal_bound, dualpipe_reference,
                                gen_dualpipe, gen_random_dag)
 from opsched.solver import (Solution, SolveConfig, refine_idle, solve,
                             warm_start)
@@ -98,22 +97,6 @@ def dfs_bench_coarse():
     g, h = _bench_dag()
     coarse, _ = coarsen(g, CoarsenConfig.for_graph(g, len(g) // 5))
     return solve(build_model(coarse, h), SolveConfig(node_limit=1000))
-
-
-def dfs_symmetry_pins_forbidden():
-    # zero comm; two symmetry chains, the first micro-batch of each
-    # direction pinned, and a few (op, device) pairs forbidden
-    spec = DualPipeSpec(pp=2, micro_batches=6)
-    model, _ = _dualpipe(2, 6)
-    pins = tuple((o, d) for (o, d) in dualpipe_assignment(spec)
-                 if o[-5:-3] in ("01", "04"))
-    forbidden = (("f02s00", "d01"), ("bw03s01", "d00"),
-                 ("bi05s01", "d01"), ("f06s00", "d00"))
-    return solve(clear_primal_bound(model),
-                 SolveConfig(node_limit=1000,
-                             batch_symmetry=dualpipe_symmetry(spec),
-                             fixed_assignment=pins,
-                             forbidden_assignment=forbidden))
 
 
 def dfs_fractional_ring():
@@ -194,8 +177,6 @@ GOLDEN = {
         "b53d699b7a5ef1d469b42072f03b12d282ba7bc83176adc4106636bcd4e4a68b",
     dfs_bench_coarse:
         "2ca11c5b5928bccb3e7945fa30ddac0753c5c345f2e6697b7e5455dbf37315a7",
-    dfs_symmetry_pins_forbidden:
-        "9bc770dbbeac7f4229e3f9b28dd2cf090564a543a9735482a10c080f09c7ff9d",
     dfs_fractional_ring:
         "7b2a2b5d420ac00287b4b7590c7a5aa1476a86d4c648daaeceeb5b023d7e5619",
     fixed_assignment:
@@ -232,12 +213,12 @@ def saturation_continued_pp4():
                  hint=warm_start(unbounded, bounded))
 
 
-def saturation_pins_forbidden_symmetry():
-    # 3 machines on a one-way ring, so an op pinned to m0 has no machine
-    # left once a predecessor sits on m1; total work 21 = 3 x the bound
-    # 7. The symmetry chain only orders o00 before o01. The search
-    # reaches a schedule after 3,627 nodes, past memory failures,
-    # empty masks and chain skips.
+def saturation_ring_capped():
+    # 3 machines on a one-way ring, so a ready op can use only the
+    # machines that all its predecessors' machines send to; total work
+    # 21 = 3 x the bound 7. The search reaches a schedule after 3,714
+    # nodes, past memory failures and narrowed masks. Recorded before
+    # the search lost its pins, exclusions and symmetry chains.
     weights = [WeightAsset("w0", 1), WeightAsset("w1", 2)]
     g = graph([op("o00", 3, act=1), op("o01", 2, refs=["w1"]),
                op("o02", 1, act=-1), op("o03", 1, mem=1, refs=["w0"]),
@@ -253,10 +234,7 @@ def saturation_pins_forbidden_symmetry():
                                     ("m2", "m0")])
     model = set_primal_bound(
         build_model(g, h, ModelOptions(memory_capped=True)), 7)
-    return solve(model, SolveConfig(
-        node_limit=20000, batch_symmetry=(("o00",), ("o01",)),
-        fixed_assignment=(("o05", "m0"),),
-        forbidden_assignment=(("o02", "m1"), ("o07", "m2"))))
+    return solve(model, SolveConfig(node_limit=20000))
 
 
 def dfs_dualpipe_pp6():
@@ -271,9 +249,9 @@ SEARCH_GOLDEN = {
     saturation_continued_pp4: (
         20001,
         "725e762a3d0aadf4ed823a05e9c675204ff5f22e55c13a8d1644623b08f5223a"),
-    saturation_pins_forbidden_symmetry: (
-        3627,
-        "43f726308785aab8377454d5ffabce72f5896688189128b6e6bab5d59e2a55cd"),
+    saturation_ring_capped: (
+        3714,
+        "39fadfe549dc536ac1d20f46c09e2edc6e2f610d8c73cd0d6a33e314d9e38966"),
     dfs_dualpipe_pp6: (
         2001,
         "d3b5705e72bd551a48f48d9a3b6d35b6f151b115a19268ccd15b841a2aa400eb"),

@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from opsched.graph import (Channel, ComputationGraph, DependencyEdge,
-                           GraphError, HardwareCluster, Machine, Operation,
-                           WeightAsset, dump_cluster, dump_computation_graph,
-                           load_cluster, load_computation_graph)
+from opsched.graph import (Channel, DependencyEdge, GraphError,
+                           HardwareCluster, Machine, Operation, WeightAsset,
+                           dump_cluster, dump_computation_graph, load_cluster,
+                           load_computation_graph)
 
 from conftest import cluster, edge, graph, op
 

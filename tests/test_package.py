@@ -1,5 +1,5 @@
-"""The package surface: every exported name resolves, and no module
-imports a name it never uses."""
+"""The package surface: every exported name resolves, and no module or
+test file imports a name it never uses."""
 import ast
 import pathlib
 
@@ -9,6 +9,7 @@ import opsched
 
 SRC = pathlib.Path(opsched.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", opsched.__all__)
@@ -37,7 +38,9 @@ def _unused_imports(tree: ast.Module) -> list[str]:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TESTS,
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []

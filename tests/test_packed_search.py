@@ -16,8 +16,8 @@ from conftest import edge, graph, op, packed_search_oracle
 @st.composite
 def packed_cases(draw):
     """3-9 ops of integral duration >= 1 on 1-3 machines, zero comm,
-    total work a multiple of the machine count; binding memory caps,
-    sparse channels, pins, forbidden pairs and symmetry chains."""
+    total work a multiple of the machine count; binding memory caps
+    and sparse channels."""
     nm = draw(st.integers(1, 3))
     weights = [WeightAsset(f"w{k}", draw(st.integers(1, 2)))
                for k in range(draw(st.integers(0, 2)))]
@@ -40,31 +40,18 @@ def packed_cases(draw):
                 for j in range(nm)]
     channels = [Channel(a.id, b.id) for a in machines for b in machines
                 if a.id != b.id and draw(st.booleans())]
-    ids, mids = [o.id for o in ops], [j.id for j in machines]
-    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(mids))
-    pins = tuple(draw(st.lists(pairs, max_size=2)))
-    forbidden = tuple(draw(st.lists(pairs, max_size=3)))
-    # disjoint groups of up to two ops each, cut into one or two chains
-    order = draw(st.permutations(ids))
-    groups = [tuple(order[i:i + 2])
-              for i in range(0, draw(st.integers(0, len(ids))), 2)]
-    cut = draw(st.integers(0, len(groups)))
-    chains = tuple(c for c in (tuple(groups[:cut]), tuple(groups[cut:]))
-                   if c)
     g = graph(ops, edges, weights)
     model = build_model(g, HardwareCluster(machines, channels),
                         ModelOptions(memory_capped=True))
     model = set_primal_bound(model, g.total_duration() // nm)
-    cfg = solver.SolveConfig(node_limit=2000, fixed_assignment=pins,
-                             forbidden_assignment=forbidden,
-                             batch_symmetry=chains)
+    cfg = solver.SolveConfig(node_limit=2000)
     return model, cfg
 
 
 def _outcome(search, complete):
     inc = search.incumbent
     return (complete, search.nodes, search.timed_out,
-            None if inc is None else inc.to_json(), search.chain_started)
+            None if inc is None else inc.to_json())
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)

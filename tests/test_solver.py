@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from opsched.graph import ComputationGraph, DependencyEdge, WeightAsset
+from opsched.graph import ComputationGraph, DependencyEdge
 from opsched.model import (ModelError, ModelOptions, build_model,
                            clear_primal_bound, set_primal_bound)
 from opsched.scenarios import (DualPipeSpec, RandomDagSpec, gen_dualpipe,
@@ -102,56 +102,6 @@ class TestOracleAgreement:
             expect = brute_force_dynamic_makespan(g, h) if not capped else None
             if expect is not None:
                 assert sol.objective == pytest.approx(expect)
-
-
-class TestAssignmentControls:
-    def two_op_graph(self):
-        return graph([op("a", 3), op("b", 3)])
-
-    def test_fixed_assignment_respected(self):
-        sol = solve(build(self.two_op_graph(), cluster(2)),
-                    SolveConfig(fixed_assignment=(("a", "m1"),)))
-        assert sol.assignment["a"] == "m1"
-        assert sol.objective == 3
-
-    def test_forbidden_assignment_respected(self):
-        sol = solve(build(self.two_op_graph(), cluster(2)),
-                    SolveConfig(forbidden_assignment=(("a", "m0"),
-                                                     ("b", "m1"))))
-        assert sol.assignment == {"a": "m1", "b": "m0"}
-
-    def test_conflicting_pin_and_forbid_infeasible(self):
-        g = graph([op("a", 1)])
-        sol = solve(build(g, cluster(1)),
-                    SolveConfig(fixed_assignment=(("a", "m0"),),
-                                forbidden_assignment=(("a", "m0"),)))
-        assert sol.objective is None
-
-    def test_unknown_pin_rejected(self):
-        with pytest.raises(SolveError):
-            solve(build(self.two_op_graph(), cluster(2)),
-                  SolveConfig(fixed_assignment=(("zz", "m0"),)))
-        with pytest.raises(SolveError):
-            solve(build(self.two_op_graph(), cluster(2)),
-                  SolveConfig(forbidden_assignment=(("a", "mX"),)))
-
-    def test_pins_honored_with_communication(self):
-        # nonzero comm routes through the fixed-assignment enumeration;
-        # pins must hold there as well
-        g = graph([op("a", 1), op("b", 1)], [edge("a", "b", comm=1)])
-        sol = solve(build(g, cluster(2)),
-                    SolveConfig(fixed_assignment=(("a", "m1"),
-                                                  ("b", "m0"))))
-        assert sol.assignment == {"a": "m1", "b": "m0"}
-        assert sol.objective == 3
-
-    def test_batch_symmetry_preserves_optimum(self):
-        g = graph([op("a", 2), op("b", 2), op("c", 2), op("d", 2)])
-        plain = solve(build(g, cluster(2)))
-        sym = solve(build(g, cluster(2)),
-                    SolveConfig(batch_symmetry=(("a", "b"), ("c", "d"))))
-        assert plain.objective == sym.objective == 4
-        assert sym.status == "optimal"
 
 
 class TestBoundsAndLimits:
