@@ -20,7 +20,6 @@ from .scenarios import (DualPipeSpec, RandomDagSpec, dualpipe_bubble_target,
 from .simulate import VerifyReport, expand_schedule, verify
 from .solver import (Solution, SolveConfig, SolveError, refine_idle, solve,
                      warm_start)
-from .trace import export_trace
 
 __all__ = [
     "Channel", "CoarsenConfig", "ComputationGraph", "DependencyEdge",
@@ -31,7 +30,7 @@ __all__ = [
     "build_model", "clear_primal_bound", "coarsen",
     "dualpipe_bubble_target", "dualpipe_primal_bound",
     "dualpipe_reference", "dump_cluster", "dump_computation_graph",
-    "expand_schedule", "export_lp", "export_mps", "export_trace",
+    "expand_schedule", "export_lp", "export_mps",
     "gen_dualpipe", "gen_random_dag", "load_cluster",
     "load_computation_graph", "refine_idle", "set_primal_bound", "solve",
     "verify", "warm_start",

@@ -29,8 +29,6 @@ from .solver import (INFEASIBLE, Solution, SolveConfig, SolveError,
                      solve, warm_start)
 from .trace import trace_document
 
-CONFIG_ENV = "OPSCHED_CONFIG"
-
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
@@ -322,68 +320,10 @@ def _cmd_repro_dualpipe(args) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
-def _apply_config(sections: dict, path: str | None):
-    """Set the flag defaults a JSON config file gives, one object per
-    subcommand: ``{"solve": {"node_limit": 7}}``. A key that names no
-    subcommand, or no flag of its subcommand, is a `bad-config` error."""
-    if not path:
-        return
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError("bad-config", f"cannot read config {path!r}: {exc}",
-                       EXIT_USAGE)
-    if not isinstance(doc, dict):
-        raise CliError("bad-config", "config root must be an object",
-                       EXIT_USAGE)
-    for key, section in doc.items():
-        if key not in sections or not isinstance(section, dict):
-            raise CliError("bad-config", f"config key {key!r} is not an "
-                           f"object for one of {sorted(sections)}",
-                           EXIT_USAGE)
-        for name, value in section.items():
-            dest = name.replace("-", "_")
-            flags = [(p, a) for p in sections[key] for a in p._actions
-                     if a.dest == dest and a.option_strings
-                     and dest != "help"]
-            if not flags:
-                raise CliError("bad-config", f"config key {key}.{name} "
-                               f"names no flag of {key!r}", EXIT_USAGE)
-            for parser, action in flags:
-                parser.set_defaults(**{dest: _config_value(action, value)})
-
-
-def _config_value(action: argparse.Action, value):
-    """A config-file value, converted as the flag's own text would be."""
-    dest = action.dest
-    if value is None and action.default is None:
-        return value
-    if action.type is not None:
-        # the JSON spelling of the value, so a list or a bool never slips
-        # through a numeric type and 1.5 is no int
-        text = value if isinstance(value, str) else json.dumps(value)
-        try:
-            value = action.type(text)
-        except (TypeError, ValueError):
-            raise CliError("bad-spec", f"config value {value!r} for "
-                           f"{dest!r} is not a valid {action.type.__name__}",
-                           EXIT_USAGE)
-    if action.choices is not None and value not in action.choices:
-        raise CliError("bad-spec", f"config value {value!r} for {dest!r} "
-                       f"is not one of {list(action.choices)}", EXIT_USAGE)
-    return value
-
-
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser, and per config-file section the parsers holding its
-    flags."""
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="opsched",
         description="Operator-level schedule planning on device clusters.")
-    parser.add_argument("--config", default=None,
-                        help="JSON config file with flag defaults "
-                             f"(default from ${CONFIG_ENV})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance")
@@ -441,17 +381,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--node-limit", type=int, default=2_000_000)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_repro_dualpipe)
-
-    sections = {name: (p,) for name, p in sub.choices.items()}
-    sections["gen"] = (d, r)  # the family parsers hold gen's flags
-    return parser, sections
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, sections = build_parser()
+    parser = build_parser()
     try:
-        pre, _ = parser.parse_known_args(argv)
-        _apply_config(sections, pre.config or os.environ.get(CONFIG_ENV))
         args = parser.parse_args(argv)
         return args.func(args)
     except CliError as exc:

@@ -79,6 +79,8 @@ def verify(g: ComputationGraph, h: HardwareCluster, sol: Solution, *,
             flag("unknown-preload", (j, wid), 0.0)
             continue
         preloaded[j].add(wid)
+    for key in sorted(sol.comm_times.keys() - g.edges.keys()):
+        flag("unknown-transfer", key, 0.0)
 
     # (a) durations
     for i in placed:

@@ -1240,7 +1240,6 @@ def _rebuild_refined(sol: Solution, space: _SeqSpace, e) -> Solution:
 def refine_idle(model: ScheduleModel, sol: Solution, *,
                 time_cap: float | None = None,
                 target: float | None = None,
-                seed: int = 0,
                 deadline: float | None = None) -> Solution:
     """Reduce a schedule's interior idle by reordering machine sequences.
 
@@ -1287,7 +1286,7 @@ def refine_idle(model: ScheduleModel, sol: Solution, *,
     best = None  # (interior, starts)
     devs = sorted(base)
     for round_no in range(_REFINE_RESTARTS):
-        rng = random.Random(seed + round_no)
+        rng = random.Random(round_no)
         cur = {j: list(s) for j, s in base.items()}
         T, inte = base_T, base_int
         c = cost(T, inte)

@@ -8,22 +8,12 @@ on the solution content.
 """
 from __future__ import annotations
 
-import json
-from typing import IO
-
 from .graph import ComputationGraph, HardwareCluster
 from .solver import Solution
 
-__all__ = ["export_trace", "trace_document", "US_PER_UNIT"]
+__all__ = ["trace_document", "US_PER_UNIT"]
 
 US_PER_UNIT = 1000
-
-
-def export_trace(sol: Solution, g: ComputationGraph, h: HardwareCluster,
-                 dest: IO[str]) -> None:
-    """Write `trace_document` of the solution as JSON."""
-    json.dump(trace_document(sol, g, h), dest, indent=1, sort_keys=True)
-    dest.write("\n")
 
 
 def trace_document(sol: Solution, g: ComputationGraph,
@@ -33,13 +23,17 @@ def trace_document(sol: Solution, g: ComputationGraph,
     Lanes are numbered stably: machines first, then channels, then one
     weight-traffic lane per machine that loads or unloads. A solution
     that names an op the graph lacks, leaves a timed op on no machine of
-    `h`, or loads or unloads for an untimed op or an unknown weight
-    raises ValueError."""
+    `h`, times a transfer that is not an edge of `g`, or loads or
+    unloads for an untimed op or an unknown weight raises ValueError."""
     for i in sorted({*sol.op_times, *sol.assignment}):
         if i not in g.operations:
             raise ValueError(f"solution names operation {i!r}, not in graph")
         if i in sol.op_times and sol.assignment.get(i) not in h.machines:
             raise ValueError(f"timed operation {i!r} has no cluster machine")
+    for (a, b) in sorted(sol.comm_times):
+        if (a, b) not in g.edges:
+            raise ValueError(f"solution times transfer {a}->{b}, "
+                             "not a graph edge")
     loads_of: dict[str, list[str]] = {}
     unloads_of: dict[str, list[str]] = {}
     for (i, wid, kind) in sol.load_events:

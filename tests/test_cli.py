@@ -146,6 +146,16 @@ MISMATCHED = {
         op_times={"a": [0, 1], "zz": [1, 2]}),
     "assignment-key-not-in-graph": _solved_one_op(
         assignment={"a": "m", "zz": "m"}),
+    # no edge b->a, and no op zz: neither transfer is an edge of the graph
+    "transfer-not-an-edge": dict(
+        ONE_OP,
+        graph={"operations": [{"id": "a", "duration": 1},
+                              {"id": "b", "duration": 1}]},
+        solution={"status": "feasible", "objective": 2,
+                  "assignment": {"a": "m", "b": "m"},
+                  "op_times": {"a": [0, 1], "b": [1, 2]},
+                  "comm_times": {"b->a": [["m", "m"], 5, 9],
+                                 "zz->a": [["m", "m"], 0, 0]}}),
 }
 
 
@@ -180,6 +190,21 @@ class TestMismatchedSolution:
             == EXIT_VIOLATIONS
         violations = json.loads(report.read_text())["violations"]
         assert [v["kind"] for v in violations] == [kind]
+        assert json.loads(capsys.readouterr().err)["error"] \
+            == "verification-failed"
+
+    def test_verify_reports_each_transfer_that_is_not_an_edge(
+            self, tmp_path, capsys):
+        # both transfers once verified feasible with exit 0
+        inst = _write(tmp_path / "inst.json",
+                      MISMATCHED["transfer-not-an-edge"])
+        report = tmp_path / "report.json"
+        assert main(["verify", "-i", inst, "-o", str(report)]) \
+            == EXIT_VIOLATIONS
+        violations = json.loads(report.read_text())["violations"]
+        assert [(v["kind"], v["ids"]) for v in violations] == [
+            ("unknown-transfer", ["b", "a"]),
+            ("unknown-transfer", ["zz", "a"])]
         assert json.loads(capsys.readouterr().err)["error"] \
             == "verification-failed"
 
@@ -319,6 +344,16 @@ class TestSolve:
                                       "root_bound": 12.0}
         assert stats == plain
 
+    def test_config_environment_variable_has_no_effect(self, tmp_path,
+                                                       monkeypatch):
+        # flags are the only settings: $OPSCHED_CONFIG once set defaults
+        cfg = _write(tmp_path / "cfg.json", {"solve": {"stats": True}})
+        monkeypatch.setenv("OPSCHED_CONFIG", cfg)
+        inst, out = str(tmp_path / "inst.json"), tmp_path / "out.json"
+        assert main(["gen", "dualpipe", "--pp", "2", "-o", inst]) == EXIT_OK
+        assert main(["solve", "-i", inst, "-o", str(out)]) == EXIT_OK
+        assert "stats" not in json.loads(out.read_text())
+
     @pytest.mark.parametrize("limit, stop", [
         (["--node-limit", "300"], "node-limit"),
         # the clock is read every 2,048 nodes
@@ -338,86 +373,6 @@ class TestSolve:
                                          else 2048)
 
 
-class TestConfig:
-    @pytest.mark.parametrize("value", [[1], "abc", True, {"s": 1}, None],
-                             ids=repr)
-    def test_value_of_the_wrong_type_is_one_json_error(self, tmp_path,
-                                                       capsys, value):
-        # a list once reached SolveConfig and died in a TypeError
-        # traceback with exit 1
-        inst = _write(tmp_path / "inst.json", ONE_OP)
-        cfg = _write(tmp_path / "cfg.json", {"solve": {"time_limit": value}})
-        assert main(["--config", cfg, "solve", "-i", inst]) == EXIT_USAGE
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "bad-spec" and "time_limit" in err["message"]
-
-    @pytest.mark.parametrize("case", [("solve", {"node-limit": 1.5}),
-                                      ("export", {"format": "pdf"})],
-                             ids=lambda case: repr(case[1]))
-    def test_int_and_choice_flags_check_config_values(self, tmp_path, capsys,
-                                                      case):
-        command, values = case
-        inst = _write(tmp_path / "inst.json", ONE_OP)
-        cfg = _write(tmp_path / "cfg.json", {command: values})
-        assert main(["--config", cfg, command, "-i", inst]) == EXIT_USAGE
-        assert json.loads(capsys.readouterr().err)["error"] == "bad-spec"
-
-    @pytest.mark.parametrize("doc", [
-        {"solve": {"node_limt": 7}},
-        {"node_limit": 7},
-        {"solve": {"compaction": "none"}},
-        {"solve": {"help": True}},
-        {"gen": {"nodes_count": 7}},
-        {"bogus": {}},
-        {"solve": 7}], ids=repr)
-    def test_key_that_names_no_flag_is_one_json_error(self, tmp_path, capsys,
-                                                      doc):
-        # such a key was dropped: the solve ran to its default limits
-        inst = _write(tmp_path / "inst.json", ONE_OP)
-        cfg = _write(tmp_path / "cfg.json", doc)
-        out = tmp_path / "out.json"
-        assert main(["--config", cfg, "solve", "-i", inst,
-                     "-o", str(out)]) == EXIT_USAGE
-        assert json.loads(capsys.readouterr().err)["error"] == "bad-config"
-        assert not out.exists()
-
-    def test_gen_keys_reach_the_family_parsers(self, tmp_path):
-        # the gen flags live on the dualpipe and random parsers; a gen key
-        # was dropped, and pp=2 kept its default of 4 micro-batches
-        cfg = _write(tmp_path / "cfg.json", {"gen": {"micro_batches": 6,
-                                                     "seed": 5}})
-        paths = [str(tmp_path / f"{k}.json") for k in range(4)]
-        assert main(["--config", cfg, "gen", "dualpipe", "--pp", "2",
-                     "-o", paths[0]]) == EXIT_OK
-        assert main(["gen", "dualpipe", "--pp", "2", "--micro-batches", "6",
-                     "-o", paths[1]]) == EXIT_OK
-        assert main(["--config", cfg, "gen", "random", "--nodes", "9",
-                     "-o", paths[2]]) == EXIT_OK
-        assert main(["gen", "random", "--nodes", "9", "--seed", "5",
-                     "-o", paths[3]]) == EXIT_OK
-        docs = [(tmp_path / f"{k}.json").read_text() for k in range(4)]
-        assert docs[0] == docs[1] and docs[2] == docs[3]
-
-    def test_values_are_converted_like_flags(self, tmp_path):
-        inst = str(tmp_path / "inst.json")
-        assert main(["gen", "dualpipe", "--pp", "2", "--micro-batches", "6",
-                     "-o", inst]) == EXIT_OK
-        cfg = _write(tmp_path / "cfg.json",
-                     {"solve": {"node-limit": "300", "time_limit": 60}})
-        out = tmp_path / "out.json"
-        assert main(["--config", cfg, "solve", "-i", inst,
-                     "--ignore-primal-bound", "--stats", "-o", str(out)]) \
-            == EXIT_OK
-        assert json.loads(out.read_text())["stats"]["nodes"] == 301
-        # null is accepted where the flag's default is None, and a flag
-        # given on the command line still wins
-        cfg = _write(tmp_path / "cfg.json", {"solve": {"node_limit": None}})
-        assert main(["--config", cfg, "solve", "-i", inst,
-                     "--ignore-primal-bound", "--node-limit", "100",
-                     "--stats", "-o", str(out)]) == EXIT_OK
-        assert json.loads(out.read_text())["stats"]["nodes"] == 101
-
-
 class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["solve", "--bogus"],
@@ -426,6 +381,7 @@ class TestUsage:
         ["solve", "--time-limit", "abc"],
         ["export", "--format", "pdf"],
         ["bogus"],
+        ["--config", "cfg.json", "solve", "-i", "inst.json"],
         pytest.param([], id="no-command")], ids=" ".join)
     def test_argparse_failure_is_one_json_error(self, capsys, argv):
         # argparse printed usage text and raised SystemExit(2) out of main

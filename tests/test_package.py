@@ -1,5 +1,6 @@
-"""The package surface: every exported name resolves, and no module or
-test file imports a name it never uses."""
+"""The package surface: every exported name resolves, no module or test
+file imports a name it never uses, and no module defines a private
+top-level name it never uses."""
 import ast
 import pathlib
 
@@ -44,3 +45,30 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _unused_private_names(tree: ast.Module) -> list[str]:
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        defined.update((name, node.lineno) for name in names
+                       if name.startswith("_") and not name.startswith("__"))
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{name} (line {line})" for name, line in defined.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    # a private helper left behind by a half-done deletion
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _unused_private_names(tree) == []

@@ -203,7 +203,7 @@ class TestPostPasses:
         assert verify(g, h, base).feasible
         before = verify(g, h, base).bubble_total
         assert before == 3.0
-        refined = refine_idle(model, base, seed=3)
+        refined = refine_idle(model, base)
         rep = verify(g, h, refined)
         assert rep.feasible
         assert rep.makespan <= base.objective
