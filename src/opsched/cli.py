@@ -10,6 +10,7 @@ stable exit codes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -358,8 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--ignore-primal-bound", action="store_true")
     p.add_argument("--stats", action="store_true",
-                   help="add the search's nodes, timed_out, stop reason "
-                        "and root_bound under a top-level stats key")
+                   help="add the search's nodes, timed_out, stop reason, "
+                        "root_bound and, for a DFS, its prunes by reason "
+                        "under a top-level stats key")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="replay a solution")
@@ -384,10 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# `main` parses with one parser per process: parsing leaves the parser as
+# it was and gives each call its own namespace, so calls share nothing
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         return _fail(exc.kind, str(exc), exc.code, **exc.extra)

@@ -20,12 +20,14 @@ Three search modes share the same bounding machinery:
   Complete for any instance, practical at desk scale only.
 
 Lower bounds combine the remaining critical path with an aggregate
-machine-load bound. Per-machine memory feasibility is one recurrence
-along the machine's operation order (`_mem_step`); it is monotone under
-appends, so violations prune immediately. With static weights, ops of
-one memory class step a machine's chain alike, so both memory-capped
-searches remember each class's step for as long as the machine's memory
-state lasts, and skip the ops that do not fit without retrying them.
+machine-load bound; the DFS checks a placement's own end and the idle it
+inserts before it dispatches the placement. Per-machine memory
+feasibility is one recurrence along the machine's operation order
+(`_mem_step`); it is monotone under appends, so violations prune
+immediately. With static weights, ops of one memory class step a
+machine's chain alike, so both memory-capped searches remember each
+class's step for as long as the machine's memory state lasts, and skip
+the ops that do not fit without retrying them.
 """
 from __future__ import annotations
 
@@ -82,8 +84,9 @@ class Solution:
     load_events: list[tuple[str, str, str]] = field(default_factory=list)
     preloads: list[tuple[str, str]] = field(default_factory=list)
     bound: float | None = None
-    # what the search did: {"nodes", "timed_out", "stop", "root_bound"};
-    # set by `solve`, left out of to_dict() and of comparisons
+    # what the search did: {"nodes", "timed_out", "stop", "root_bound"},
+    # and "pruned" after a DFS (`_Search.pruned`); set by `solve`, left
+    # out of to_dict() and of comparisons
     stats: dict | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
@@ -567,6 +570,11 @@ class _Search:
         self.timed_out = False
         # the budget that ended the search: "node-limit" or "time-limit"
         self.stop: str | None = None
+        # the DFS's rejected placements by reason: candidates over the
+        # limit before their dispatch, dispatches over it after, and
+        # placements the machine's memory chain does not fit
+        self.pruned = {"bound-before-dispatch": 0, "bound-after-dispatch": 0,
+                       "memory": 0}
         self.incumbent: Solution | None = None
         self.incumbent_obj: float | None = None
         self.root = self.inst.root_bound()
@@ -616,14 +624,7 @@ class _Search:
             preloads=preloads)
         self.incumbent_obj = obj
 
-    # ---- integrated mode ----
-
-    def run_integrated(self) -> bool:
-        """Returns True when the tree was fully explored."""
-        packed = self._run_packed()
-        if packed is not None:
-            return packed
-        return self._dfs(_State(self.inst))
+    # ---- integrated mode: the saturation search, else the DFS ----
 
     def _run_packed(self) -> bool | None:
         """Saturation search, used when the aggregate load bound meets the
@@ -879,6 +880,24 @@ class _Search:
                     for ul in itertools.combinations(after, s):
                         yield (loads, ul, pre)
 
+    # `_dfs` bounds each candidate (lb_start, k, m) before it dispatches
+    # it, and skips it when either of two bounds is over the limit. Each
+    # is at most the `_node_bound` after the dispatch, in every mode, so
+    # the check prunes only what that bound would prune and the search is
+    # the same: `_dispatch` starts k no earlier than lb_start (each
+    # transfer into k arrives no earlier than its producer's end) and
+    # ends it no earlier than start + dur[k] (loads only add time), so
+    #   own end  lb_start + dur[k] <= cur_max_end after the dispatch;
+    #   load     the load bound with free[m] raised to that end and dur[k]
+    #            taken off work_rem <= the one after the dispatch, since
+    #            `load_bound` grows with what is committed.
+    # The load term is taken only in integral instances, where every sum
+    # of free times is exact in any order; elsewhere `sum(state.free)`
+    # after the dispatch may round below the sum the check would use. A
+    # bound by k's own tail, lb_start + dur[k] + tail[k], holds too, but
+    # `_node_bound` does not imply it (k's successors may not be ready),
+    # so it would change the search.
+
     def _node_bound(self, state: _State) -> float:
         inst = self.inst
         lb = state.cur_max_end
@@ -902,14 +921,27 @@ class _Search:
             self.record_leaf(state)
             return True
         complete = True
+        pruned = self.pruned
         # only a capped static model can fail a memory step
         memo_on = inst.capped and not inst.dynamic
+        lim = self.limit() + _EPS
+        # the bounds before dispatch (see `_node_bound`); every child
+        # restores free and work_rem, so these hold at each candidate
+        dur, free, work_rem = inst.dur, state.free, state.work_rem
+        committed = sum(free) if inst.integral else None
         # canonical dispatch order: every schedule the dispatcher can
         # produce is reachable with nondecreasing start times, so the
         # candidates skip starts before the previous dispatch
         for (lb_start, _, k, m) in self._candidates(state, last_start):
             if self.should_stop():
                 return False
+            end = lb_start + dur[k]
+            # the load term cannot exceed an infinite limit
+            if end > lim or (committed is not None and lim < math.inf
+                             and inst.load_bound(committed - free[m] + end,
+                                                 work_rem - dur[k]) > lim):
+                pruned["bound-before-dispatch"] += 1
+                continue
             step = None
             if memo_on:
                 memo, c = state.memo[m], inst.mem_class[k]
@@ -919,14 +951,21 @@ class _Search:
                         inst, state.mem[m], state.static_w[m],
                         state.resident[m], k, inst.mem_cap[m])
                 if step is None:
+                    pruned["memory"] += 1
                     continue
             for loads, unloads, preload in self._ext_choices(state, k, m):
                 undo = _dispatch(state, k, m, loads, unloads, preload, step)
                 if undo is None:
+                    # the candidates have their channels, so memory failed
+                    pruned["memory"] += 1
                     continue
-                if self._node_bound(state) <= self.limit() + _EPS:
+                if self._node_bound(state) <= lim:
                     if not self._dfs(state, lb_start):
                         complete = False
+                    # the child may have found a better incumbent
+                    lim = self.limit() + _EPS
+                else:
+                    pruned["bound-after-dispatch"] += 1
                 _undo(state, undo)
                 if self.should_stop():
                     return False
@@ -1062,12 +1101,16 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None, *,
     """
     search = _Search(model, cfg or SolveConfig(), hint)
     inst = search.inst
+    dfs = False
     if (not inst.zero_comm and not inst.dynamic
             and inst.nm ** inst.n <= _ENUMERATION_LIMIT):
         exhausted = search.run_fixed_assignment()
         complete_mode = True
     else:
-        exhausted = search.run_integrated()
+        exhausted = search._run_packed()
+        dfs = exhausted is None
+        if dfs:
+            exhausted = search._dfs(_State(inst))
         complete_mode = inst.zero_comm
 
     sol = search.incumbent
@@ -1077,6 +1120,8 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None, *,
     stop = search.stop or ("exhausted" if exhausted else "bound-met")
     stats = {"nodes": search.nodes, "timed_out": search.timed_out,
              "stop": stop, "root_bound": root}
+    if dfs:
+        stats["pruned"] = search.pruned
     if sol is None:
         if search.timed_out:
             status = TIME_LIMIT

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from opsched.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, main
+from opsched import cli
+from opsched.cli import (EXIT_ERROR, EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS,
+                         main)
 from opsched.graph import load_computation_graph
 from opsched.scenarios import DualPipeSpec, dualpipe_bubble_target
 from opsched.trace import US_PER_UNIT
@@ -339,10 +341,31 @@ class TestSolve:
         plain, stats = (json.loads(p.read_text()) for p in (plain, stats))
         assert "stats" not in plain
         # the search reaches the root bound before the node budget
-        assert stats.pop("stats") == {"nodes": 25, "timed_out": False,
-                                      "stop": "bound-met",
-                                      "root_bound": 12.0}
+        assert stats.pop("stats") == {
+            "nodes": 25, "timed_out": False, "stop": "bound-met",
+            "root_bound": 12.0,
+            "pruned": {"bound-before-dispatch": 0, "bound-after-dispatch": 0,
+                       "memory": 6}}
         assert stats == plain
+
+    def test_calls_in_one_process_share_no_flags(self, tmp_path):
+        # `main` parses every call with the same parser
+        assert cli._parser() is cli._parser()
+        inst = str(tmp_path / "inst.json")
+        assert main(["gen", "dualpipe", "--pp", "2", "-o", inst]) == EXIT_OK
+        base = ["solve", "-i", inst, "--ignore-primal-bound"]
+        docs = []
+        for flags in (["--stats"], [], ["--node-limit", "5"], []):
+            out = tmp_path / f"out{len(docs)}.json"
+            rc = main(base + flags + ["-o", str(out)])
+            docs.append(json.loads(out.read_text()) if out.exists() else rc)
+        with_stats, plain, limited, default = docs
+        assert with_stats.pop("stats")["nodes"] == 25
+        assert with_stats == plain
+        # 5 nodes find no schedule; the default budget finds the optimum
+        assert limited == EXIT_ERROR
+        assert default == plain
+        assert plain["solution"]["status"] == "optimal"
 
     def test_config_environment_variable_has_no_effect(self, tmp_path,
                                                        monkeypatch):

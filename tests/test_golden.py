@@ -244,6 +244,14 @@ def dfs_dualpipe_pp6():
     return solve(clear_primal_bound(model), SolveConfig(node_limit=2000))
 
 
+def dfs_dualpipe_scratch_pp4():
+    # the scratch phase of the dualpipe-repro benchmark: no hint and no
+    # bound, so the DFS runs until its node budget. Recorded while the
+    # DFS still dispatched every candidate before bounding it.
+    model, _ = _dualpipe(4, 4)
+    return solve(clear_primal_bound(model), SolveConfig(node_limit=10000))
+
+
 # case -> (nodes, sha256 of to_json())
 SEARCH_GOLDEN = {
     saturation_continued_pp4: (
@@ -255,6 +263,9 @@ SEARCH_GOLDEN = {
     dfs_dualpipe_pp6: (
         2001,
         "d3b5705e72bd551a48f48d9a3b6d35b6f151b115a19268ccd15b841a2aa400eb"),
+    dfs_dualpipe_scratch_pp4: (
+        10001,
+        "a6eeae60e5ef6a88cdb204342710a7729ce57d4a7b115dec8562b358d30a1361"),
 }
 
 

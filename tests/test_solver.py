@@ -5,7 +5,8 @@ import pytest
 from opsched.graph import ComputationGraph, DependencyEdge
 from opsched.model import (ModelError, ModelOptions, build_model,
                            clear_primal_bound, set_primal_bound)
-from opsched.scenarios import (DualPipeSpec, RandomDagSpec, gen_dualpipe,
+from opsched.scenarios import (DualPipeSpec, RandomDagSpec,
+                               dualpipe_primal_bound, gen_dualpipe,
                                gen_random_dag)
 from opsched.simulate import verify
 from opsched.solver import (SolveConfig, SolveError, Solution, refine_idle,
@@ -17,6 +18,10 @@ from conftest import (brute_force_dynamic_makespan, brute_force_makespan,
 
 def build(g, h, **opts):
     return build_model(g, h, ModelOptions(**opts))
+
+
+_NO_PRUNES = {"bound-before-dispatch": 0, "bound-after-dispatch": 0,
+              "memory": 0}
 
 
 class TestExactSmallSolves:
@@ -258,16 +263,33 @@ class TestSolveConfig:
         sol = solve(build(g, cluster(2)), SolveConfig(node_limit=0))
         assert sol.status == "time-limit" and sol.objective is None
         assert sol.stats == {"nodes": 1, "timed_out": True,
-                             "stop": "node-limit", "root_bound": 3.0}
+                             "stop": "node-limit", "root_bound": 3.0,
+                             "pruned": _NO_PRUNES}
 
     def test_stats_stay_out_of_the_document(self):
         g = graph([op("a", 1), op("b", 2)], [edge("a", "b")])
         sol = solve(build(g, cluster(2)))
         # the first schedule meets the root bound
         assert sol.stats == {"nodes": 3, "timed_out": False,
-                             "stop": "bound-met", "root_bound": 3.0}
+                             "stop": "bound-met", "root_bound": 3.0,
+                             "pruned": _NO_PRUNES}
         assert "stats" not in sol.to_dict()
         assert Solution.from_json(sol.to_json()).stats is None
+
+    def test_dfs_counts_its_prunes_by_reason(self):
+        spec = DualPipeSpec(pp=2, micro_batches=6)
+        g, h, options = gen_dualpipe(spec)
+        model = clear_primal_bound(build_model(g, h, options))
+        runs = [solve(model, SolveConfig(node_limit=300)).stats["pruned"]
+                for _ in range(2)]
+        assert runs == [{"bound-before-dispatch": 269,
+                         "bound-after-dispatch": 168, "memory": 86}] * 2
+        # the saturation search (the bound leaves no idle) and the
+        # fixed-assignment enumeration count none
+        bounded = set_primal_bound(model, dualpipe_primal_bound(spec))
+        assert "pruned" not in solve(bounded).stats
+        g = graph([op("a", 1), op("b", 2)], [edge("a", "b", comm=1)])
+        assert "pruned" not in solve(build(g, cluster(2))).stats
 
     def test_exhausted_search_says_so(self):
         # optimum 4 against a root bound of 3: only the whole tree proves it
