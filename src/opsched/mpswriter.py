@@ -8,9 +8,9 @@ deterministic: columns follow variable creation order, rows follow
 constraint creation order.
 
 Both writers share two routines. The column table numbers each
-variable once, in store order, keyed by the store's own
-``(kind, indices)`` keys, so a term finds its column with one dict
-lookup and no name is built per term. `_merged_rows` turns each row
+variable once, in store order, keyed by its `VarRef`, a named tuple
+that hashes in C, so a term finds its column with one dict lookup and
+nothing is built per term. `_merged_rows` turns each row
 into its ``(column, coefficient)`` pairs once: a coefficient is
 ``0.0 + c₁ + c₂ …`` over the row's terms on that column, in order of
 first occurrence, and a pair whose sum is ``== 0.0`` is left out. A row
@@ -19,19 +19,26 @@ that names no column twice skips the merge dict.
 After the ``0.0 +`` every matrix coefficient is a float, and a model
 holds few distinct ones (6 at pp=4, over 0.92M entries), so each writer
 formats a coefficient once per distinct value, in a cache keyed by that
-value. Right-hand sides are formatted one by one: an int of 1e15 or
-more prints differently from the equal float.
+value. A right-hand side is formatted once per distinct
+``(type, value)``: an int of 1e15 or more prints differently from the
+equal float, so the type is part of the key.
 
 The text is written as it is produced, section by section, and in MPS
 column by column, never joined whole: the pp=4 MPS is 37 MB, and a
 joined copy would add its size, and that of the pieces, to the peak
 memory of an export that already holds the materialised model.
+
+Each writer runs with the cyclic garbage collector paused, as the store
+is built (see `opsched.model`). A store built while the collector is off
+stays in its youngest generation, so the first collections after the
+build would rescan all of it; and the writers' own pieces, like the
+store, form no reference cycles.
 """
 from __future__ import annotations
 
 from typing import IO, Iterable, Iterator
 
-from .model import BINARY, ScheduleModel
+from .model import BINARY, ScheduleModel, VarRef, _collector_paused
 
 __all__ = ["export_mps", "export_lp"]
 
@@ -44,21 +51,24 @@ def _num(v: float) -> str:
     return repr(v)
 
 
-def _column_table(model: ScheduleModel) -> dict[tuple, int]:
-    """Column number of every variable, keyed by its store key."""
-    return {key: k for k, key in enumerate(model.variables)}
+class _RhsText(dict):
+    """`_num` text of each right-hand side, keyed by ``(type, value)``."""
+
+    def __missing__(self, key: tuple[type, float]) -> str:
+        text = self[key] = _num(key[1])
+        return text
+
+
+def _column_table(model: ScheduleModel) -> dict[VarRef, int]:
+    """Column number of every variable, keyed by its `VarRef`."""
+    return {ref: k for k, ref in enumerate(model.variables.values())}
 
 
 def _names(prefix: str, n: int) -> list[str]:
     return [f"{prefix}{k:07d}" for k in range(1, n + 1)]
 
 
-def _objective_column(model: ScheduleModel, cols: dict[tuple, int]) -> int:
-    obj = model.objective
-    return cols[obj.kind, obj.indices]
-
-
-def _merged_rows(model: ScheduleModel, cols: dict[tuple, int]
+def _merged_rows(model: ScheduleModel, cols: dict[VarRef, int]
                  ) -> Iterator[Iterable[tuple[int, float]]]:
     """Each row's nonzero ``(column, coefficient)`` pairs, in row order.
 
@@ -66,7 +76,7 @@ def _merged_rows(model: ScheduleModel, cols: dict[tuple, int]
     """
     for con in model.constraints:
         terms = con.terms
-        cs = [cols[ref.kind, ref.indices] for _, ref in terms]
+        cs = [cols[ref] for _, ref in terms]
         vs = [0.0 + coef for coef, _ in terms]
         if len(set(cs)) == len(cs) and 0.0 not in vs:
             yield zip(cs, vs)
@@ -77,6 +87,7 @@ def _merged_rows(model: ScheduleModel, cols: dict[tuple, int]
             yield [(c, v) for c, v in acc.items() if v != 0.0]
 
 
+@_collector_paused()
 def export_mps(model: ScheduleModel, dest: IO[str]) -> None:
     """Write the model as a fixed-format MPS document.
 
@@ -103,8 +114,7 @@ def export_mps(model: ScheduleModel, dest: IO[str]) -> None:
     # column-major entries, objective first, then rows in order; each
     # column holds (padded row name, coefficient text) pairs flattened
     entries: list[list[str]] = [[] for _ in names]
-    entries[_objective_column(model, cols)] += (f"{_OBJ:<10}",
-                                                f"{_num(1.0)}\n")
+    entries[cols[model.objective]] += (f"{_OBJ:<10}", f"{_num(1.0)}\n")
     text: dict[float, str] = {}
     for rname, pairs in zip(rnames, _merged_rows(model, cols)):
         rname = f"{rname:<10}"
@@ -134,9 +144,10 @@ def export_mps(model: ScheduleModel, dest: IO[str]) -> None:
         w(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'\n")
 
     w("RHS\n")
-    w("".join([f"    RHS       {rname:<10}{_num(con.rhs)}\n"
-               for rname, con in zip(rnames, constraints)
-               if con.rhs != 0.0]))
+    rhs_text = _RhsText()
+    w("".join([f"    RHS       {rname:<10}{rhs_text[type(rhs), rhs]}\n"
+               for rname, (_, _, rhs, _) in zip(rnames, constraints)
+               if rhs != 0.0]))
     w("BOUNDS\n")
     w("".join([f" BV BND       {cname:<10}\n" if ref.domain == BINARY
                else f" PL BND       {cname:<10}\n"
@@ -144,6 +155,7 @@ def export_mps(model: ScheduleModel, dest: IO[str]) -> None:
     w("ENDATA\n")
 
 
+@_collector_paused()
 def export_lp(model: ScheduleModel, dest: IO[str]) -> None:
     """Write the model in CPLEX LP format, as an MPS alternative."""
     cols = _column_table(model)
@@ -155,13 +167,14 @@ def export_lp(model: ScheduleModel, dest: IO[str]) -> None:
     w("".join([f"\\ {cname} = {ref.name}\n"
                for cname, ref in zip(names, refs)]))
     w("Minimize\n")
-    w(f" obj: {names[_objective_column(model, cols)]}\n")
+    w(f" obj: {names[cols[model.objective]]}\n")
     w("Subject To\n")
     sense_txt = {"<=": "<=", ">=": ">=", "==": "="}
     # signed coefficient text that goes before a column name
     lead: dict[float, str] = {}
-    for rname, con, pairs in zip(rnames, constraints,
-                                 _merged_rows(model, cols)):
+    rhs_text = _RhsText()
+    for rname, (_, sense, rhs, _), pairs in zip(rnames, constraints,
+                                                _merged_rows(model, cols)):
         parts = []
         for c, v in pairs:
             t = lead.get(v)
@@ -173,7 +186,7 @@ def export_lp(model: ScheduleModel, dest: IO[str]) -> None:
         body = " ".join(parts)
         if body.startswith("+ "):
             body = body[2:]
-        w(f" {rname}: {body} {sense_txt[con.sense]} {_num(con.rhs)}\n")
+        w(f" {rname}: {body} {sense_txt[sense]} {rhs_text[type(rhs), rhs]}\n")
     binaries = [cname for cname, ref in zip(names, refs)
                 if ref.domain == BINARY]
     if binaries:

@@ -17,6 +17,11 @@ digests were recorded while the writers still named every term through
 `VarRef.name`, merged every row through a dict and formatted every
 coefficient afresh, so the streamed writers must emit the same bytes.
 The hand-built store is the only case whose rows repeat a variable.
+They, and the digest of the pp=4 DualPipe MPS (the benchmark's 37 MB
+artifact), also predate the tuple-backed store (`VarRef` and
+`LinearConstraint` were frozen dataclasses, keyed in the writers by
+``(kind, indices)``), the per-``(type, value)`` right-hand-side text and
+the paused cyclic collector.
 
 The DFS cases below `dfs` were recorded while every DFS node still
 listed, sorted and filtered all (operation, machine) pairs and rescanned
@@ -32,7 +37,8 @@ digest. They were recorded while every saturation-search node still
 rescanned and sorted its ready ops and every node of either search
 recomputed each memory step, so the incremental ready ops and the
 per-node memory-class memo must visit the same nodes.
-Every case runs in well under a second.
+Every case runs in well under a second, apart from the pp=4 MPS, which
+takes 3-4 s.
 """
 import contextlib
 import hashlib
@@ -410,6 +416,32 @@ def test_export_digest(case, writer):
     writer(case(), buf)
     digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
     assert digest == EXPORT_GOLDEN[case][writer is export_lp]
+
+
+class _HashSink:
+    """A text destination that hashes what it is given and keeps none."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+
+    def write(self, text):
+        self.sha256.update(text.encode())
+
+
+def test_dualpipe_pp4_mps_digest():
+    # `opsched gen dualpipe --pp 4 | opsched export --format mps`: 258,593
+    # rows and 37 MB of text, hashed as it is written
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["gen", "dualpipe", "--pp", "4"]) == 0
+    doc = json.loads(out.getvalue())
+    model = build_model(load_computation_graph(doc["graph"]),
+                        load_cluster(doc["cluster"]),
+                        ModelOptions(**doc["options"]))
+    sink = _HashSink()
+    export_mps(set_primal_bound(model, doc["primal_bound"]), sink)
+    assert sink.sha256.hexdigest() == (
+        "474501c9db31eb41fcaf1df82b08bcb49bda165cc47c01610504c6275031c59b")
 
 
 def trace_dualpipe_pp2():

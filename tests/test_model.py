@@ -1,9 +1,10 @@
 import pytest
 
 from opsched.graph import WeightAsset
-from opsched.model import (CAPACITY_TAG, CORE_TAGS, EXTENSION_TAGS,
-                           PRIMAL_BOUND_TAG, ModelError, ModelOptions,
-                           build_model, clear_primal_bound, compute_horizon,
+from opsched.model import (BINARY, CAPACITY_TAG, CONTINUOUS, CORE_TAGS,
+                           EXTENSION_TAGS, PRIMAL_BOUND_TAG, LinearConstraint,
+                           ModelError, ModelOptions, VarRef, build_model,
+                           clear_primal_bound, compute_horizon,
                            set_primal_bound)
 
 from conftest import cluster, edge, graph, op
@@ -136,6 +137,57 @@ class TestConstraintStore:
         assert [v.name for v in m1.variables.values()] == \
                [v.name for v in m2.variables.values()]
         assert m1.constraints == m2.constraints
+
+
+class TestRecords:
+    """`VarRef` and `LinearConstraint` are named tuples that keep the
+    contract of the frozen dataclasses they replaced."""
+
+    def test_row_without_terms_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^constraint needs at least one term$"):
+            LinearConstraint((), "<=", 0, "t")
+
+    def test_bad_sense_rejected(self):
+        ref = VarRef("s", ("a",), CONTINUOUS)
+        with pytest.raises(ValueError, match="^bad sense '<'$"):
+            LinearConstraint(((1, ref),), "<", 0, "t")
+
+    @pytest.mark.parametrize("attr", ["kind", "domain", "extra"])
+    def test_var_ref_is_read_only(self, attr):
+        ref = VarRef("s", ("a",), CONTINUOUS)
+        with pytest.raises(AttributeError):
+            setattr(ref, attr, "x")
+
+    @pytest.mark.parametrize("attr", ["terms", "rhs", "extra"])
+    def test_constraint_is_read_only(self, attr):
+        con = LinearConstraint(((1, VarRef("s", ("a",), CONTINUOUS)),),
+                               "<=", 0, "t")
+        with pytest.raises(AttributeError):
+            setattr(con, attr, 1)
+
+    def test_name_and_repr(self):
+        x = VarRef("x", ("a", "m0"), BINARY)
+        mk = VarRef("makespan", (), CONTINUOUS)
+        assert x.name == "x(a,m0)"
+        assert mk.name == "makespan"
+        assert repr(x) == "VarRef(kind='x', indices=('a', 'm0'), " \
+                          "domain='binary')"
+        assert repr(LinearConstraint(((1, mk),), "<=", 3, "t")) == (
+            "LinearConstraint(terms=((1, VarRef(kind='makespan', "
+            "indices=(), domain='continuous')),), sense='<=', rhs=3, "
+            "tag='t')")
+
+    def test_equal_records_from_two_builds_hash_equal(self):
+        m1 = build_model(small_graph(), cluster(2))
+        m2 = build_model(small_graph(), cluster(2))
+        for r1, r2 in zip(m1.variables.values(), m2.variables.values()):
+            assert r1 is not r2 and r1 == r2
+            assert hash(r1) == hash(r2) == hash((r1.kind, r1.indices,
+                                                 r1.domain))
+        assert m1.constraints == m2.constraints
+        assert [hash(c) for c in m1.constraints] == \
+               [hash(c) for c in m2.constraints]
 
 
 class TestPrimalBound:

@@ -1,6 +1,7 @@
 """Exports are checked by re-parsing the files with a small independent
 reader and comparing the recovered matrix against the model's own
 constraint store."""
+import gc
 import io
 
 import pytest
@@ -8,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opsched.graph import Channel, HardwareCluster, Machine, WeightAsset
-from opsched.model import ModelOptions, build_model, set_primal_bound
+from opsched.model import (CONTINUOUS, ConstraintStore, LinearConstraint,
+                           ModelOptions, VarRef, build_model,
+                           set_primal_bound)
 from opsched.mpswriter import export_lp, export_mps
+from opsched.scenarios import DualPipeSpec, gen_dualpipe
 
 from conftest import cluster, edge, graph, op
 
@@ -212,6 +216,72 @@ class TestLpFormat:
 
     def test_deterministic_bytes(self):
         assert self.render_lp(tiny_model()) == self.render_lp(tiny_model())
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def collector(request):
+    """The caller's collector state, set for the test and restored."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class _StateSink:
+    """A text destination that records the collector state per write."""
+
+    def __init__(self):
+        self.states = []
+
+    def write(self, text):
+        self.states.append(gc.isenabled())
+
+
+class TestCollectorPause:
+    """The store and the writers run with the cyclic collector off and
+    leave it as the caller had it."""
+
+    def test_store_build_runs_no_collection(self, collector):
+        g, h, options = gen_dualpipe(DualPipeSpec(pp=2))
+        model = build_model(g, h, options)
+        starts = []
+
+        def count(phase, info):
+            starts.append(phase == "start")
+
+        gc.callbacks.append(count)
+        try:
+            # 8,600 rows, each a tuple of term tuples
+            assert len(model.store.constraints) == 8600
+        finally:
+            gc.callbacks.remove(count)
+        # at most the one collection that runs once the collector is
+        # back on; with it on throughout, this build runs about 80
+        assert sum(starts) <= (1 if collector else 0)
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("writer", [export_mps, export_lp],
+                             ids=lambda f: f.__name__)
+    def test_writer_pauses_and_restores(self, collector, writer):
+        # the store is not built yet: the writer builds it, nested
+        sink = _StateSink()
+        writer(tiny_model(), sink)
+        assert sink.states and not any(sink.states)
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("writer", [export_mps, export_lp],
+                             ids=lambda f: f.__name__)
+    def test_unknown_variable_raises_and_restores(self, collector, writer):
+        # a hand-built row names a variable the store does not hold
+        model = build_model(graph([op("a")]), cluster(1))
+        mk = VarRef("makespan", (), CONTINUOUS)
+        ghost = VarRef("ghost", ("a",), CONTINUOUS)
+        row = LinearConstraint(((1, mk), (1, ghost)), "<=", 1, "t")
+        model.__dict__["store"] = ConstraintStore(
+            {(mk.kind, mk.indices): mk}, (row,))
+        with pytest.raises(KeyError):
+            writer(model, io.StringIO())
+        assert gc.isenabled() is collector
 
 
 _VALUES = st.sampled_from([0, 1, 2, 3, 0.5, 1.25, 0.1])

@@ -1,6 +1,7 @@
 """The package surface: every exported name resolves, no module or test
-file imports a name it never uses, and no module defines a private
-top-level name it never uses."""
+file imports a name it never uses, no module defines a private
+top-level name it never uses, and only `model` switches the cyclic
+garbage collector."""
 import ast
 import pathlib
 
@@ -72,3 +73,33 @@ def test_no_unused_private_names(path):
     # a private helper left behind by a half-done deletion
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_private_names(tree) == []
+
+
+_COLLECTOR_SWITCHES = ("disable", "freeze", "set_threshold")
+
+
+def _collector_switches(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "gc"
+                and node.attr in _COLLECTOR_SWITCHES):
+            found.append(f"gc.{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            found.extend(f"from gc import {alias.name} (line {node.lineno})"
+                         for alias in node.names
+                         if alias.name in _COLLECTOR_SWITCHES)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_model_switches_the_collector(path):
+    # `model._collector_paused` is the one place that pauses the
+    # collector; everything else uses it
+    found = _collector_switches(ast.parse(path.read_text(),
+                                          filename=str(path)))
+    if path.name == "model.py":
+        assert [f.split()[0] for f in found] == ["gc.disable"]
+    else:
+        assert found == []
