@@ -139,12 +139,15 @@ def dualpipe_primal_bound(spec: DualPipeSpec) -> float:
     return busy + dualpipe_bubble_target(spec)
 
 
-def dualpipe_bubble_target(spec: DualPipeSpec, improved: bool = False
-                           ) -> float:
-    """Interior bubble total of the reference schedule, or half of it
-    for the improved schedule found by continued search."""
-    bubble = (spec.pp // 2 - 1) * (spec.t_f + 2 * spec.t_b - 3 * spec.t_w)
-    return bubble / 2 if improved else bubble
+def dualpipe_bubble_target(spec: DualPipeSpec) -> float:
+    """DualPipe's pipeline bubble by the DeepSeek-V3 report's formula
+    (arXiv:2412.19437, Table 2), (pp/2 - 1)(F&B + B - 3W).
+
+    The bubble is per device, the makespan minus the device's busy time
+    (`VerifyReport.pipeline_bubble`). Ops here never overlap, so
+    F&B = F + B and the formula is (pp/2 - 1)(t_f + 2*t_b - 3*t_w).
+    """
+    return (spec.pp // 2 - 1) * (spec.t_f + 2 * spec.t_b - 3 * spec.t_w)
 
 
 def _rank_token_order(pp: int, half_batches: int, rank: int) -> list[tuple]:
@@ -250,18 +253,16 @@ def dualpipe_order(spec: DualPipeSpec) -> dict[str, list[str]]:
 
 
 def dualpipe_reference(spec: DualPipeSpec):
-    """Feasible pipeline schedule matching the documented bubble count.
+    """The hand-built bidirectional order (`dualpipe_order`) as a
+    Solution, each operation at its earliest start.
 
-    Returns a Solution whose verified interior bubble equals
-    ``dualpipe_bubble_target(spec)`` and whose makespan stays within
-    ``dualpipe_primal_bound(spec)``: the hand-built bidirectional order,
-    laid out at earliest starts, and reordered by `refine_idle` where
-    that layout misses the target.
+    At the default durations its makespan is busy + pp/2 - 1, within
+    ``dualpipe_primal_bound(spec)``, and its pipeline bubble is half of
+    ``dualpipe_bubble_target(spec)``; it fits the DualPipe memory cap.
     """
-    from .model import build_model
-    from .solver import Solution, earliest_starts, refine_idle
+    from .solver import Solution, earliest_starts
 
-    g, h, options = gen_dualpipe(spec)
+    g = gen_dualpipe(spec)[0]
     order = dualpipe_order(spec)
     ops = list(g.operations)
     idx = {i: k for k, i in enumerate(ops)}
@@ -279,20 +280,10 @@ def dualpipe_reference(spec: DualPipeSpec):
         if j1 != j2:
             t = op_times[a][1]
             comm[(a, b)] = ((j1, j2), t, t)
-    sol = Solution(status="feasible",
-                   objective=max(e for (_s, e) in op_times.values()),
-                   assignment=assignment, op_times=op_times,
-                   comm_times=comm)
-    target = dualpipe_bubble_target(spec)
-    interior = sum(
-        op_times[seq[-1]][1] - op_times[seq[0]][0]
-        - sum(g.operations[i].duration for i in seq)
-        for seq in order.values())
-    if interior != target:
-        model = build_model(g, h, options)
-        sol = refine_idle(model, sol, time_cap=dualpipe_primal_bound(spec),
-                          target=target)
-    return sol
+    return Solution(status="feasible",
+                    objective=max(e for (_s, e) in op_times.values()),
+                    assignment=assignment, op_times=op_times,
+                    comm_times=comm)
 
 
 def gen_random_dag(spec: RandomDagSpec) -> ComputationGraph:

@@ -25,11 +25,20 @@ _EPS = 1e-9
 
 @dataclass
 class VerifyReport:
+    """The replay's verdict and the schedule's measures.
+
+    ``pipeline_bubble`` is the DeepSeek-V3 report's bubble (arXiv:2412.19437,
+    Table 2), the one the DualPipe formula counts: the makespan minus a
+    machine's busy time, at its largest over the cluster's machines.
+    ``per_device_bubble`` is each machine's summed interior idle, the gaps
+    between its first start and last end; ``bubble_total`` sums it.
+    """
     feasible: bool
     violations: list[tuple[str, tuple[str, ...], float]]
     makespan: float
     per_device_bubble: dict[str, float] = field(default_factory=dict)
     bubble_total: float = 0.0
+    pipeline_bubble: float = 0.0
     memory_trace: dict[str, list[tuple[float, float]]] = \
         field(default_factory=dict)
     channel_busy: dict[tuple[str, str], float] = field(default_factory=dict)
@@ -38,7 +47,8 @@ class VerifyReport:
 def verify(g: ComputationGraph, h: HardwareCluster, sol: Solution, *,
            capped: bool = True,
            dynamic: bool | None = None) -> VerifyReport:
-    """Replay `sol` against the problem and report feasibility + metrics.
+    """Replay `sol` against the problem and report feasibility and the
+    schedule's measures (`VerifyReport`, both bubble definitions).
 
     `dynamic` selects the weight-loading interpretation of memory; by
     default it is inferred from the presence of load events or preloads.
@@ -201,13 +211,15 @@ def verify(g: ComputationGraph, h: HardwareCluster, sol: Solution, *,
 
     makespan = max((sol.op_times[i][1] for i in placed), default=0.0)
     per_device_bubble: dict[str, float] = {}
+    pipeline_bubble = 0.0
     for j, ops in sorted(by_machine.items()):
+        busy = sum(sol.op_times[i][1] - sol.op_times[i][0] for i in ops)
+        pipeline_bubble = max(pipeline_bubble, makespan - busy)
         if not ops:
             per_device_bubble[j] = 0.0
             continue
         first = min(sol.op_times[i][0] for i in ops)
         last = max(sol.op_times[i][1] for i in ops)
-        busy = sum(sol.op_times[i][1] - sol.op_times[i][0] for i in ops)
         per_device_bubble[j] = (last - first) - busy
     bubble_total = sum(per_device_bubble.values())
 
@@ -226,6 +238,7 @@ def verify(g: ComputationGraph, h: HardwareCluster, sol: Solution, *,
         makespan=makespan,
         per_device_bubble=per_device_bubble,
         bubble_total=bubble_total,
+        pipeline_bubble=pipeline_bubble,
         memory_trace=memory_trace,
         channel_busy=channel_busy,
     )

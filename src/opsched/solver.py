@@ -1091,8 +1091,8 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None, *,
     `hint` is a feasible schedule (see `warm_start`) that the search
     starts from as its incumbent and can then only improve on.
 
-    The result is the search's incumbent as found; post-passes such as
-    `refine_idle` are the caller's to run.
+    The result is the search's incumbent as found; `solve` runs no
+    post-pass on it.
 
     The result's ``status`` is ``optimal`` only when the explored mode is
     complete for the instance (all-zero communication durations, or the
@@ -1283,20 +1283,16 @@ def _rebuild_refined(sol: Solution, space: _SeqSpace, e) -> Solution:
 
 
 def refine_idle(model: ScheduleModel, sol: Solution, *,
-                time_cap: float | None = None,
-                target: float | None = None,
                 deadline: float | None = None) -> Solution:
     """Reduce a schedule's interior idle by reordering machine sequences.
 
     A post-pass for a search result, which `solve` never runs itself. A
     seeded annealing pass perturbs per-machine operation orders (single
     relocations plus coordinated shifts along dependency chains) without
-    touching the assignment, keeping makespan within ``time_cap``
-    (default: the schedule's own makespan); each order is laid out
-    right-compacted (`_SeqSpace.evaluate`). With ``target`` set, the
-    search stops at a schedule whose interior idle equals the target
-    exactly; otherwise it minimizes and stops at the first schedule
-    without interior idle. With ``deadline`` (a monotonic-clock
+    touching the assignment or lengthening the schedule; each order is
+    laid out right-compacted (`_SeqSpace.evaluate`). It minimizes the
+    summed interior idle (`VerifyReport.bubble_total`) and stops at the
+    first schedule without any. With ``deadline`` (a monotonic-clock
     timestamp) the pass stops early and keeps the best order found. The
     result keeps the input's status, bound and stats. Only applies to
     schedules whose cross-machine transfers all take zero time and to
@@ -1314,14 +1310,12 @@ def refine_idle(model: ScheduleModel, sol: Solution, *,
     base = {}
     for i in sorted(space.ops, key=lambda i: (sol.op_times[i][0], i)):
         base.setdefault(sol.assignment[i], []).append(i)
-    cap = sol.objective if time_cap is None else time_cap
+    cap = sol.objective
     res = space.evaluate(base)
     if res is None or not space.fits_memory(base):
         return sol
     base_T, base_int, base_e = res
-    if target is not None and base_int == target and base_T <= cap + _EPS:
-        return _rebuild_refined(sol, space, base_e)
-    if target is None and base_int <= 0:
+    if base_int <= 0:
         return (_rebuild_refined(sol, space, base_e)
                 if base_T <= cap + _EPS else sol)
 
@@ -1386,11 +1380,9 @@ def refine_idle(model: ScheduleModel, sol: Solution, *,
                 c = nc
                 T, inte = r[0], r[1]
                 if T <= cap + _EPS:
-                    # the target met, or no interior idle left at all
-                    if inte == target if target is not None else inte <= 0:
+                    if inte <= 0:
                         return _rebuild_refined(sol, space, r[2])
-                    if ((target is None or inte > target)
-                            and (best is None or inte < best[0])):
+                    if best is None or inte < best[0]:
                         best = (inte, r[2])
             else:
                 cur.update(undo)

@@ -1,6 +1,9 @@
 """The command line, driven through `opsched.cli.main`."""
+import dataclasses
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 
@@ -73,6 +76,40 @@ class TestExport:
                      "-o", str(out)]) == EXIT_OK
         assert marker in out.read_text()
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("fmt", ["mps", "lp"])
+    def test_no_collection_while_the_model_lives(self, tmp_path,
+                                                 monkeypatch, fmt):
+        # the writer switched the collector back on while the model was
+        # still held, so the next allocation rescanned the whole store
+        inst = str(tmp_path / "inst.json")
+        assert main(["gen", "dualpipe", "--pp", "2", "-o", inst]) == EXIT_OK
+        models = []
+        real_build = cli._build
+
+        def build(doc):
+            built = real_build(doc)
+            models.append(weakref.ref(built[2]))
+            return built
+
+        starts = []
+
+        def on_collect(phase, info):
+            if phase == "start" and models and models[0]() is not None:
+                starts.append(info["generation"])
+
+        monkeypatch.setattr(cli, "_build", build)
+        threshold = gc.get_threshold()
+        gc.callbacks.append(on_collect)
+        gc.set_threshold(1)
+        try:
+            assert main(["export", "-i", inst, "--format", fmt,
+                         "-o", str(tmp_path / f"model.{fmt}")]) == EXIT_OK
+        finally:
+            gc.set_threshold(*threshold)
+            gc.callbacks.remove(on_collect)
+        assert len(models) == 1 and models[0]() is None
+        assert starts == []
 
 
     def _solved_pp2(self, tmp_path):
@@ -426,22 +463,24 @@ class TestReproDualpipe:
         out = tmp_path / "repro.json"
         assert main(["repro-dualpipe", "--pp", "2", "-o", str(out)]) \
             == EXIT_OK
-        spec = DualPipeSpec(pp=2)
-        target = dualpipe_bubble_target(spec)
-        half = dualpipe_bubble_target(spec, improved=True)
+        # at pp=2 the DualPipe formula, and every bubble, is 0
+        assert dualpipe_bubble_target(DualPipeSpec(pp=2)) == 0
         printed = capsys.readouterr().out
-        assert (f"bubble(dualpipe-bound)={int(target)}, "
-                f"bubble(continued)={int(half)}") in printed
+        assert ("pipeline_bubble(bound)=0 bubble_total(bound)=0 "
+                "pipeline_bubble(continued)=0 bubble_total(continued)=0") \
+            in printed
         assert "pp=2 makespan(bound)=12 makespan(continued)=12 " in printed
         report = tmp_path / "report.json"
         assert main(["verify", "-i", str(out), "-o", str(report)]) \
             == EXIT_OK
         rep = json.loads(report.read_text())
-        assert rep["makespan"] == 12 and rep["bubble_total"] == half
+        assert (rep["makespan"], rep["pipeline_bubble"],
+                rep["bubble_total"]) == (12, 0, 0)
 
     def test_pp2_output_bytes_and_sources(self, tmp_path, capsys):
         # the digest dates from when `solve` ran the idle refinement
-        # itself; the explicit `refine_idle` call writes the same bytes
+        # itself; at pp=2 the hand-built order laid out at earliest
+        # starts, with no refinement, writes the same bytes
         out = tmp_path / "repro.json"
         assert main(["repro-dualpipe", "--pp", "2", "-o", str(out)]) \
             == EXIT_OK
@@ -451,3 +490,54 @@ class TestReproDualpipe:
         assert ("source(bound)=hint stop(bound)=bound-met "
                 "source(continued)=hint stop(continued)=bound-met") \
             in capsys.readouterr().out.splitlines()
+
+    def test_pp4_meets_both_gates_with_the_hand_built_order(self, capsys):
+        # pp=4 is the first size with a bubble: the formula gives 2 and
+        # the primal bound 26; the hand-built order is 25 long and each
+        # device idles at most 1 (2 in all between first and last op)
+        assert main(["repro-dualpipe", "--pp", "4", "--node-limit",
+                     "1000"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            "pipeline_bubble(bound)=1 bubble_total(bound)=2 "
+            "pipeline_bubble(continued)=1 bubble_total(continued)=2")
+        assert lines[1].startswith(
+            "pp=4 makespan(bound)=25 makespan(continued)=25 ")
+        assert lines[2] == (
+            "source(bound)=hint stop(bound)=bound-met "
+            "source(continued)=hint stop(continued)=node-limit")
+
+    @staticmethod
+    def _late_pp4(monkeypatch, capsys, delay):
+        """Run pp=4 on the hand-built schedule `delay` units later, with
+        both searches returning their hint; exit code and stderr."""
+        real_reference = cli.dualpipe_reference
+
+        def late(spec):
+            sol = real_reference(spec)
+            return dataclasses.replace(
+                sol, objective=sol.objective + delay,
+                op_times={i: (s + delay, e + delay)
+                          for i, (s, e) in sol.op_times.items()},
+                comm_times={k: (c, s + delay, e + delay)
+                            for k, (c, s, e) in sol.comm_times.items()})
+
+        monkeypatch.setattr(cli, "dualpipe_reference", late)
+        monkeypatch.setattr(cli, "solve",
+                            lambda model, cfg=None, *, hint: hint)
+        code = main(["repro-dualpipe", "--pp", "4"])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, json.loads(captured.err)
+
+    def test_one_unit_late_meets_the_bound_but_not_the_bubble(
+            self, monkeypatch, capsys):
+        # makespan 26 <= 26; pipeline bubble 26 - 24 = 2 > 1
+        assert self._late_pp4(monkeypatch, capsys, 1) == (EXIT_ERROR, {
+            "error": "bubble-mismatch",
+            "message": "continued pipeline_bubble 2 > limit 1"})
+
+    def test_two_units_late_misses_the_bound(self, monkeypatch, capsys):
+        assert self._late_pp4(monkeypatch, capsys, 2) == (EXIT_ERROR, {
+            "error": "bubble-mismatch",
+            "message": "bounded makespan 27 > limit 26"})

@@ -157,13 +157,6 @@ def capped_memory():
                              ModelOptions(memory_capped=True)))
 
 
-def idle_refinement_to_target():
-    model, _ = _dualpipe(2, 6)
-    model = clear_primal_bound(model)
-    return refine_idle(model, solve(model, SolveConfig(node_limit=300)),
-                       target=4.0)
-
-
 def idle_refinement_to_zero():
     g = graph([op("a", 1), op("b", 3), op("c", 1), op("u", 3)],
               [edge("a", "b"), edge("b", "c")])
@@ -193,8 +186,6 @@ GOLDEN = {
         "91ee270e1718cc2c327a6bff9c7c91ca2a45c5e68ed58e1a9c917dcd02d99ad7",
     capped_memory:
         "914cffcabc42e079d0ad8f2ffd49bdb40018bfe529e417c9650772c4dd62e885",
-    idle_refinement_to_target:
-        "eb2deb2f3c5a157250f6b2c6a66dec919a3d0032bb795fcdfcef86b7d516e5d8",
     idle_refinement_to_zero:
         "f60481aa8f23706ef1c4ac8659f452b9b228a6796060c267548c9941b78fb947",
 }

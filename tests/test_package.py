@@ -1,8 +1,10 @@
 """The package surface: every exported name resolves, no module or test
 file imports a name it never uses, no module defines a private
-top-level name it never uses, and only `model` switches the cyclic
-garbage collector."""
+top-level name it never uses, every keyword-only parameter of a public
+function is passed by name somewhere, and only `model` switches the
+cyclic garbage collector."""
 import ast
+import functools
 import pathlib
 
 import pytest
@@ -103,3 +105,38 @@ def test_only_model_switches_the_collector(path):
         assert [f.split()[0] for f in found] == ["gc.disable"]
     else:
         assert found == []
+
+
+def _keyword_only_knobs(tree: ast.Module) -> list[tuple[str, str]]:
+    """(function, parameter) for every keyword-only parameter of a public
+    top-level function or of a public method of a public class."""
+    funcs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            funcs += [n for n in cls.body if isinstance(n, ast.FunctionDef)]
+    return [(f.name, a.arg) for f in funcs if not f.name.startswith("_")
+            for a in f.args.kwonlyargs]
+
+
+@functools.cache
+def _passed_by_name() -> frozenset[tuple[str, str]]:
+    """(called name, keyword) for every call in `src/` and the tests."""
+    passed = set()
+    for path in MODULES + TESTS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            passed.update((name, kw.arg) for kw in node.keywords if kw.arg)
+    return frozenset(passed)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_keyword_only_knob_is_passed(path):
+    # a knob that no caller sets changes no behaviour: use it or delete it
+    knobs = _keyword_only_knobs(ast.parse(path.read_text(),
+                                          filename=str(path)))
+    assert [f"{f}({k}=)" for f, k in knobs
+            if (f, k) not in _passed_by_name()] == []
