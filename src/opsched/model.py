@@ -10,12 +10,12 @@ Every generated constraint carries a tag naming its constraint family;
 `CORE_TAGS` lists the families a plain model must produce.
 
 Variables (`VarRef`) and rows (`LinearConstraint`) are named tuples:
-the pp=4 DualPipe store holds 258.6k rows over 0.92M terms, and a named
+the pp=4 DualPipe store holds 176.5k rows over 0.73M terms, and a named
 tuple is built in under half the time of a frozen dataclass and, having
 no ``__dict__``, takes under half its memory.
 
 The store is built with the cyclic garbage collector paused
-(`_collector_paused`). Building it creates about 1.5M container
+(`_collector_paused`). Building it creates about 1.1M container
 objects: rows, their term tuples, refs and index tuples. Each allocation
 counts towards the next collection, so with the collector on, the build
 triggers thousands of collections that rescan the growing store. They
@@ -330,7 +330,10 @@ def _materialize(model: ScheduleModel) -> ConstraintStore:
                   "comm-order-complement")
 
     # immediate precedence linking: u implies ordering and co-location,
-    # each operation has one incoming link (a predecessor or first slot)
+    # each operation has one incoming link (a predecessor or first slot).
+    # Co-location takes one row per machine, u(i1,i2) + x(i1,j) - x(i2,j)
+    # <= 1: with u = 1 they put i2 on the one machine i1 sits on, and
+    # with u = 0 they hold for any placement.
     u = {}
     for i1 in ops:
         for i2 in ops:
@@ -339,23 +342,15 @@ def _materialize(model: ScheduleModel) -> ConstraintStore:
             u[i1, i2] = b.var("u", i1, i2, domain=BINARY)
     first = {(i, j): b.var("first", i, j, domain=BINARY)
              for i in ops for j in machines}
-    q = {}
     for i1 in ops:
         for i2 in ops:
             if i1 == i2:
                 continue
-            b.add([(1, u[i1, i2]), (-1, y[i1, i2])], "<=", 0, "u-link")
-            qterms = []
+            uv = u[i1, i2]
+            b.add([(1, uv), (-1, y[i1, i2])], "<=", 0, "u-link")
             for j in machines:
-                qv = b.var("q", i1, i2, j, domain=BINARY)
-                q[i1, i2, j] = qv
-                b.add([(1, qv), (-1, x[i1, j])], "<=", 0, "linearization")
-                b.add([(1, qv), (-1, x[i2, j])], "<=", 0, "linearization")
-                b.add([(1, qv), (-1, x[i1, j]), (-1, x[i2, j])], ">=", -1,
-                      "linearization")
-                qterms.append((1.0, qv))
-            b.add([(1, u[i1, i2])] + [(-cf, v) for cf, v in qterms], "<=", 0,
-                  "u-link")
+                b.add([(1, uv), (1, x[i1, j]), (-1, x[i2, j])], "<=", 1,
+                      "u-link")
     for i in ops:
         # with a single operation both rows are empty and are left out
         for row in ([(1, u[i1, i]) for i1 in ops if i1 != i],

@@ -17,14 +17,14 @@ first occurrence, and a pair whose sum is ``== 0.0`` is left out. A row
 that names no column twice skips the merge dict.
 
 After the ``0.0 +`` every matrix coefficient is a float, and a model
-holds few distinct ones (6 at pp=4, over 0.92M entries), so each writer
+holds few distinct ones (6 at pp=4, over 0.73M entries), so each writer
 formats a coefficient once per distinct value, in a cache keyed by that
 value. A right-hand side is formatted once per distinct
 ``(type, value)``: an int of 1e15 or more prints differently from the
 equal float, so the type is part of the key.
 
 The text is written as it is produced, section by section, and in MPS
-column by column, never joined whole: the pp=4 MPS is 37 MB, and a
+column by column, never joined whole: the pp=4 MPS is 28.5 MB, and a
 joined copy would add its size, and that of the pieces, to the peak
 memory of an export that already holds the materialised model.
 
@@ -93,7 +93,9 @@ def export_mps(model: ScheduleModel, dest: IO[str]) -> None:
 
     Binary columns sit inside INTORG/INTEND marker pairs and get
     explicit 0/1 bounds, so any standard reader recovers the same
-    mixed-integer matrix.
+    mixed-integer matrix. A column that no row uses gets a zero entry
+    on the objective row: without a COLUMNS line it would not be
+    declared, and its markers would enclose nothing.
     """
     cols = _column_table(model)
     names = _names("C", len(cols))
@@ -136,9 +138,11 @@ def export_mps(model: ScheduleModel, dest: IO[str]) -> None:
             kind = "'INTORG'" if binary else "'INTEND'"
             w(f"    MARKER{marker:04d}  'MARKER'                 {kind}\n")
             in_int = binary
+        head = f"    {cname:<10}"
         if col:
-            head = f"    {cname:<10}"
             w(head + head.join(map(str.__add__, col[::2], col[1::2])))
+        else:
+            w(f"{head}{_OBJ:<10}0\n")
     if in_int:
         marker += 1
         w(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'\n")

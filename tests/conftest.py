@@ -4,9 +4,11 @@ The makespan oracles deliberately share no code with the solver: they
 enumerate assignments, per-machine operation orders, and per-channel
 transfer orders outright, evaluate each combination by longest-path
 earliest starts, and keep the best makespan. They exist to pin down
-ground truth for small instances. The search oracles at the end are
-earlier forms of the solver's own search steps, kept to check that a
-faster form makes the same decisions.
+ground truth for small instances. The MIP oracle hands the model's
+constraint store to HiGHS, so it judges the exported model rather than
+the search. The search oracles at the end are earlier forms of the
+solver's own search steps, kept to check that a faster form makes the
+same decisions.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import math
 
 from opsched.graph import (Channel, ComputationGraph, DependencyEdge,
                            HardwareCluster, Machine, Operation, WeightAsset)
+from opsched.model import BINARY
 
 _CYCLE_GUARD = object()
 
@@ -260,6 +263,48 @@ def brute_force_dynamic_makespan(g, h):
                 if t is not None and (best is None or t < best - 1e-9):
                     best = t
     return best
+
+
+# -- MIP oracle: the constraint store solved by HiGHS ------------------------
+
+
+def highs_makespan(model, time_limit=30.0):
+    """Minimum objective of the model's constraint store, or None if it
+    has no feasible point.
+
+    The store goes to HiGHS through `scipy.optimize.milp` as the MPS
+    export states it: each row's terms summed per variable, every
+    variable non-negative, and every binary one an integer at most 1.
+    Callers guard it with ``pytest.importorskip("scipy")``.
+    """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    refs = list(model.variables.values())
+    col = {ref: k for k, ref in enumerate(refs)}
+    rows, cols, vals, lo, hi = [], [], [], [], []
+    for r, con in enumerate(model.constraints):
+        for coef, ref in con.terms:
+            rows.append(r)
+            cols.append(col[ref])
+            vals.append(coef)
+        lo.append(-np.inf if con.sense == "<=" else con.rhs)
+        hi.append(np.inf if con.sense == ">=" else con.rhs)
+    # the conversion sums entries that repeat a (row, column)
+    matrix = coo_array((vals, (rows, cols)),
+                       shape=(len(lo), len(refs))).tocsr()
+    binary = np.array([ref.domain == BINARY for ref in refs])
+    cost = np.zeros(len(refs))
+    cost[col[model.objective]] = 1.0
+    res = milp(cost, constraints=LinearConstraint(matrix, lo, hi),
+               integrality=binary,
+               bounds=Bounds(0, np.where(binary, 1.0, np.inf)),
+               options={"time_limit": time_limit, "mip_rel_gap": 0})
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return res.fun
 
 
 # -- random instance generators for oracle comparisons -----------------------

@@ -12,16 +12,14 @@ whole graph and every candidate search rescanned all pairs, so the
 in-place contraction must make the same merges in the same order, with
 the same float sums.
 
-Each export case hashes the MPS and the LP text of one model. Those
-digests were recorded while the writers still named every term through
-`VarRef.name`, merged every row through a dict and formatted every
-coefficient afresh, so the streamed writers must emit the same bytes.
-The hand-built store is the only case whose rows repeat a variable.
-They, and the digest of the pp=4 DualPipe MPS (the benchmark's 37 MB
-artifact), also predate the tuple-backed store (`VarRef` and
-`LinearConstraint` were frozen dataclasses, keyed in the writers by
-``(kind, indices)``), the per-``(type, value)`` right-hand-side text and
-the paused cyclic collector.
+Each export case hashes the MPS and the LP text of one model, and one
+case hashes the pp=4 DualPipe MPS (the benchmark's 28.5 MB artifact).
+The hand-built store is the only case whose rows repeat a variable, and
+its variable ``free`` is in no row. These digests were recorded when
+the co-location rows replaced the linearised products q = x·x and an
+MPS column that no row uses gained a zero objective entry;
+`test_three_judges.py` and the integer-point test of the co-location
+rows in `test_model.py` are the evidence that the new store is right.
 
 The DFS cases below `dfs` were recorded while every DFS node still
 listed, sorted and filtered all (operation, machine) pairs and rescanned
@@ -38,7 +36,7 @@ rescanned and sorted its ready ops and every node of either search
 recomputed each memory step, so the incremental ready ops and the
 per-node memory-class memo must visit the same nodes.
 Every case runs in well under a second, apart from the pp=4 MPS, which
-takes 3-4 s.
+takes 2-3 s.
 """
 import contextlib
 import hashlib
@@ -388,13 +386,13 @@ def hand_store():
 
 EXPORT_GOLDEN = {
     dualpipe_pp2: (
-        "50f44385d3244ca2789669591b0a23c29e7b28d94f855ed18bbf8ed4c1b59371",
-        "0473a11eea2cb522154224651db24a5c479d24f392175243c1b96e4eff0f72a8"),
+        "acc7560df70d72a0b5fe89423ff64880093c86128142d8a98e40195430ece3a5",
+        "87f2af45927323d662ce81ea89f0b0b459b4ba1ab5688c42345748f55eab9206"),
     fractional_dynamic: (
-        "db7d3989cb18850a88c4c97cbc602fc7815c5cce2a290265b42a8c4219381a3a",
-        "55722e9a90c176ad6a0ec3c05a943114838e677b17259ce7920ad09d79838a33"),
+        "0ad17f046b3b6f13b7d691ac9ca3060ff1e76e0ed4c4c74e273b36297ad4de6a",
+        "7153dc64431da2e9b6355e047442d1bd677e7d3e6c20cf0f67646f6127ab0869"),
     hand_store: (
-        "024d56ef555257a1c40758180c5db13f5d3f7ff2a8ea225e2439e9609add4424",
+        "cd09b98e0d33943ac3cf853df5c5a34ce4b8b777a4ace2aa43f0750f8b297b64",
         "d91a167f67ab745937695dd2b65832a35d3fc07f3634687bb671688133684b76"),
 }
 
@@ -420,19 +418,22 @@ class _HashSink:
 
 
 def test_dualpipe_pp4_mps_digest():
-    # `opsched gen dualpipe --pp 4 | opsched export --format mps`: 258,593
-    # rows and 37 MB of text, hashed as it is written
+    # `opsched gen dualpipe --pp 4 | opsched export --format mps`: 176,513
+    # rows over 28,385 columns and 28.5 MB of text, hashed as it is written
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["gen", "dualpipe", "--pp", "4"]) == 0
     doc = json.loads(out.getvalue())
-    model = build_model(load_computation_graph(doc["graph"]),
-                        load_cluster(doc["cluster"]),
-                        ModelOptions(**doc["options"]))
+    model = set_primal_bound(
+        build_model(load_computation_graph(doc["graph"]),
+                    load_cluster(doc["cluster"]),
+                    ModelOptions(**doc["options"])),
+        doc["primal_bound"])
     sink = _HashSink()
-    export_mps(set_primal_bound(model, doc["primal_bound"]), sink)
+    export_mps(model, sink)
     assert sink.sha256.hexdigest() == (
-        "474501c9db31eb41fcaf1df82b08bcb49bda165cc47c01610504c6275031c59b")
+        "3ddb7aa2fe85f92c5c4c3aa7bc37580f6283fe80af3621df5b37fa16e345c971")
+    assert (len(model.constraints), len(model.variables)) == (176513, 28385)
 
 
 def trace_dualpipe_pp2():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from opsched.graph import WeightAsset
@@ -137,6 +139,28 @@ class TestConstraintStore:
         assert [v.name for v in m1.variables.values()] == \
                [v.name for v in m2.variables.values()]
         assert m1.constraints == m2.constraints
+
+
+@pytest.mark.parametrize("nm", [1, 2, 3])
+def test_co_location_rows_exact_on_integer_points(nm):
+    # for every u(a,b) and one-hot placement of a and b, the rows
+    # u(a,b) + x(a,j) - x(b,j) <= 1 hold exactly when u = 0 or both
+    # ops sit on one machine
+    m = build_model(graph([op("a"), op("b")]), cluster(nm))
+    assert "q" not in {kind for kind, _ in m.variables}
+    u = m.variables["u", ("a", "b")]
+    rows = [c for c in m.constraints if c.tag == "u-link"
+            and (1, u) in c.terms and any(v.kind == "x" for _, v in c.terms)]
+    assert len(rows) == nm and {row.sense for row in rows} == {"<="}
+    machines = list(m.cluster.machines)
+    for uv, ja, jb in itertools.product((0, 1), machines, machines):
+        value = {u: uv}
+        for j in machines:
+            value[m.variables["x", ("a", j)]] = int(j == ja)
+            value[m.variables["x", ("b", j)]] = int(j == jb)
+        holds = all(sum(coef * value[v] for coef, v in row.terms) <= row.rhs
+                    for row in rows)
+        assert holds == (uv == 0 or ja == jb)
 
 
 class TestRecords:

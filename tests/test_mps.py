@@ -173,6 +173,17 @@ class TestMpsRoundTrip:
         assert set(doc["aliases"].values()) == \
                {ref.name for ref in model.variables.values()}
 
+    def test_unused_column_declared_between_markers(self):
+        # no op uses the size-0 weight, so no row uses r(idle, m)
+        g = graph([op("a", 2, refs=("w",)), op("b", 3)], [edge("a", "b")],
+                  [WeightAsset("w", 2), WeightAsset("idle", 0)])
+        doc = parse_mps(render(build_model(g, cluster(2))))
+        column = {name: c for c, name in doc["aliases"].items()}
+        for j in ("m0", "m1"):
+            c = column[f"r(idle,{j})"]
+            assert doc["cols"][c] == {"COST": 0.0}
+            assert c in doc["integer"] and doc["bounds"][c] == "BV"
+
     def test_primal_bound_appears_as_row(self):
         model = set_primal_bound(tiny_model(), 7)
         doc = parse_mps(render(model))
@@ -251,12 +262,12 @@ class TestCollectorPause:
 
         gc.callbacks.append(count)
         try:
-            # 8,600 rows, each a tuple of term tuples
-            assert len(model.store.constraints) == 8600
+            # 5,840 rows, each a tuple of term tuples
+            assert len(model.store.constraints) == 5840
         finally:
             gc.callbacks.remove(count)
         # at most the one collection that runs once the collector is
-        # back on; with it on throughout, this build runs about 80
+        # back on; with it on throughout, this build runs about 60
         assert sum(starts) <= (1 if collector else 0)
         assert gc.isenabled() is collector
 
@@ -333,12 +344,16 @@ def test_exports_recover_store(capped, dynamic, data):
              if r in entries}, sense_of[mps["rows"][r]],
             mps["rhs"].get(r, 0.0)) for r in mps["row_order"]]
     assert got == want
-    assert {alias[c] for c, e in mps["cols"].items() if "COST" in e} \
-        == {"makespan"}
-    # a column with no entry gets no COLUMNS line, so only its bound
-    # says it is binary
-    assert {alias[c] for c in mps["integer"]} \
-        == binaries & {alias[c] for c in mps["cols"]}
+    # every variable has a COLUMNS line, and every binary one sits
+    # between markers: a column that no row uses has a zero objective
+    # entry and nothing else
+    unused = {ref.name for ref in refs} - {n for row, _, _ in want
+                                          for n in row}
+    assert {alias[c]: e["COST"] for c, e in mps["cols"].items()
+            if "COST" in e} == {**dict.fromkeys(unused, 0.0),
+                                "makespan": 1.0}
+    assert {alias[c] for c in mps["cols"]} == {ref.name for ref in refs}
+    assert {alias[c] for c in mps["integer"]} == binaries
     assert {alias[c] for c, kind in mps["bounds"].items()
             if kind == "BV"} == binaries
 
