@@ -10,12 +10,12 @@ Every generated constraint carries a tag naming its constraint family;
 `CORE_TAGS` lists the families a plain model must produce.
 
 Variables (`VarRef`) and rows (`LinearConstraint`) are named tuples:
-the pp=4 DualPipe store holds 176.5k rows over 0.73M terms, and a named
+the pp=4 DualPipe store holds 111.4k rows over 0.42M terms, and a named
 tuple is built in under half the time of a frozen dataclass and, having
 no ``__dict__``, takes under half its memory.
 
 The store is built with the cyclic garbage collector paused
-(`_collector_paused`). Building it creates about 1.1M container
+(`_collector_paused`). Building it creates about 0.7M container
 objects: rows, their term tuples, refs and index tuples. Each allocation
 counts towards the next collection, so with the collector on, the build
 triggers thousands of collections that rescan the growing store. They
@@ -36,7 +36,9 @@ from .graph import ComputationGraph, HardwareCluster, is_finite_number
 BINARY = "binary"
 CONTINUOUS = "continuous"
 
-# Constraint families of the base model (capacity only when capped).
+# Constraint families of the base model (capacity only when capped;
+# channel-exclusive and comm-order-complement only when some transfer
+# takes time).
 CORE_TAGS = (
     "makespan", "duration", "dep-slack", "dep-order", "assign",
     "machine-exclusive", "order-complement", "comm-assign", "linearization",
@@ -309,25 +311,27 @@ def _materialize(model: ScheduleModel) -> ConstraintStore:
         b.add([(1, c[i1, i2]), (-1, e[i1])], ">=", 0, "comm-after-producer")
         b.add([(1, s[i2]), (-1, d[i1, i2])], ">=", 0, "comm-before-consumer")
 
-    # channel disjunction over ordered distinct edge pairs, real channels only
-    w = {}
-    for e1 in edges:
-        for e2 in edges:
-            if e1 == e2:
-                continue
-            w[e1, e2] = b.var("w", *e1, *e2, domain=BINARY)
-    for e1 in edges:
-        for e2 in edges:
-            if e1 == e2:
-                continue
-            for (j1, j2) in real_channels:
-                b.add([(-M, w[e1, e2]), (-M, z[(*e1, j1, j2)]),
-                       (-M, z[(*e2, j1, j2)]), (1, c[e2]), (-1, d[e1])],
-                      ">=", -3 * M, "channel-exclusive")
+    # channel disjunction over ordered distinct edge pairs, real channels
+    # only, for pairs in which at least one transfer takes time. Two
+    # zero-duration transfers need no order, and the integer optimum
+    # stays the same: setting d(e) = c(e) for each keeps every row that
+    # reads d(e) (it enters comm-before-consumer and each kept channel
+    # row with a minus sign) and makes each a point in time, and two
+    # points on one channel are always ordered by their times.
+    timed = {key for key in edges if g.edges[key].comm_duration > 0}
+    w = {(e1, e2): b.var("w", *e1, *e2, domain=BINARY)
+         for e1 in edges for e2 in edges
+         if e1 != e2 and (e1 in timed or e2 in timed)}
+    for (e1, e2), wv in w.items():
+        for (j1, j2) in real_channels:
+            b.add([(-M, wv), (-M, z[(*e1, j1, j2)]),
+                   (-M, z[(*e2, j1, j2)]), (1, c[e2]), (-1, d[e1])],
+                  ">=", -3 * M, "channel-exclusive")
     for idx1, e1 in enumerate(edges):
         for e2 in edges[idx1 + 1:]:
-            b.add([(1, w[e1, e2]), (1, w[e2, e1])], "==", 1,
-                  "comm-order-complement")
+            if (e1, e2) in w:
+                b.add([(1, w[e1, e2]), (1, w[e2, e1])], "==", 1,
+                      "comm-order-complement")
 
     # immediate precedence linking: u implies ordering and co-location,
     # each operation has one incoming link (a predecessor or first slot).

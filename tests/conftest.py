@@ -138,10 +138,14 @@ def _asap_makespan(g, amap, seq_of, chan_orders, extra=None):
 
 
 def _channel_order_choices(g, amap):
-    """Per-channel transfer sequences -> iterable of {transfer: predecessor}."""
+    """Per-channel transfer sequences -> iterable of {transfer: predecessor}.
+
+    Every cross-machine transfer is ordered, zero-duration ones too: a
+    transfer that takes no time is a point on its channel, and a point
+    may not sit inside a timed transfer on the same channel."""
     by_chan = {}
-    for (a, b), e in g.edges.items():
-        if amap[a] != amap[b] and e.comm_duration > 0:
+    for (a, b) in g.edges:
+        if amap[a] != amap[b]:
             by_chan.setdefault((amap[a], amap[b]), []).append((a, b))
     pools = [itertools.permutations(ts) for ts in by_chan.values()]
     for combo in itertools.product(*pools):

@@ -13,7 +13,7 @@ in-place contraction must make the same merges in the same order, with
 the same float sums.
 
 Each export case hashes the MPS and the LP text of one model, and one
-case hashes the pp=4 DualPipe MPS (the benchmark's 28.5 MB artifact).
+case hashes the pp=4 DualPipe MPS (the benchmark's 16.5 MB artifact).
 The hand-built store is the only case whose rows repeat a variable, and
 its variable ``free`` is in no row. These digests were recorded when
 the co-location rows replaced the linearised products q = x·x and an
@@ -386,14 +386,14 @@ def hand_store():
 
 EXPORT_GOLDEN = {
     dualpipe_pp2: (
-        "acc7560df70d72a0b5fe89423ff64880093c86128142d8a98e40195430ece3a5",
-        "87f2af45927323d662ce81ea89f0b0b459b4ba1ab5688c42345748f55eab9206"),
+        "9e7ae5588884799ecc865f8bbf41006ae50ab47a2062d9d5869c30684b8585e8",
+        "c8c0cd15a32d4e9a513547fe2ee202d286d068c9764c150931c6109ec807a170"),
     fractional_dynamic: (
         "0ad17f046b3b6f13b7d691ac9ca3060ff1e76e0ed4c4c74e273b36297ad4de6a",
         "7153dc64431da2e9b6355e047442d1bd677e7d3e6c20cf0f67646f6127ab0869"),
     hand_store: (
         "cd09b98e0d33943ac3cf853df5c5a34ce4b8b777a4ace2aa43f0750f8b297b64",
-        "d91a167f67ab745937695dd2b65832a35d3fc07f3634687bb671688133684b76"),
+        "c8409f8b0e5ad977d3661b0ff7bd5b28d2e649aedec60aec6de9cbde2b9327b1"),
 }
 
 
@@ -418,8 +418,10 @@ class _HashSink:
 
 
 def test_dualpipe_pp4_mps_digest():
-    # `opsched gen dualpipe --pp 4 | opsched export --format mps`: 176,513
-    # rows over 28,385 columns and 28.5 MB of text, hashed as it is written
+    # `opsched gen dualpipe --pp 4 | opsched export --format mps`: 111,437
+    # rows over 20,729 columns and 16.5 MB of text, hashed as it is written;
+    # every transfer at pp=4 takes no time, so no w column and no channel
+    # ordering row
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["gen", "dualpipe", "--pp", "4"]) == 0
@@ -432,8 +434,11 @@ def test_dualpipe_pp4_mps_digest():
     sink = _HashSink()
     export_mps(model, sink)
     assert sink.sha256.hexdigest() == (
-        "3ddb7aa2fe85f92c5c4c3aa7bc37580f6283fe80af3621df5b37fa16e345c971")
-    assert (len(model.constraints), len(model.variables)) == (176513, 28385)
+        "917785a7f18127e39b71848e3b07ac26a54ac17d7863ed891774c9cf6a65ceef")
+    assert (len(model.constraints), len(model.variables)) == (111437, 20729)
+    assert "w" not in {kind for kind, _ in model.variables}
+    assert not {"channel-exclusive", "comm-order-complement"} & {
+        con.tag for con in model.constraints}
 
 
 def trace_dualpipe_pp2():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -139,6 +140,35 @@ class TestConstraintStore:
         assert [v.name for v in m1.variables.values()] == \
                [v.name for v in m2.variables.values()]
         assert m1.constraints == m2.constraints
+
+
+class TestChannelOrdering:
+    """A pair of transfers gets a channel order, its `w` columns and
+    rows, only when at least one of the two takes time."""
+
+    def test_zero_duration_transfers_get_no_ordering(self):
+        g = graph([op("a"), op("b"), op("c")],
+                  [edge("a", "b"), edge("a", "c"), edge("b", "c")])
+        m = build_model(g, cluster(3))
+        assert "w" not in {kind for kind, _ in m.variables}
+        assert not {"channel-exclusive", "comm-order-complement"} & {
+            c.tag for c in m.constraints}
+
+    def test_mixed_instance_keeps_pairs_with_a_timed_transfer(self):
+        g = graph([op(k) for k in "abcd"],
+                  [edge("a", "b", comm=2), edge("a", "c"), edge("b", "c"),
+                   edge("b", "d"), edge("c", "d", comm=1)])
+        ring = [("m0", "m1"), ("m1", "m2"), ("m2", "m0")]
+        m = build_model(g, cluster(3, channels=ring))
+        timed = {("a", "b"), ("c", "d")}
+        pairs = {(e1, e2) for e1 in g.edges for e2 in g.edges
+                 if e1 != e2 and (e1 in timed or e2 in timed)}
+        assert len(pairs) == 14  # 5 * 4 ordered pairs, 3 * 2 untimed
+        assert {idx for (kind, idx) in m.variables if kind == "w"} == {
+            (*e1, *e2) for e1, e2 in pairs}
+        count = collections.Counter(c.tag for c in m.constraints)
+        assert count["channel-exclusive"] == len(pairs) * len(ring)
+        assert count["comm-order-complement"] == len(pairs) // 2
 
 
 @pytest.mark.parametrize("nm", [1, 2, 3])

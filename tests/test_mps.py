@@ -90,25 +90,34 @@ def parse_lp(text):
         label, rest = line.split(":", 1) if ":" in line else (None, line)
         fields = rest.split()
         if section == "Minimize":
-            objective = fields
+            objective = linear(fields, aliases)
         elif section == "Subject To":
             *body, sense, rhs = fields
-            coefs = {}
-            sign = coef = 1.0
-            for tok in body:
-                if tok in ("+", "-"):
-                    sign = -1.0 if tok == "-" else 1.0
-                elif tok in aliases:
-                    coefs[tok] = sign * coef
-                    sign = coef = 1.0
-                else:
-                    coef = float(tok)
-            rows[label.strip()] = (coefs, sense, float(rhs))
+            rows[label.strip()] = (linear(body, aliases), sense, float(rhs))
             row_order.append(label.strip())
         elif section == "Binary":
             binaries.update(fields)
+    # the columns a reader declares: those that some section names
+    columns = set(objective) | binaries
+    for coefs, _, _ in rows.values():
+        columns.update(coefs)
     return {"aliases": aliases, "objective": objective, "rows": rows,
-            "row_order": row_order, "binary": binaries}
+            "row_order": row_order, "binary": binaries, "columns": columns}
+
+
+def linear(tokens, aliases):
+    """Column -> coefficient of an LP linear expression's tokens."""
+    coefs = {}
+    sign = coef = 1.0
+    for tok in tokens:
+        if tok in ("+", "-"):
+            sign = -1.0 if tok == "-" else 1.0
+        elif tok in aliases:
+            coefs[tok] = sign * coef
+            sign = coef = 1.0
+        else:
+            coef = float(tok)
+    return coefs
 
 
 def merged(con):
@@ -228,6 +237,19 @@ class TestLpFormat:
     def test_deterministic_bytes(self):
         assert self.render_lp(tiny_model()) == self.render_lp(tiny_model())
 
+    def test_unused_continuous_column_declared(self):
+        # a continuous column that no row uses is in no row and not in
+        # Binary: only its zero objective term declares it
+        model = tiny_model()
+        free = VarRef("free", ("z",), CONTINUOUS)
+        store = model.store
+        model.__dict__["store"] = ConstraintStore(
+            {**store.variables, ("free", ("z",)): free}, store.constraints)
+        doc = parse_lp(self.render_lp(model))
+        assert len(doc["columns"]) == len(model.variables)
+        column = {name: c for c, name in doc["aliases"].items()}
+        assert doc["objective"][column["free(z)"]] == 0.0
+
 
 @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
 def collector(request):
@@ -262,8 +284,8 @@ class TestCollectorPause:
 
         gc.callbacks.append(count)
         try:
-            # 5,840 rows, each a tuple of term tuples
-            assert len(model.store.constraints) == 5840
+            # 4,890 rows, each a tuple of term tuples
+            assert len(model.store.constraints) == 4890
         finally:
             gc.callbacks.remove(count)
         # at most the one collection that runs once the collector is
@@ -362,7 +384,10 @@ def test_exports_recover_store(capped, dynamic, data):
     lp = parse_lp(buf.getvalue())
     alias = lp["aliases"]
     assert list(alias.values()) == [ref.name for ref in refs]
-    assert [alias[c] for c in lp["objective"]] == ["makespan"]
+    # a column that no row uses has a zero term on the objective
+    assert {alias[c]: v for c, v in lp["objective"].items()} == {
+        **dict.fromkeys(unused, 0.0), "makespan": 1.0}
+    assert {alias[c] for c in lp["columns"]} == {ref.name for ref in refs}
     sense_of = {"<=": "<=", ">=": ">=", "=": "=="}
     got = [({alias[c]: v for c, v in coefs.items()}, sense_of[sense], rhs)
            for coefs, sense, rhs in map(lp["rows"].get, lp["row_order"])]

@@ -12,11 +12,12 @@ import pytest
 
 from opsched.graph import HardwareCluster, Machine
 from opsched.model import ModelError, ModelOptions, build_model
+from opsched.simulate import verify
 from opsched.solver import SolveConfig, solve
 
 from conftest import (brute_force_dynamic_makespan, brute_force_makespan,
-                      cluster, highs_makespan, random_loading_instance,
-                      random_small_instance)
+                      cluster, edge, graph, highs_makespan, op,
+                      random_loading_instance, random_small_instance)
 
 pytest.importorskip("scipy")
 
@@ -75,3 +76,23 @@ def test_search_highs_and_enumeration_agree(kind, capped):
             assert got == pytest.approx(expect), seed
         compared += 1
     assert compared >= 10
+
+
+def test_zero_duration_transfer_waits_for_a_timed_one():
+    # the cap of two ops per machine and the one channel m0->m1 leave one
+    # placement: a and c on m0, b and d on m1, all four transfers on
+    # that channel. a->b takes 3; a->d, c->b and c->d take none.
+    # With a at 0 and c at 1, a zero-duration transfer out of c may not
+    # sit inside a->b, which holds the channel from 1 to 4, so the best
+    # makespan is 6, not 5. The MIP keeps this only through the channel
+    # rows of pairs with one timed and one zero-duration transfer.
+    g = graph([op(k, 1, mem=1) for k in "abcd"],
+              [edge("a", "b", 3), edge("a", "d"), edge("c", "b"),
+               edge("c", "d")])
+    h = cluster(2, cap=2, channels=[("m0", "m1")])
+    model = build_model(g, h, ModelOptions(memory_capped=True))
+    sol = solve(model, SolveConfig(time_limit=30))
+    assert (sol.status, sol.objective) == ("optimal", 6)
+    assert verify(g, h, sol).feasible
+    assert brute_force_makespan(g, h, capped=True) == 6
+    assert highs_makespan(model) == pytest.approx(6)
