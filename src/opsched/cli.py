@@ -6,6 +6,10 @@ a solution, `verify` replays it, `export` renders a chrome-tracing
 file, and `repro-dualpipe` runs the bidirectional-pipeline benchmark
 protocol end to end. Errors print one JSON object on stderr and map to
 stable exit codes.
+
+Every document a subcommand writes is compact JSON with sorted keys, on
+one line ending in a newline, so equal documents are equal bytes.
+`python -m json.tool` prints a readable copy.
 """
 from __future__ import annotations
 
@@ -75,7 +79,9 @@ def _read_doc(path: str | None) -> dict:
 
 
 def _write_doc(doc: dict, path: str | None):
-    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    # no indent: with one, `json.dumps` leaves its C encoder for the
+    # pure-Python one, several times slower on a solved instance
+    text = json.dumps(doc, sort_keys=True) + "\n"
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -137,6 +143,10 @@ def _cmd_gen(args) -> int:
         doc = _instance_doc(g, h, options,
                             primal_bound=dualpipe_primal_bound(spec))
     else:
+        if args.machines < 1:
+            raise CliError("bad-spec",
+                           f"--machines must be >= 1, got {args.machines}",
+                           EXIT_USAGE)
         spec = _spec(RandomDagSpec, nodes=args.nodes, seed=args.seed,
                      max_in_degree=args.max_in_degree,
                      max_out_degree=args.max_out_degree)
@@ -198,9 +208,10 @@ def _cmd_solve(args) -> int:
         return _fail("infeasible", "no feasible schedule exists",
                      EXIT_INFEASIBLE, tags=["assign", "dep-order"])
     if sol.objective is None:
+        extra = {"stats": sol.stats} if args.stats else {}
         return _fail("no-incumbent",
                      "search budget exhausted without a feasible schedule",
-                     EXIT_ERROR, status=sol.status)
+                     EXIT_ERROR, status=sol.status, **extra)
     out = dict(doc)
     out["solution"] = sol.to_dict()
     if args.stats:
@@ -355,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", action="store_true",
                    help="add the search's nodes, timed_out, stop reason, "
                         "root_bound and, for a DFS, its prunes by reason "
-                        "under a top-level stats key")
+                        "under a top-level stats key, also of the error "
+                        "when no schedule is found")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="replay a solution")

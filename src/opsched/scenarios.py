@@ -8,6 +8,7 @@ degrees.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graph import (Channel, ComputationGraph, DependencyEdge,
@@ -297,19 +298,22 @@ def gen_random_dag(spec: RandomDagSpec) -> ComputationGraph:
     rng = random.Random(spec.seed)
     width = max(3, len(str(spec.nodes - 1)))
     ids = [f"n{i:0{width}d}" for i in range(spec.nodes)]
-    out_deg = {i: 0 for i in ids}
+    out_deg = [0] * spec.nodes
+    # earlier indices with spare out-degree, ascending: the population
+    # `rng.sample` draws each node's predecessors from
+    spare = []
     ops = []
     edges = []
     for idx, nid in enumerate(ids):
         dur = rng.randint(*spec.duration_range)
         mem = rng.randint(*spec.memory_range)
         ops.append(Operation(nid, dur, weight_mem=mem))
-        if idx == 0:
-            continue
-        candidates = [p for p in ids[:idx]
-                      if out_deg[p] < spec.max_out_degree]
-        k = rng.randint(0, min(spec.max_in_degree, len(candidates)))
-        for p in sorted(rng.sample(candidates, k)):
-            out_deg[p] += 1
-            edges.append(DependencyEdge(p, nid))
+        if idx:
+            k = rng.randint(0, min(spec.max_in_degree, len(spare)))
+            for p in sorted(rng.sample(spare, k)):
+                out_deg[p] += 1
+                if out_deg[p] == spec.max_out_degree:
+                    del spare[bisect_left(spare, p)]
+                edges.append(DependencyEdge(ids[p], nid))
+        spare.append(idx)
     return ComputationGraph(ops, edges)

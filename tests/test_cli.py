@@ -297,6 +297,8 @@ class TestGen:
     @pytest.mark.parametrize("argv", [
         ["gen", "dualpipe", "--pp", "3"],
         ["gen", "random", "--nodes", "0"],
+        ["gen", "random", "--nodes", "5", "--machines", "0"],
+        ["gen", "random", "--nodes", "5", "--machines", "-1"],
         ["repro-dualpipe", "--pp", "3"],
     ])
     def test_rejected_size_is_one_json_error(self, capsys, argv):
@@ -384,6 +386,22 @@ class TestSolve:
             "pruned": {"bound-before-dispatch": 0, "bound-after-dispatch": 0,
                        "memory": 6}}
         assert stats == plain
+
+    @pytest.mark.parametrize("stats", [True, False], ids=["stats", "plain"])
+    def test_no_incumbent_error_carries_stats(self, tmp_path, capsys, stats):
+        # without a hint the pp=4 DFS finds no schedule in 1,000 nodes
+        inst, out = str(tmp_path / "inst.json"), tmp_path / "out.json"
+        assert main(["gen", "dualpipe", "--pp", "4", "-o", inst]) == EXIT_OK
+        assert main(["solve", "-i", inst, "--node-limit", "1000",
+                     "-o", str(out)] + ["--stats"] * stats) == EXIT_ERROR
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "no-incumbent"
+        if not stats:
+            assert "stats" not in err
+            return
+        assert (err["stats"]["nodes"], err["stats"]["stop"],
+                err["stats"]["root_bound"]) == (1001, "node-limit", 24)
 
     def test_calls_in_one_process_share_no_flags(self, tmp_path):
         # `main` parses every call with the same parser
@@ -478,14 +496,15 @@ class TestReproDualpipe:
                 rep["bubble_total"]) == (12, 0, 0)
 
     def test_pp2_output_bytes_and_sources(self, tmp_path, capsys):
-        # the digest dates from when `solve` ran the idle refinement
+        # the document dates from when `solve` ran the idle refinement
         # itself; at pp=2 the hand-built order laid out at earliest
-        # starts, with no refinement, writes the same bytes
+        # starts, with no refinement, writes the same one (the digest
+        # was re-recorded when the CLI dropped the indent)
         out = tmp_path / "repro.json"
         assert main(["repro-dualpipe", "--pp", "2", "-o", str(out)]) \
             == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-            "aa67090707278c036e2d3fc6bdbacb9edd234bbd987a49e1a86bb1a279139655"
+            "a42f83377fd79929564fb32ef2af17d4cef4dc463992eccc71bc76da890033d0"
         # both searches stop at their hint, which meets the root bound
         assert ("source(bound)=hint stop(bound)=bound-met "
                 "source(continued)=hint stop(continued)=bound-met") \
