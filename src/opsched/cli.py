@@ -106,10 +106,13 @@ def _parse_instance(doc: dict):
         raise CliError("bad-instance", f"invalid instance document: {exc}",
                        EXIT_USAGE)
     opts = doc.get("options", {})
-    options = ModelOptions(
-        memory_capped=bool(opts.get("memory_capped", False)),
-        dynamic_loading=bool(opts.get("dynamic_loading", False)))
-    return g, h, options
+    if not (isinstance(opts, dict)
+            and all(isinstance(v, bool) for v in opts.values())):
+        raise CliError("bad-instance", "invalid instance document: options "
+                       f"must be true or false, got {opts!r}", EXIT_USAGE)
+    return g, h, ModelOptions(
+        memory_capped=opts.get("memory_capped", False),
+        dynamic_loading=opts.get("dynamic_loading", False))
 
 
 def _solution(doc: dict) -> Solution:
@@ -224,8 +227,7 @@ def _cmd_verify(args) -> int:
     doc = _read_doc(args.input)
     g, h, options = _parse_instance(doc)
     sol = _solution(doc)
-    report = verify(g, h, sol, capped=options.memory_capped,
-                    dynamic=options.dynamic_loading)
+    report = verify(g, h, sol, options)
     out = {"feasible": report.feasible,
            "violations": [{"kind": k, "ids": list(ids), "time": t}
                           for (k, ids, t) in report.violations],
@@ -281,7 +283,7 @@ def _cmd_repro_dualpipe(args) -> int:
 
     def checked(name: str, sol: Solution, measure: str, limit: float):
         # the gates: verified, and `measure` of the report within `limit`
-        report = verify(g, h, sol, capped=options.memory_capped)
+        report = verify(g, h, sol, options)
         if not report.feasible:
             raise CliError("verification-failed",
                            f"{name} schedule failed verification",
@@ -364,10 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--ignore-primal-bound", action="store_true")
     p.add_argument("--stats", action="store_true",
-                   help="add the search's nodes, timed_out, stop reason, "
-                        "root_bound and, for a DFS, its prunes by reason "
-                        "under a top-level stats key, also of the error "
-                        "when no schedule is found")
+                   help="add the search's nodes, stop reason, root_bound "
+                        "and, for a DFS, its prunes by reason under a "
+                        "top-level stats key, also of the error when no "
+                        "schedule is found")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="replay a solution")

@@ -295,15 +295,26 @@ def _reject_unknown(entry: Mapping, allowed: set[str], what: str):
 
 
 def _load_doc(source: str | IO[str] | Mapping) -> Mapping:
-    if isinstance(source, Mapping):
-        return source
-    if isinstance(source, str):
-        doc = json.loads(source)
-    else:
-        doc = json.load(source)
-    if not isinstance(doc, Mapping):
-        raise GraphError("document root must be an object")
-    return doc
+    try:
+        if isinstance(source, str):
+            source = json.loads(source)
+        elif hasattr(source, "read"):
+            source = json.load(source)
+    except json.JSONDecodeError as exc:
+        raise GraphError(f"document is not JSON: {exc}")
+    if not isinstance(source, Mapping):
+        raise GraphError(f"document root must be an object, got {source!r}")
+    return source
+
+
+def _entries(doc: Mapping, key: str) -> list[dict]:
+    """The list of objects under `key`, empty when the key is absent."""
+    entries = doc.get(key, [])
+    # `dict`, not `Mapping`: an ABC check per entry costs several times more
+    if not (isinstance(entries, list)
+            and all(isinstance(e, dict) for e in entries)):
+        raise GraphError(f"{key} must be a list of objects, got {entries!r}")
+    return entries
 
 
 def load_computation_graph(source: str | IO[str] | Mapping) -> ComputationGraph:
@@ -311,19 +322,23 @@ def load_computation_graph(source: str | IO[str] | Mapping) -> ComputationGraph:
     doc = _load_doc(source)
     _reject_unknown(doc, {"operations", "edges", "weights"}, "graph document")
     ops = []
-    for entry in doc.get("operations", []):
+    for entry in _entries(doc, "operations"):
         _reject_unknown(entry, _OP_FIELDS, "operation")
         if "id" not in entry or "duration" not in entry:
             raise GraphError(f"operation missing id/duration: {entry}")
+        refs = entry.get("weight_refs", [])
+        if not isinstance(refs, list):
+            raise GraphError(f"weight_refs of {entry['id']!r} must be a "
+                             f"list, got {refs!r}")
         ops.append(Operation(
             id=str(entry["id"]),
             duration=entry["duration"],
             weight_mem=entry.get("weight_mem", 0),
             activation_delta=entry.get("activation_delta", 0),
-            weight_refs=tuple(entry.get("weight_refs", ())),
+            weight_refs=tuple(map(str, refs)),
         ))
     edges = []
-    for entry in doc.get("edges", []):
+    for entry in _entries(doc, "edges"):
         _reject_unknown(entry, _EDGE_FIELDS, "edge")
         if "from" not in entry or "to" not in entry:
             raise GraphError(f"edge missing from/to: {entry}")
@@ -333,7 +348,7 @@ def load_computation_graph(source: str | IO[str] | Mapping) -> ComputationGraph:
             comm_duration=entry.get("comm_duration", 0),
         ))
     weights = []
-    for entry in doc.get("weights", []):
+    for entry in _entries(doc, "weights"):
         _reject_unknown(entry, _WEIGHT_FIELDS, "weight")
         if "id" not in entry or "size" not in entry:
             raise GraphError(f"weight missing id/size: {entry}")
@@ -379,14 +394,14 @@ def load_cluster(source: str | IO[str] | Mapping) -> HardwareCluster:
     doc = _load_doc(source)
     _reject_unknown(doc, {"machines", "channels"}, "cluster document")
     machines = []
-    for entry in doc.get("machines", []):
+    for entry in _entries(doc, "machines"):
         _reject_unknown(entry, _MACHINE_FIELDS, "machine")
         if "id" not in entry or "memory_capacity" not in entry:
             raise GraphError(f"machine missing id/memory_capacity: {entry}")
         machines.append(Machine(id=str(entry["id"]),
                                 memory_capacity=entry["memory_capacity"]))
     channels = []
-    for entry in doc.get("channels", []):
+    for entry in _entries(doc, "channels"):
         _reject_unknown(entry, _CHANNEL_FIELDS, "channel")
         if "from" not in entry or "to" not in entry:
             raise GraphError(f"channel missing from/to: {entry}")

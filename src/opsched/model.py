@@ -183,9 +183,6 @@ def build_model(g: ComputationGraph, h: HardwareCluster,
                 raise ModelError(
                     f"operation {i!r} needs {need} memory units but no "
                     f"machine has that much capacity")
-    if opts.dynamic_loading and not g.weights:
-        raise ModelError("dynamic loading requested but the graph declares "
-                         "no weight assets")
     return ScheduleModel(graph=g, cluster=h, options=opts,
                          big_M=compute_horizon(g))
 
@@ -364,7 +361,9 @@ def _materialize(model: ScheduleModel) -> ConstraintStore:
     for (i, j), fv in first.items():
         b.add([(1, fv), (-1, x[i, j])], "<=", 0, "first-link")
     for j in machines:
-        b.add([(1, first[i, j]) for i in ops], "<=", 1, "first-link")
+        row = [(1, first[i, j]) for i in ops]
+        if row:  # empty on a graph without operations
+            b.add(row, "<=", 1, "first-link")
     for i in ops:
         b.add([(1, first[i, j]) for j in machines]
               + [(1, u[i1, i]) for i1 in ops if i1 != i], "==", 1,

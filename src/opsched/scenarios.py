@@ -19,14 +19,18 @@ DUALPIPE = "dualpipe"
 RELAXED = "relaxed"
 UNCAPPED = "uncapped"
 
+# DualPipe op durations, ints so graph documents read 1 and not 1.0, and
+# the ranges random DAG durations and weight memory are drawn from
+_FORWARD = _BACKWARD_INPUT = _BACKWARD_WEIGHT = 1
+_BACKWARD = _BACKWARD_INPUT + _BACKWARD_WEIGHT
+_DURATION_RANGE = (1, 10)
+_MEMORY_RANGE = (0, 4)
+
 
 @dataclass(frozen=True)
 class DualPipeSpec:
     pp: int
     micro_batches: int | None = None  # defaults to 2*pp
-    t_f: float = 1
-    t_i: float = 1
-    t_w: float = 1
     memory_mode: str = DUALPIPE
 
     def __post_init__(self):
@@ -39,10 +43,6 @@ class DualPipeSpec:
             raise ValueError(f"unknown memory_mode {self.memory_mode!r}")
 
     @property
-    def t_b(self) -> float:
-        return self.t_i + self.t_w
-
-    @property
     def n_micro_batches(self) -> int:
         return self.micro_batches if self.micro_batches is not None \
             else 2 * self.pp
@@ -53,8 +53,6 @@ class RandomDagSpec:
     nodes: int
     max_in_degree: int = 3
     max_out_degree: int = 3
-    duration_range: tuple[int, int] = (1, 10)
-    memory_range: tuple[int, int] = (0, 4)
     seed: int = 0
 
     def __post_init__(self):
@@ -88,11 +86,11 @@ def gen_dualpipe(spec: DualPipeSpec
     for m in range(1, mb + 1):
         for s in range(pp):
             ref = (f"w_s{s:02d}",)
-            ops.append(Operation(_op_id("f", m, s), spec.t_f,
+            ops.append(Operation(_op_id("f", m, s), _FORWARD,
                                  activation_delta=1, weight_refs=ref))
-            ops.append(Operation(_op_id("bi", m, s), spec.t_i,
+            ops.append(Operation(_op_id("bi", m, s), _BACKWARD_INPUT,
                                  weight_refs=ref))
-            ops.append(Operation(_op_id("bw", m, s), spec.t_w,
+            ops.append(Operation(_op_id("bw", m, s), _BACKWARD_WEIGHT,
                                  activation_delta=-1, weight_refs=ref))
         for s in range(pp - 1):
             edges.append(DependencyEdge(_op_id("f", m, s),
@@ -111,7 +109,7 @@ def gen_dualpipe(spec: DualPipeSpec
     elif spec.memory_mode == RELAXED:
         cap = 2 + 2 * (pp + 1)
     else:
-        cap = pp + 3 * mb * pp * max(spec.t_f, spec.t_i, spec.t_w, 1)
+        cap = pp + 3 * mb * pp
     machines = [Machine(f"d{d:02d}", cap) for d in range(pp)]
     channels = []
     for d in range(pp):
@@ -135,8 +133,8 @@ def gen_dualpipe(spec: DualPipeSpec
 
 def dualpipe_primal_bound(spec: DualPipeSpec) -> float:
     """Makespan target of the hand-designed bidirectional schedule:
-    per-device busy time plus (pp/2 - 1) * (t_f + 2*t_b - 3*t_w)."""
-    busy = spec.n_micro_batches * (spec.t_f + spec.t_i + spec.t_w)
+    per-device busy time plus `dualpipe_bubble_target`."""
+    busy = spec.n_micro_batches * (_FORWARD + _BACKWARD)
     return busy + dualpipe_bubble_target(spec)
 
 
@@ -146,9 +144,11 @@ def dualpipe_bubble_target(spec: DualPipeSpec) -> float:
 
     The bubble is per device, the makespan minus the device's busy time
     (`VerifyReport.pipeline_bubble`). Ops here never overlap, so
-    F&B = F + B and the formula is (pp/2 - 1)(t_f + 2*t_b - 3*t_w).
+    F&B = F + B and the formula is (pp/2 - 1)(F + 2B - 3W), with B the
+    backward-input op plus the backward-weight op.
     """
-    return (spec.pp // 2 - 1) * (spec.t_f + 2 * spec.t_b - 3 * spec.t_w)
+    return (spec.pp // 2 - 1) * (_FORWARD + 2 * _BACKWARD
+                                 - 3 * _BACKWARD_WEIGHT)
 
 
 def _rank_token_order(pp: int, half_batches: int, rank: int) -> list[tuple]:
@@ -257,7 +257,7 @@ def dualpipe_reference(spec: DualPipeSpec):
     """The hand-built bidirectional order (`dualpipe_order`) as a
     Solution, each operation at its earliest start.
 
-    At the default durations its makespan is busy + pp/2 - 1, within
+    With every op one unit long, its makespan is busy + pp/2 - 1, within
     ``dualpipe_primal_bound(spec)``, and its pipeline bubble is half of
     ``dualpipe_bubble_target(spec)``; it fits the DualPipe memory cap.
     """
@@ -292,8 +292,8 @@ def gen_random_dag(spec: RandomDagSpec) -> ComputationGraph:
 
     Nodes are created in index order; each samples up to max_in_degree
     predecessors among earlier nodes that still have spare out-degree.
-    Durations and memory are drawn uniformly from the declared integer
-    ranges. Identical specs produce identical graphs.
+    Durations and memory are drawn uniformly from `_DURATION_RANGE` and
+    `_MEMORY_RANGE`. Identical specs produce identical graphs.
     """
     rng = random.Random(spec.seed)
     width = max(3, len(str(spec.nodes - 1)))
@@ -305,8 +305,8 @@ def gen_random_dag(spec: RandomDagSpec) -> ComputationGraph:
     ops = []
     edges = []
     for idx, nid in enumerate(ids):
-        dur = rng.randint(*spec.duration_range)
-        mem = rng.randint(*spec.memory_range)
+        dur = rng.randint(*_DURATION_RANGE)
+        mem = rng.randint(*_MEMORY_RANGE)
         ops.append(Operation(nid, dur, weight_mem=mem))
         if idx:
             k = rng.randint(0, min(spec.max_in_degree, len(spare)))

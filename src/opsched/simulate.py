@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import ComputationGraph, HardwareCluster
+from .model import ModelOptions
 from .solver import Solution
 
 _EPS = 1e-9
@@ -39,25 +40,20 @@ class VerifyReport:
     per_device_bubble: dict[str, float] = field(default_factory=dict)
     bubble_total: float = 0.0
     pipeline_bubble: float = 0.0
-    memory_trace: dict[str, list[tuple[float, float]]] = \
-        field(default_factory=dict)
     channel_busy: dict[tuple[str, str], float] = field(default_factory=dict)
 
 
-def verify(g: ComputationGraph, h: HardwareCluster, sol: Solution, *,
-           capped: bool = True,
-           dynamic: bool | None = None) -> VerifyReport:
+def verify(g: ComputationGraph, h: HardwareCluster, sol: Solution,
+           options: ModelOptions) -> VerifyReport:
     """Replay `sol` against the problem and report feasibility and the
     schedule's measures (`VerifyReport`, both bubble definitions).
 
-    `dynamic` selects the weight-loading interpretation of memory; by
-    default it is inferred from the presence of load events or preloads.
-    With `capped` false, capacity violations are not flagged (levels are
-    still traced).
+    `options` are the instance's memory rules: with `dynamic_loading`
+    weights are resident only as the solution's preloads and load events
+    make them, and without `memory_capped` capacity is not checked.
     """
     assets = g.weights
-    if dynamic is None:
-        dynamic = bool(sol.load_events or sol.preloads)
+    capped, dynamic = options.memory_capped, options.dynamic_loading
 
     bad: list[tuple[str, tuple[str, ...], float]] = []
 
@@ -156,7 +152,6 @@ def verify(g: ComputationGraph, h: HardwareCluster, sol: Solution, *,
             flag("consumer-before-transfer", (a, b), sb)
 
     # (e)+(f) memory and weight presence, per machine chain
-    memory_trace: dict[str, list[tuple[float, float]]] = {}
     for j, ops in sorted(by_machine.items()):
         cap = h.machines[j].memory_capacity
         baselines: list[float] = []
@@ -203,7 +198,6 @@ def verify(g: ComputationGraph, h: HardwareCluster, sol: Solution, *,
             s, e = sol.op_times[i]
             trace.append((s, init + pre))
             trace.append((e, init + pre + g.operations[i].activation_delta))
-        memory_trace[j] = trace
         peak = max((lvl for _, lvl in trace), default=init)
         if capped and peak > cap + _EPS:
             at = next(t for t, lvl in trace if lvl == peak)
@@ -239,7 +233,6 @@ def verify(g: ComputationGraph, h: HardwareCluster, sol: Solution, *,
         per_device_bubble=per_device_bubble,
         bubble_total=bubble_total,
         pipeline_bubble=pipeline_bubble,
-        memory_trace=memory_trace,
         channel_busy=channel_busy,
     )
 

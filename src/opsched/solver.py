@@ -84,7 +84,7 @@ class Solution:
     load_events: list[tuple[str, str, str]] = field(default_factory=list)
     preloads: list[tuple[str, str]] = field(default_factory=list)
     bound: float | None = None
-    # what the search did: {"nodes", "timed_out", "stop", "root_bound"},
+    # what the search did: {"nodes", "stop", "root_bound"},
     # and "pruned" after a DFS (`_Search.pruned`); set by `solve`, left
     # out of to_dict() and of comparisons
     stats: dict | None = field(default=None, compare=False)
@@ -236,7 +236,6 @@ class _Instance:
         self.total_work = sum(self.dur)
 
         order = [self.idx[i] for i in g.topo_order()]
-        self.topo = order
         self.tail = [0.0] * self.n
         for k in reversed(order):
             self.tail[k] = max(
@@ -368,7 +367,6 @@ class _State:
         self.start = [0.0] * n
         self.end = [0.0] * n
         self.free = [0.0] * nm
-        self.busy = [0.0] * nm
         self.chan_free: dict[tuple[int, int], float] = {}
         self.mem = [_MEM0] * nm
         # per machine: static weight total (static mode); assets resident
@@ -470,7 +468,7 @@ def _dispatch(state: _State, k: int, m: int,
     end = start + inst.dur[k] + extra
     succs = inst.succs[k]
     chan_olds = []
-    undo = (k, m, state.free[m], state.busy[m], state.cur_max_end,
+    undo = (k, m, state.free[m], state.cur_max_end,
             state.mem[m], state.static_w[m], state.resident[m],
             state.ever[m], state.memo[m], chan_olds, new_comms,
             [state.est[sx] for sx in succs],
@@ -498,7 +496,6 @@ def _dispatch(state: _State, k: int, m: int,
     state.start[k] = start
     state.end[k] = end
     state.free[m] = end
-    state.busy[m] += inst.dur[k] + extra
     state.cur_max_end = max(state.cur_max_end, end)
     state.n_done += 1
     state.work_rem -= inst.dur[k]
@@ -521,11 +518,10 @@ def _dispatch(state: _State, k: int, m: int,
 
 def _undo(state: _State, undo: tuple):
     inst = state.inst
-    (k, m, free, busy, cur_max_end, mem, static_w, resident, ever, memo,
+    (k, m, free, cur_max_end, mem, static_w, resident, ever, memo,
      chan_olds, new_comms, est_olds, n_loads, n_preloads) = undo
     state.mach_of[k] = -1
     state.free[m] = free
-    state.busy[m] = busy
     state.cur_max_end = cur_max_end
     state.mem[m] = mem
     state.static_w[m] = static_w
@@ -567,7 +563,6 @@ class _Search:
         self.primal_bound = model.primal_bound
         self.deadline = _time.monotonic() + cfg.time_limit
         self.nodes = 0
-        self.timed_out = False
         # the budget that ended the search: "node-limit" or "time-limit"
         self.stop: str | None = None
         # the DFS's rejected placements by reason: candidates over the
@@ -599,15 +594,13 @@ class _Search:
     def out_of_budget(self) -> bool:
         self.nodes += 1
         if self.cfg.node_limit is not None and self.nodes > self.cfg.node_limit:
-            self.timed_out = True
             self.stop = "node-limit"
         elif self.nodes % 2048 == 0 and _time.monotonic() > self.deadline:
-            self.timed_out = True
             self.stop = "time-limit"
-        return self.timed_out
+        return self.stop is not None
 
     def should_stop(self) -> bool:
-        return self.timed_out or (self.incumbent_obj is not None
+        return self.stop is not None or (self.incumbent_obj is not None
                                   and self.incumbent_obj <= self.good_enough)
 
     def record_leaf(self, state: _State):
@@ -969,7 +962,7 @@ class _Search:
                 _undo(state, undo)
                 if self.should_stop():
                     return False
-        return complete and not self.timed_out
+        return complete and self.stop is None
 
     # ---- fixed-assignment mode ----
 
@@ -983,7 +976,7 @@ class _Search:
                 continue
             if not self._seq_dfs(_State(inst), assign):
                 complete = False
-        return complete and not self.timed_out
+        return complete and self.stop is None
 
     def _assignment_feasible(self, assign) -> bool:
         inst = self.inst
@@ -1078,7 +1071,7 @@ class _Search:
                 _undo(state, undo)
             if self.should_stop():
                 return False
-        return complete and not self.timed_out
+        return complete and self.stop is None
 
 
 # -- public API ------------------------------------------------------------------
@@ -1118,12 +1111,11 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None, *,
     # a search that neither ran out of budget nor explored its whole tree
     # stopped at an incumbent that meets the primal or the root bound
     stop = search.stop or ("exhausted" if exhausted else "bound-met")
-    stats = {"nodes": search.nodes, "timed_out": search.timed_out,
-             "stop": stop, "root_bound": root}
+    stats = {"nodes": search.nodes, "stop": stop, "root_bound": root}
     if dfs:
         stats["pruned"] = search.pruned
     if sol is None:
-        if search.timed_out:
+        if search.stop is not None:
             status = TIME_LIMIT
         elif exhausted and complete_mode and search.primal_bound is None:
             status = INFEASIBLE
@@ -1136,8 +1128,8 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None, *,
 
     if (exhausted and complete_mode) or sol.objective <= root + _EPS:
         return replace(sol, status=OPTIMAL, bound=sol.objective, stats=stats)
-    return replace(sol, status=TIME_LIMIT if search.timed_out else FEASIBLE,
-                   bound=root, stats=stats)
+    status = TIME_LIMIT if search.stop is not None else FEASIBLE
+    return replace(sol, status=status, bound=root, stats=stats)
 
 
 def warm_start(model: ScheduleModel, hint: Solution) -> Solution:
@@ -1145,9 +1137,7 @@ def warm_start(model: ScheduleModel, hint: Solution) -> Solution:
     pass to `solve(model, cfg, hint=...)`."""
     from .simulate import verify  # deferred to avoid a module cycle
 
-    report = verify(model.graph, model.cluster, hint,
-                    capped=model.options.memory_capped,
-                    dynamic=model.options.dynamic_loading)
+    report = verify(model.graph, model.cluster, hint, model.options)
     if not report.feasible:
         raise SolveError(
             "warm-start hint is infeasible: "

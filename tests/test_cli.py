@@ -78,6 +78,22 @@ class TestExport:
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("fmt", ["mps", "lp"])
+    def test_graph_without_operations_exports(self, tmp_path, capsys, fmt):
+        # the makespan is the model's one column; every row would be empty
+        inst = _write(tmp_path / "inst.json",
+                      dict(ONE_OP, graph={"operations": []}))
+        out = tmp_path / f"model.{fmt}"
+        assert main(["export", "-i", inst, "--format", fmt,
+                     "-o", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        text = out.read_text()
+        if fmt == "mps":
+            assert "* C0000001 = makespan" in text
+            assert "    C0000001  COST      1" in text.splitlines()
+        else:
+            assert "obj: C0000001" in text
+
+    @pytest.mark.parametrize("fmt", ["mps", "lp"])
     def test_no_collection_while_the_model_lives(self, tmp_path,
                                                  monkeypatch, fmt):
         # the writer switched the collector back on while the model was
@@ -263,6 +279,54 @@ class TestBadRoot:
         assert err.count("\n") == 1
 
 
+def _one_op_with(path, value):
+    """ONE_OP with a weight and options, and `value` put at `path`."""
+    doc = json.loads(json.dumps(ONE_OP))
+    doc["graph"]["weights"] = [{"id": "w", "size": 1}]
+    doc["options"] = {}
+    *parents, key = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    return doc
+
+
+class TestBadInstance:
+    @pytest.mark.parametrize("path, value", [
+        (("graph",), [1]),
+        (("cluster",), 7),
+        (("graph", "operations"), 5),
+        (("graph", "operations"), [1]),
+        (("graph", "edges"), [3]),
+        (("cluster", "channels"), [7]),
+        (("graph", "operations", 0, "weight_refs"), 7),
+        # a string would be read as a list of one-character ids
+        (("graph", "operations", 0, "weight_refs"), "w"),
+        (("options",), [1]),
+        # bool("false") is true
+        (("options", "memory_capped"), "false"),
+    ], ids=lambda v: json.dumps(v) if not isinstance(v, tuple)
+        else ".".join(map(str, v)))
+    def test_malformed_document_is_one_json_error(self, tmp_path, capsys,
+                                                  path, value):
+        inst = _write(tmp_path / "inst.json", _one_op_with(path, value))
+        out = tmp_path / "out.json"
+        assert main(["solve", "-i", inst, "-o", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == "bad-instance"
+        assert err.count("\n") == 1
+
+    def test_well_formed_document_solves(self, tmp_path):
+        # the base of the malformed cases above is itself valid
+        inst = _write(tmp_path / "inst.json",
+                      _one_op_with(("graph", "operations", 0, "weight_refs"),
+                                   ["w"]))
+        assert main(["solve", "-i", inst, "-o", str(tmp_path / "out")]) \
+            == EXIT_OK
+
+
 class TestBadNumbers:
     @pytest.mark.parametrize("duration", [
         float("inf"), pytest.param(10**400, id="int-beyond-float")],
@@ -381,8 +445,7 @@ class TestSolve:
         assert "stats" not in plain
         # the search reaches the root bound before the node budget
         assert stats.pop("stats") == {
-            "nodes": 25, "timed_out": False, "stop": "bound-met",
-            "root_bound": 12.0,
+            "nodes": 25, "stop": "bound-met", "root_bound": 12.0,
             "pruned": {"bound-before-dispatch": 0, "bound-after-dispatch": 0,
                        "memory": 6}}
         assert stats == plain
@@ -446,7 +509,7 @@ class TestSolve:
         doc = json.loads(out.read_text())
         # the status label stays time-limit for both budgets
         assert doc["solution"]["status"] == "time-limit"
-        assert doc["stats"]["stop"] == stop and doc["stats"]["timed_out"]
+        assert doc["stats"]["stop"] == stop
         assert doc["stats"]["nodes"] == (301 if stop == "node-limit"
                                          else 2048)
 

@@ -3,7 +3,7 @@ original operations."""
 import pytest
 
 from opsched.coarsen import CoarsenConfig, MergeRecord, coarsen
-from opsched.model import build_model
+from opsched.model import ModelOptions, build_model
 from opsched.simulate import expand_schedule, verify
 from opsched.solver import solve
 
@@ -33,12 +33,13 @@ def test_edge_merged_schedule_expands_to_feasible_original():
     coarse, records = coarsen(g, edge_merges_only(1))
     assert records and len(coarse) < len(g)
     sol = solve(build_model(coarse, h))
-    assert verify(coarse, h, sol).feasible
+    capped = ModelOptions(memory_capped=True)
+    assert verify(coarse, h, sol, capped).feasible
     expanded = expand_schedule(sol, records, g)
     assert set(expanded.assignment) == set(g.operations)
-    report = verify(g, h, expanded)
+    report = verify(g, h, expanded, capped)
     assert report.feasible, report.violations
-    assert report.makespan == verify(coarse, h, sol).makespan
+    assert report.makespan == verify(coarse, h, sol, capped).makespan
 
 
 def test_record_naming_unknown_operation_rejected():

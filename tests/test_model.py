@@ -43,11 +43,6 @@ class TestBuildValidation:
         h = cluster(2, cap=7)
         build_model(g, h, ModelOptions(memory_capped=True))
 
-    def test_dynamic_requires_weights(self):
-        g = graph([op("a", 1)])
-        with pytest.raises(ModelError, match="weight"):
-            build_model(g, cluster(1), ModelOptions(dynamic_loading=True))
-
     def test_dynamic_ignores_ref_sizes_in_fit_check(self):
         # with loading, the asset need not be resident alongside the
         # activation peak of a single op, so a tight cap is buildable

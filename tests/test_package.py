@@ -1,8 +1,9 @@
 """The package surface: every exported name resolves, no module or test
 file imports a name it never uses, no module defines a private
 top-level name it never uses, every keyword-only parameter of a public
-function is passed by name somewhere, and only `model` switches the
-cyclic garbage collector."""
+function is passed by name somewhere, every defaulted field of a public
+dataclass is set somewhere, and only `model` switches the cyclic
+garbage collector."""
 import ast
 import functools
 import pathlib
@@ -140,3 +141,68 @@ def test_every_keyword_only_knob_is_passed(path):
                                           filename=str(path)))
     assert [f"{f}({k}=)" for f, k in knobs
             if (f, k) not in _passed_by_name()] == []
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields(tree: ast.Module) -> dict[str, list[tuple[str, bool]]]:
+    """Public dataclass name -> its fields in order, each with whether it
+    has a default."""
+    return {cls.name: [(n.target.id, n.value is not None) for n in cls.body
+                       if isinstance(n, ast.AnnAssign)
+                       and isinstance(n.target, ast.Name)]
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            and _is_dataclass(cls)}
+
+
+@functools.cache
+def _fields_set() -> frozenset[tuple[str | None, str]]:
+    """(class, field) for every field a call in `src/` or the tests sets:
+    by keyword or position on a call to the class, by keyword on a call
+    that is handed the class (such as `cli._spec(DualPipeSpec, pp=...)`),
+    and (None, field) for a keyword of `dataclasses.replace`, whose
+    instance's class is not known here."""
+    fields = {}
+    for path in MODULES:
+        fields.update(_dataclass_fields(ast.parse(path.read_text())))
+    found = set()
+    for path in MODULES + TESTS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            keywords = [kw.arg for kw in node.keywords if kw.arg]
+            if name == "replace":
+                found.update((None, kw) for kw in keywords)
+            classes = [a.id for a in node.args
+                       if isinstance(a, ast.Name) and a.id in fields]
+            if name in fields:
+                classes.append(name)
+                for arg, (field, _) in zip(node.args, fields[name]):
+                    if isinstance(arg, ast.Starred):
+                        break
+                    found.add((name, field))
+            found.update((cls, kw) for cls in classes for kw in keywords)
+    return frozenset(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_defaulted_dataclass_field_is_set(path):
+    # a default that no caller overrides is a constant in disguise
+    fields_set = _fields_set()
+    unset = [f"{cls}.{field}"
+             for cls, fields in _dataclass_fields(
+                 ast.parse(path.read_text())).items()
+             for field, defaulted in fields
+             if defaulted and (cls, field) not in fields_set
+             and (None, field) not in fields_set]
+    assert unset == []

@@ -50,7 +50,7 @@ def packed_cases(draw):
 
 def _outcome(search, complete):
     inc = search.incumbent
-    return (complete, search.nodes, search.timed_out,
+    return (complete, search.nodes, search.stop,
             None if inc is None else inc.to_json())
 
 

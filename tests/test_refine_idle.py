@@ -79,13 +79,15 @@ def test_refined_schedule_is_feasible_and_no_worse(capped, case):
     if capped:
         # the least capacity the input fits, so many reorderings do not
         cap = next(c for c in range(1, roomy + 1) if verify(
-            g, cluster(nm, cap=c), sol, capped=True).feasible)
+            g, cluster(nm, cap=c), sol,
+            ModelOptions(memory_capped=True)).feasible)
     h = cluster(nm, cap=cap)
-    before = verify(g, h, sol, capped=capped)
+    options = ModelOptions(memory_capped=capped)
+    before = verify(g, h, sol, options)
     assert before.feasible
-    model = build_model(g, h, ModelOptions(memory_capped=capped))
+    model = build_model(g, h, options)
     out = refine_idle(model, sol, deadline=time.monotonic() + 0.05)
-    after = verify(g, h, out, capped=capped)
+    after = verify(g, h, out, options)
     assert after.feasible, after.violations
     assert out.assignment == sol.assignment
     assert out.status == sol.status and out.bound == sol.bound
@@ -102,10 +104,11 @@ def test_layout_without_interior_idle_is_returned_laid_out():
     sol = Solution(status="feasible", objective=4.0,
                    assignment={"a": "m0", "b": "m0"},
                    op_times={"a": (0.0, 1.0), "b": (3.0, 4.0)})
-    before = verify(g, h, sol)
+    capped = ModelOptions(memory_capped=True)
+    before = verify(g, h, sol, capped)
     assert (before.bubble_total, before.makespan) == (2, 4)
     out = refine_idle(build_model(g, h), sol)
-    after = verify(g, h, out)
+    after = verify(g, h, out, capped)
     assert after.feasible
     assert (after.bubble_total, after.makespan, out.objective) == (0, 2, 2)
     assert out.assignment == sol.assignment and out.status == sol.status

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from opsched.graph import dump_computation_graph
+from opsched.model import ModelOptions
 from opsched.scenarios import (DualPipeSpec, RandomDagSpec,
                                dualpipe_bubble_target, dualpipe_primal_bound,
                                dualpipe_reference, gen_dualpipe,
@@ -24,7 +25,7 @@ def test_reference_meets_bubble_target_at_pp2():
     # forward, input-gradient and weight-gradient per micro-batch and stage
     assert len(g) == 3 * spec.pp * spec.n_micro_batches
     sol = dualpipe_reference(spec)
-    report = verify(g, h, sol, capped=options.memory_capped)
+    report = verify(g, h, sol, options)
     assert report.feasible, report.violations
     assert report.bubble_total == dualpipe_bubble_target(spec)
     assert report.makespan <= dualpipe_primal_bound(spec)
@@ -38,7 +39,7 @@ def test_reference_has_half_the_formula_bubble(pp, bubble_total):
     spec = DualPipeSpec(pp=pp)
     g, h, options = gen_dualpipe(spec)
     assert options.memory_capped
-    report = verify(g, h, dualpipe_reference(spec), capped=True)
+    report = verify(g, h, dualpipe_reference(spec), options)
     assert report.feasible, report.violations
     assert report.makespan <= dualpipe_primal_bound(spec)
     assert report.pipeline_bubble == dualpipe_bubble_target(spec) / 2
@@ -53,10 +54,11 @@ def test_pipeline_bubble_counts_idle_at_the_ends_and_idle_machines():
                    assignment={"a": "m0", "b": "m0", "c": "m1"},
                    op_times={"a": (1.0, 2.0), "b": (3.0, 4.0),
                              "c": (0.0, 5.0)})
-    report = verify(g, cluster(2), sol)
+    capped = ModelOptions(memory_capped=True)
+    report = verify(g, cluster(2), sol, capped)
     assert report.feasible
     assert (report.bubble_total, report.pipeline_bubble) == (1, 3)
-    assert verify(g, cluster(3), sol).pipeline_bubble == 5
+    assert verify(g, cluster(3), sol, capped).pipeline_bubble == 5
 
 
 # spec -> (edges, sha256 of the sorted-key graph document); recorded

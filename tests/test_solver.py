@@ -94,7 +94,7 @@ class TestOracleAgreement:
             else:
                 assert sol.status == "optimal"
                 assert sol.objective == pytest.approx(expect)
-                assert verify(g, h, sol, capped=capped).feasible
+                assert verify(g, h, sol, model.options).feasible
 
     def test_dynamic_instances_match_enumeration(self):
         rng = random.Random(77)
@@ -205,11 +205,12 @@ class TestPostPasses:
                                     "u": "m0"},
                         op_times={"u": (0.0, 3.0), "a": (3.0, 4.0),
                                   "b": (4.0, 7.0), "c": (7.0, 8.0)})
-        assert verify(g, h, base).feasible
-        before = verify(g, h, base).bubble_total
+        capped = ModelOptions(memory_capped=True)
+        assert verify(g, h, base, capped).feasible
+        before = verify(g, h, base, capped).bubble_total
         assert before == 3.0
         refined = refine_idle(model, base)
-        rep = verify(g, h, refined)
+        rep = verify(g, h, refined, capped)
         assert rep.feasible
         assert rep.makespan <= base.objective
         assert rep.bubble_total < before
@@ -262,16 +263,16 @@ class TestSolveConfig:
         g = graph([op("a", 1), op("b", 2)], [edge("a", "b")])
         sol = solve(build(g, cluster(2)), SolveConfig(node_limit=0))
         assert sol.status == "time-limit" and sol.objective is None
-        assert sol.stats == {"nodes": 1, "timed_out": True,
-                             "stop": "node-limit", "root_bound": 3.0,
+        assert sol.stats == {"nodes": 1, "stop": "node-limit",
+                             "root_bound": 3.0,
                              "pruned": _NO_PRUNES}
 
     def test_stats_stay_out_of_the_document(self):
         g = graph([op("a", 1), op("b", 2)], [edge("a", "b")])
         sol = solve(build(g, cluster(2)))
         # the first schedule meets the root bound
-        assert sol.stats == {"nodes": 3, "timed_out": False,
-                             "stop": "bound-met", "root_bound": 3.0,
+        assert sol.stats == {"nodes": 3, "stop": "bound-met",
+                             "root_bound": 3.0,
                              "pruned": _NO_PRUNES}
         assert "stats" not in sol.to_dict()
         assert Solution.from_json(sol.to_json()).stats is None
@@ -297,4 +298,3 @@ class TestSolveConfig:
         sol = solve(build(g, cluster(2)))
         assert sol.status == "optimal" and sol.objective == 4
         assert sol.stats["stop"] == "exhausted"
-        assert not sol.stats["timed_out"]

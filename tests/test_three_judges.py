@@ -93,6 +93,25 @@ def test_zero_duration_transfer_waits_for_a_timed_one():
     model = build_model(g, h, ModelOptions(memory_capped=True))
     sol = solve(model, SolveConfig(time_limit=30))
     assert (sol.status, sol.objective) == ("optimal", 6)
-    assert verify(g, h, sol).feasible
+    assert verify(g, h, sol, model.options).feasible
     assert brute_force_makespan(g, h, capped=True) == 6
     assert highs_makespan(model) == pytest.approx(6)
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
+@pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
+def test_dynamic_loading_without_weights_is_static_loading(dynamic, capped):
+    # with no weight to load, dynamic loading changes nothing. Each
+    # transfer out of a takes 3, so a split placement ends at 6 at best:
+    # all three ops share a machine and end at 5, where free transfers
+    # would give 3
+    g = graph([op("a", 1), op("b", 2), op("c", 2)],
+              [edge("a", "b", 3), edge("a", "c", 3)])
+    h = cluster(2, cap=1)
+    options = ModelOptions(memory_capped=capped, dynamic_loading=dynamic)
+    model = build_model(g, h, options)
+    sol = solve(model, SolveConfig(time_limit=30))
+    assert sol.objective == 5 and verify(g, h, sol, options).feasible
+    assert len(set(sol.assignment.values())) == 1
+    assert brute_force_makespan(g, h, capped=capped) == 5
+    assert highs_makespan(model) == pytest.approx(5)
