@@ -19,12 +19,13 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 
 from .coarsen import CoarsenConfig, coarsen
 from .graph import (GraphError, dump_cluster, dump_computation_graph,
                     load_cluster, load_computation_graph)
-from .model import (ModelError, ModelOptions, _collector_paused,
-                    build_model, clear_primal_bound, set_primal_bound)
+from .model import (ModelError, ModelOptions, build_model,
+                    clear_primal_bound, set_primal_bound)
 from .mpswriter import export_lp, export_mps
 from .scenarios import (DualPipeSpec, RandomDagSpec, dualpipe_bubble_target,
                         dualpipe_primal_bound, dualpipe_reference,
@@ -110,9 +111,11 @@ def _parse_instance(doc: dict):
             and all(isinstance(v, bool) for v in opts.values())):
         raise CliError("bad-instance", "invalid instance document: options "
                        f"must be true or false, got {opts!r}", EXIT_USAGE)
-    return g, h, ModelOptions(
-        memory_capped=opts.get("memory_capped", False),
-        dynamic_loading=opts.get("dynamic_loading", False))
+    unknown = sorted(set(opts) - {f.name for f in fields(ModelOptions)})
+    if unknown:
+        raise CliError("bad-instance", "invalid instance document: unknown "
+                       f"option {', '.join(map(repr, unknown))}", EXIT_USAGE)
+    return g, h, ModelOptions(**opts)
 
 
 def _solution(doc: dict) -> Solution:
@@ -255,16 +258,12 @@ def _cmd_export(args) -> int:
             raise CliError("bad-input", str(exc), EXIT_USAGE)
         return EXIT_OK
     writer = export_mps if args.format == "mps" else export_lp
-    # the model goes before the collector comes back on, which would
-    # otherwise rescan the whole store once (see `model`)
-    with _collector_paused():
-        model = _build(doc)[2]
-        if args.output in (None, "-"):
-            writer(model, sys.stdout)
-        else:
-            with open(args.output, "w") as fh:
-                writer(model, fh)
-        del model
+    model = _build(doc)[2]
+    if args.output in (None, "-"):
+        writer(model, sys.stdout)
+    else:
+        with open(args.output, "w") as fh:
+            writer(model, fh)
     return EXIT_OK
 
 

@@ -277,7 +277,7 @@ def highs_makespan(model, time_limit=30.0):
     has no feasible point.
 
     The store goes to HiGHS through `scipy.optimize.milp` as the MPS
-    export states it: each row's terms summed per variable, every
+    export states it: the store's merged rows as they are held, every
     variable non-negative, and every binary one an integer at most 1.
     Callers guard it with ``pytest.importorskip("scipy")``.
     """
@@ -285,22 +285,19 @@ def highs_makespan(model, time_limit=30.0):
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import coo_array
 
-    refs = list(model.variables.values())
-    col = {ref: k for k, ref in enumerate(refs)}
-    rows, cols, vals, lo, hi = [], [], [], [], []
-    for r, con in enumerate(model.constraints):
-        for coef, ref in con.terms:
-            rows.append(r)
-            cols.append(col[ref])
-            vals.append(coef)
-        lo.append(-np.inf if con.sense == "<=" else con.rhs)
-        hi.append(np.inf if con.sense == ">=" else con.rhs)
-    # the conversion sums entries that repeat a (row, column)
-    matrix = coo_array((vals, (rows, cols)),
-                       shape=(len(lo), len(refs))).tocsr()
+    store = model.store
+    refs = list(store.variables.values())
+    ends = np.array(store.ends, dtype=np.int64)
+    rows = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+    rhs = np.array(store.rhs, dtype=float)
+    senses = np.array(store.senses)
+    lo = np.where(senses == "<=", -np.inf, rhs)
+    hi = np.where(senses == ">=", np.inf, rhs)
+    matrix = coo_array((np.array(store.coefs), (rows, np.array(store.cols))),
+                       shape=(len(ends), len(refs))).tocsr()
     binary = np.array([ref.domain == BINARY for ref in refs])
     cost = np.zeros(len(refs))
-    cost[col[model.objective]] = 1.0
+    cost[store.column(model.objective)] = 1.0
     res = milp(cost, constraints=LinearConstraint(matrix, lo, hi),
                integrality=binary,
                bounds=Bounds(0, np.where(binary, 1.0, np.inf)),

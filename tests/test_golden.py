@@ -14,12 +14,15 @@ the same float sums.
 
 Each export case hashes the MPS and the LP text of one model, and one
 case hashes the pp=4 DualPipe MPS (the benchmark's 16.5 MB artifact).
-The hand-built store is the only case whose rows repeat a variable, and
-its variable ``free`` is in no row. These digests were recorded when
-the co-location rows replaced the linearised products q = x·x and an
-MPS column that no row uses gained a zero objective entry;
-`test_three_judges.py` and the integer-point test of the co-location
-rows in `test_model.py` are the evidence that the new store is right.
+The hand-built store, made through `_Builder` like a generated one, is
+the only case whose rows repeat a variable, and its variable ``free`` is
+in no row. These digests were recorded when the co-location rows
+replaced the linearised products q = x·x and an MPS column that no row
+uses gained a zero objective entry; `test_three_judges.py` and the
+integer-point test of the co-location rows in `test_model.py` are the
+evidence that the new store is right. They held when the store moved
+from a named tuple per row to flat column arrays, merged as rows are
+added.
 
 The DFS cases below `dfs` were recorded while every DFS node still
 listed, sorted and filtered all (operation, machine) pairs and rescanned
@@ -51,9 +54,8 @@ from opsched.cli import _write_doc, main
 from opsched.coarsen import CoarsenConfig, coarsen
 from opsched.graph import (WeightAsset, dump_computation_graph, load_cluster,
                            load_computation_graph)
-from opsched.model import (BINARY, CONTINUOUS, ConstraintStore,
-                           LinearConstraint, ModelOptions, VarRef,
-                           build_model, clear_primal_bound, set_primal_bound)
+from opsched.model import (BINARY, ModelOptions, _Builder, build_model,
+                           clear_primal_bound, set_primal_bound)
 from opsched.mpswriter import export_lp, export_mps
 from opsched.scenarios import (DualPipeSpec, RandomDagSpec,
                                dualpipe_primal_bound, dualpipe_reference,
@@ -357,32 +359,31 @@ def fractional_dynamic():
 
 
 def hand_store():
-    # no generated model repeats a variable within a row, so this store
-    # is built by hand; `cached_property` reads the instance __dict__
+    # rows that repeat a variable, cancel or carry a zero coefficient,
+    # and numbers at 1e16, built by hand; `cached_property` reads the
+    # instance __dict__
     model = build_model(graph([op("a")]), cluster(1))
-    x = VarRef("x", ("a", "m0"), BINARY)
-    mk = VarRef("makespan", (), CONTINUOUS)
-    t = VarRef("t", ("a",), CONTINUOUS)
-    y = VarRef("y", ("p", "q"), BINARY)
-    free = VarRef("free", ("z",), CONTINUOUS)
-    b = VarRef("b", ("k",), BINARY)
-    rows = (
-        # x repeats: 0.0 + 1 + 3
-        LinearConstraint(((1, x), (2.5, t), (3, x)), "<=", 7, "repeat"),
-        # t repeats: 0.0 + 0.1 + 0.2 is not 0.3
-        LinearConstraint(((0.1, t), (1, y), (0.2, t)), ">=", 0.5, "repeat"),
-        # x cancels to 0 and is left out
-        LinearConstraint(((1, x), (1, mk), (-1, x)), "==", 0, "cancel"),
-        # a zero coefficient is left out
-        LinearConstraint(((0, y), (-1, mk)), ">=", -3, "zero"),
-        # int and float right-hand sides at 1e16 print differently
-        LinearConstraint(((1e16, b), (1, t)), "<=", 10**16, "int-rhs"),
-        LinearConstraint(((-2, b), (1, mk)), "<=", 1e16, "float-rhs"),
-        # an int coefficient at 1e16 prints as the float it sums to
-        LinearConstraint(((10**16, y), (-0.5, t)), ">=", 2.5e15, "int-coef"),
-    )
-    model.__dict__["store"] = ConstraintStore(
-        {(v.kind, v.indices): v for v in (x, mk, t, y, free, b)}, rows)
+    b = _Builder()
+    x = b.var("x", "a", "m0", domain=BINARY)
+    mk = b.var("makespan")
+    t = b.var("t", "a")
+    y = b.var("y", "p", "q", domain=BINARY)
+    b.var("free", "z")  # in no row
+    k = b.var("b", "k", domain=BINARY)
+    # x repeats: 0.0 + 1 + 3
+    b.add([(1, x), (2.5, t), (3, x)], "<=", 7, "repeat")
+    # t repeats: 0.0 + 0.1 + 0.2 is not 0.3
+    b.add([(0.1, t), (1, y), (0.2, t)], ">=", 0.5, "repeat")
+    # x cancels to 0 and is left out
+    b.add([(1, x), (1, mk), (-1, x)], "==", 0, "cancel")
+    # a zero coefficient is left out
+    b.add([(0, y), (-1, mk)], ">=", -3, "zero")
+    # int and float right-hand sides at 1e16 print differently
+    b.add([(1e16, k), (1, t)], "<=", 10**16, "int-rhs")
+    b.add([(-2, k), (1, mk)], "<=", 1e16, "float-rhs")
+    # an int coefficient at 1e16 prints as the float it sums to
+    b.add([(10**16, y), (-0.5, t)], ">=", 2.5e15, "int-coef")
+    model.__dict__["store"] = b.store()
     return model
 
 

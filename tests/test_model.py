@@ -6,8 +6,8 @@ import pytest
 from opsched.graph import WeightAsset
 from opsched.model import (BINARY, CAPACITY_TAG, CONTINUOUS, CORE_TAGS,
                            EXTENSION_TAGS, PRIMAL_BOUND_TAG, LinearConstraint,
-                           ModelError, ModelOptions, VarRef, build_model,
-                           clear_primal_bound, compute_horizon,
+                           ModelError, ModelOptions, VarRef, _Builder,
+                           build_model, clear_primal_bound, compute_horizon,
                            set_primal_bound)
 
 from conftest import cluster, edge, graph, op
@@ -134,7 +134,8 @@ class TestConstraintStore:
         m2 = build_model(g, cluster(2))
         assert [v.name for v in m1.variables.values()] == \
                [v.name for v in m2.variables.values()]
-        assert m1.constraints == m2.constraints
+        assert m1.store == m2.store
+        assert list(m1.constraints) == list(m2.constraints)
 
 
 class TestChannelOrdering:
@@ -188,6 +189,111 @@ def test_co_location_rows_exact_on_integer_points(nm):
         assert holds == (uv == 0 or ja == jb)
 
 
+class TestBuilder:
+    """`_Builder` merges each row once, as it is added, into the store's
+    flat columns; `constraints` reads the rows back."""
+
+    def _two_vars(self):
+        b = _Builder()
+        return b, b.var("x", "a", domain=BINARY), b.var("t", "a")
+
+    def test_var_numbers_columns_in_creation_order(self):
+        b, x, t = self._two_vars()
+        assert (x, t, b.var("x", "a")) == (0, 1, 0)
+        assert list(b.store().variables.values()) == [
+            VarRef("x", ("a",), BINARY), VarRef("t", ("a",), CONTINUOUS)]
+
+    def test_add_merges_in_order_of_first_occurrence(self):
+        b, x, t = self._two_vars()
+        b.add([(0.1, t), (1, x), (0.2, t), (0, x)], ">=", 10**16, "r")
+        b.add([(1, x), (-1, x)], "==", 0, "cancel")
+        store = b.store()
+        assert list(store.cols) == [t, x]
+        assert list(store.coefs) == [0.0 + 0.1 + 0.2, 1.0]
+        assert list(store.ends) == [2, 2]
+        merged, cancelled = store.constraints
+        assert merged.terms == ((0.1 + 0.2, VarRef("t", ("a",), CONTINUOUS)),
+                                (1.0, VarRef("x", ("a",), BINARY)))
+        # the right-hand side keeps its type: an int of 1e16 prints as one
+        assert type(merged.rhs) is int and merged.rhs == 10**16
+        # a row whose terms all cancel stays, with no terms
+        assert cancelled == ((), "==", 0, "cancel")
+
+    @pytest.mark.parametrize("terms, sense, error", [
+        ([], "<=", "^constraint needs at least one term$"),
+        ([(1, 0)], "<", "^bad sense '<'$"),
+    ])
+    def test_add_rejects_a_bad_row(self, terms, sense, error):
+        b, _, _ = self._two_vars()
+        with pytest.raises(ValueError, match=error):
+            b.add(terms, sense, 0, "t")
+        assert len(b.store().constraints) == 0
+
+    @pytest.mark.parametrize("col", [-1, 2])
+    def test_add_rejects_an_unknown_column(self, col):
+        b, x, _ = self._two_vars()
+        with pytest.raises(KeyError, match=f"column {col} is not a variable"):
+            b.add([(1, x), (1, col)], "<=", 0, "t")
+
+    def test_rows_repeat_a_shape(self):
+        b, x, t = self._two_vars()
+        b.rows([x, t, t, x, t, x], ((1.0, -1.0), "<=", 0, "one"),
+               ((2.0,), ">=", 1.5, "two"))
+        rows = [(tuple((c, v.kind) for c, v in r.terms), r.sense, r.rhs,
+                 r.tag) for r in b.store().constraints]
+        assert rows == [(((1.0, "x"), (-1.0, "t")), "<=", 0, "one"),
+                        (((2.0, "t"),), ">=", 1.5, "two"),
+                        (((1.0, "x"), (-1.0, "t")), "<=", 0, "one"),
+                        (((2.0, "x"),), ">=", 1.5, "two")]
+
+    def test_rows_with_a_zero_coefficient_merge(self):
+        # a big-M of 0 leaves its column out, as `add` would
+        b, x, t = self._two_vars()
+        b.rows([x, t], ((0, 1.0), "<=", 0, "m"))
+        store = b.store()
+        assert (list(store.cols), list(store.coefs)) == ([t], [1.0])
+
+    @pytest.mark.parametrize("cols, shape, error", [
+        ([0, 1, 0], ((1.0, 1.0), "<=", 0, "t"), "do not repeat a shape"),
+        ([0], ((), "<=", 0, "t"), "^constraint needs at least one term$"),
+        ([0], ((1.0,), "=", 0, "t"), "^bad sense '='$"),
+    ])
+    def test_rows_reject_a_bad_shape(self, cols, shape, error):
+        b, _, _ = self._two_vars()
+        with pytest.raises(ValueError, match=error):
+            b.rows(cols, shape)
+
+    def test_constraints_is_a_read_only_sequence(self):
+        m = build_model(small_graph(), cluster(2))
+        rows = m.constraints
+        assert len(rows) == len(m.store.ends) == len(list(rows))
+        assert rows[-1] == rows[len(rows) - 1] == list(rows)[-1]
+        assert rows[0] in rows
+        with pytest.raises(IndexError):
+            rows[len(rows)]
+        with pytest.raises(TypeError):
+            rows[0] = rows[1]
+        assert all(isinstance(r, LinearConstraint) and r.terms
+                   and all(type(c) is float for c, _ in r.terms)
+                   for r in rows)
+
+    def test_repeated_generated_column_is_merged(self):
+        # operation b holds weight memory, so its static baseline rows
+        # name x(b,j) twice: -Mm and -1, summed
+        m = build_model(small_graph(), cluster(2))
+        base = [r for r in m.constraints if r.tag == "mem-baseline"
+                and any(v.name == "m_minus(b)" for _, v in r.terms)]
+        assert len(base) == 2
+        for row in base:
+            refs = [v for _, v in row.terms]
+            assert len(refs) == len(set(refs))
+            j = next(v.indices[1] for v in refs if v.kind == "x"
+                     and v.indices[0] == "b")
+            coef = dict((v, c) for c, v in row.terms)[
+                m.variables["x", ("b", j)]]
+            assert coef == 0.0 - m.memory_big_M() - 1
+
+
 class TestRecords:
     """`VarRef` and `LinearConstraint` are named tuples that keep the
     contract of the frozen dataclasses they replaced."""
@@ -234,7 +340,7 @@ class TestRecords:
             assert r1 is not r2 and r1 == r2
             assert hash(r1) == hash(r2) == hash((r1.kind, r1.indices,
                                                  r1.domain))
-        assert m1.constraints == m2.constraints
+        assert list(m1.constraints) == list(m2.constraints)
         assert [hash(c) for c in m1.constraints] == \
                [hash(c) for c in m2.constraints]
 
