@@ -129,8 +129,8 @@ def _solution(doc: dict) -> Solution:
 
 
 def _spec(cls, **fields):
-    """Build a scenario spec or solve config, reporting a rejected value
-    as a usage error."""
+    """Build a scenario spec, coarsening config or solve config,
+    reporting a rejected value as a usage error."""
     try:
         return cls(**fields)
     except ValueError as exc:
@@ -172,10 +172,8 @@ def _cmd_coarsen(args) -> int:
     doc = _read_doc(args.input)
     g, h, options = _parse_instance(doc)
     budget = max(1, len(g) // 5) if args.to is None else args.to
-    if budget < 1:
-        raise CliError("bad-spec", f"--to must be >= 1, got {budget}",
-                       EXIT_USAGE)
-    coarse, records = coarsen(g, CoarsenConfig.for_graph(g, budget))
+    coarse, records = coarsen(g, _spec(CoarsenConfig.for_graph, g=g,
+                                       node_budget=budget))
     out = _instance_doc(coarse, h, options,
                         coarsen_records=[{"id": r.new_id,
                                           "absorbed": list(r.absorbed)}

@@ -13,11 +13,18 @@ budget is met or no candidate remains:
 Candidate selection ignores single-hop redundant edges so structurally
 important edges are not hidden by shortcuts.
 
-All merges act in place on one contraction state (`_Contraction`): the
-live operations, `succ[i] = {child: comm}` and `pred[i] = {parent}`
-adjacency, the set of operations each one reaches (a bit mask), and the
-sorted list of live ids. The `ComputationGraph` is built once, at the
-end.
+`coarsen` is the one entry point. All merges act in place on one
+contraction state (`_Contraction`): the live operations,
+`succ[i] = {child: comm}` and `pred[i] = {parent}` adjacency, the set of
+operations each one reaches (a bit mask), and the sorted list of live
+ids. The `ComputationGraph` is built once, at the end.
+
+`_Contraction.merge` checks nothing: `coarsen` hands it two distinct
+live operations and an id not yet in use, and neither kind of candidate
+can close a cycle. A non-edge pair has no path either way, and an edge
+candidate has no path besides its edge (the argument is at
+`edge_candidate`). Building the coarse graph still rejects a cycle, so a
+broken invariant fails loudly.
 
 The non-edge scan rests on one invariant: a pair of live operations that
 fails the non-edge test once fails it for as long as both live. A merge
@@ -40,7 +47,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph import ComputationGraph, DependencyEdge, GraphError, Operation
+from .graph import ComputationGraph, DependencyEdge, Operation
 
 
 @dataclass(frozen=True)
@@ -73,10 +80,12 @@ class CoarsenConfig:
         missed (n=400 random DAGs with budget 80 end at 82 to 91 nodes).
         """
         n = max(len(g), 1)
+        # the constructor rejects a budget below one
+        per_node = max(node_budget, 1)
         mean_dur = g.total_duration() / n
         mean_mem = (sum(op.weight_mem for op in g.operations.values()) / n)
-        edge_dur = max(2 * mean_dur, 2 * g.total_duration() / node_budget)
-        edge_mem = max(2 * mean_mem, 2 * n * mean_mem / node_budget)
+        edge_dur = max(2 * mean_dur, 2 * g.total_duration() / per_node)
+        edge_mem = max(2 * mean_mem, 2 * n * mean_mem / per_node)
         return cls(
             node_budget=node_budget,
             edge_merge_max_duration=edge_dur,
@@ -132,11 +141,12 @@ class _Contraction:
     def __len__(self) -> int:
         return len(self.ops)
 
-    def _path(self, x: str, y: str) -> bool:
-        """True iff a path of two or more edges leads from x to y."""
-        return any(s != y and self.reach[s] & self.bit[y]
-                   for s in self.succ[x])
-
+    # An edge candidate (a, b) cannot close a cycle. Suppose a path of two
+    # or more edges ran a -> x -> ... -> b. Then x is a successor of a
+    # other than b, so it is not kept: another successor of a is a
+    # predecessor of x. Following such predecessors inside succ[a] goes
+    # back in topological order, so the chain ends at a kept successor,
+    # which can only be b. So b -> ... -> x -> ... -> b would be a cycle.
     def edge_candidate(self, cfg: CoarsenConfig) -> tuple[str, str] | None:
         succ, pred = self.succ, self.pred
         kept = {a: [b for b in outs
@@ -174,17 +184,8 @@ class _Contraction:
             self.partners[a] = []
         return None
 
-    def merge(self, a: str, b: str, new_id: str) -> MergeRecord:
+    def merge(self, a: str, b: str, new_id: str) -> None:
         ops, succ, pred = self.ops, self.succ, self.pred
-        if a not in ops or b not in ops:
-            raise GraphError(f"cannot merge unknown operations {a!r}, {b!r}")
-        if a == b:
-            raise GraphError(f"cannot merge operation {a!r} with itself")
-        if self._path(a, b) or self._path(b, a):
-            raise GraphError(f"merging {a!r} and {b!r} would create a cycle")
-        if new_id in ops and new_id not in (a, b):
-            raise GraphError(f"merged id {new_id!r} already in use")
-
         oa, ob = ops.pop(a), ops.pop(b)
         ops[new_id] = Operation(
             id=new_id,
@@ -231,50 +232,12 @@ class _Contraction:
             del order[bisect_left(order, x)]
             self.partners.pop(x, None)
         order.insert(bisect_left(order, new_id), new_id)
-        return MergeRecord(new_id=new_id, absorbed=(a, b))
 
     def graph(self) -> ComputationGraph:
         edges = [DependencyEdge(p, c, w)
                  for p, outs in self.succ.items() for c, w in outs.items()]
         return ComputationGraph(self.ops.values(), edges,
                                 self.weights.values())
-
-
-def get_candidate_edge(g: ComputationGraph,
-                       cfg: CoarsenConfig) -> tuple[str, str] | None:
-    """Smallest qualifying adjacent pair, or None.
-
-    Evaluated on the graph with single-hop redundant edges removed: the
-    consumer must have exactly one predecessor and the producer exactly
-    one successor there, and the merged node must respect the edge-merge
-    thresholds.
-    """
-    return _Contraction(g).edge_candidate(cfg)
-
-
-def get_candidate_nonedge(g: ComputationGraph,
-                          cfg: CoarsenConfig) -> tuple[str, str] | None:
-    """Smallest qualifying unconnected pair, or None.
-
-    The pair must have no edge in either direction and merging it must
-    not create a cycle (no multi-hop path between the two in either
-    direction); stricter non-edge thresholds apply.
-    """
-    return _Contraction(g).nonedge_candidate(cfg)
-
-
-def merge_nodes(g: ComputationGraph, a: str, b: str,
-                new_id: str | None = None
-                ) -> tuple[ComputationGraph, MergeRecord]:
-    """Merge operations `a` and `b` into one node.
-
-    Attributes sum; incident edges are rewired to the merged node with
-    parallel edges collapsed (communication durations summed); the direct
-    edge between the pair, if any, disappears.
-    """
-    state = _Contraction(g)
-    rec = state.merge(a, b, f"{a}+{b}" if new_id is None else new_id)
-    return state.graph(), rec
 
 
 def coarsen(g: ComputationGraph, cfg: CoarsenConfig
@@ -299,26 +262,18 @@ def coarsen(g: ComputationGraph, cfg: CoarsenConfig
             if cand not in cur.ops and cand not in g.operations:
                 return cand
 
-    def apply(pair: tuple[str, str]) -> None:
-        a, b = pair
-        rec = cur.merge(a, b, fresh_id())
-        parts = origin.pop(a, [a]) + origin.pop(b, [b])
-        origin[rec.new_id] = parts
-
     while len(cur) > cfg.node_budget:
         merged_any = False
-        while len(cur) > cfg.node_budget:
-            pair = cur.edge_candidate(cfg)
-            if pair is None:
-                break
-            apply(pair)
-            merged_any = True
-        while len(cur) > cfg.node_budget:
-            pair = cur.nonedge_candidate(cfg)
-            if pair is None:
-                break
-            apply(pair)
-            merged_any = True
+        for find in (cur.edge_candidate, cur.nonedge_candidate):
+            while len(cur) > cfg.node_budget:
+                pair = find(cfg)
+                if pair is None:
+                    break
+                a, b = pair
+                new_id = fresh_id()
+                cur.merge(a, b, new_id)
+                origin[new_id] = origin.pop(a, [a]) + origin.pop(b, [b])
+                merged_any = True
         if not merged_any:
             break
 

@@ -129,8 +129,6 @@ class ComputationGraph:
                     raise GraphError(
                         f"operation {op.id!r} references unknown weight {ref!r}")
 
-        self._succ: dict[str, tuple[str, ...]] = {}
-        self._pred: dict[str, tuple[str, ...]] = {}
         succ: dict[str, list[str]] = {i: [] for i in self._ops}
         pred: dict[str, list[str]] = {i: [] for i in self._ops}
         for (a, b) in self._edges:

@@ -78,23 +78,11 @@ class VarRef(NamedTuple):
         return f"{self.kind}({','.join(self.indices)})"
 
 
-class _Row(NamedTuple):
+class LinearConstraint(NamedTuple):
     terms: tuple[tuple[float, VarRef], ...]
     sense: str  # "<=", ">=", "=="
     rhs: float
     tag: str
-
-
-class LinearConstraint(_Row):
-    __slots__ = ()
-
-    def __new__(cls, terms: tuple[tuple[float, VarRef], ...], sense: str,
-                rhs: float, tag: str) -> "LinearConstraint":
-        if not terms:
-            raise ValueError("constraint needs at least one term")
-        if sense not in ("<=", ">=", "=="):
-            raise ValueError(f"bad sense {sense!r}")
-        return tuple.__new__(cls, (terms, sense, rhs, tag))
 
 
 @dataclass(frozen=True)
@@ -191,10 +179,7 @@ class _Rows(Sequence):
         hi = st.ends[r]
         terms = tuple(zip(st.coefs[lo:hi],
                           map(self._refs.__getitem__, st.cols[lo:hi])))
-        # not through the constructor: it rejects the empty terms of a
-        # row whose terms all cancel
-        return tuple.__new__(LinearConstraint,
-                             (terms, st.senses[r], st.rhs[r], st.tags[r]))
+        return LinearConstraint(terms, st.senses[r], st.rhs[r], st.tags[r])
 
     def __getitem__(self, r: int) -> LinearConstraint:
         n = len(self)

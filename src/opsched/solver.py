@@ -16,8 +16,9 @@ Three search modes share the same bounding machinery:
   scenarios; with contended nonzero transfers it is a strong primal
   heuristic.
 * fixed-assignment sequencing — enumerates machine assignments, then
-  branches on the dispatch order of operations and nonzero transfers.
-  Complete for any instance, practical at desk scale only.
+  branches on the dispatch order of operations and nonzero transfers,
+  and under dynamic loading on each way to load an op's weights, as the
+  DFS does. Complete for any instance, practical at desk scale only.
 
 Lower bounds combine the remaining critical path with an aggregate
 machine-load bound; the DFS checks a placement's own end and the idle it
@@ -1062,13 +1063,17 @@ class _Search:
                     state.chan_free[j1, j2] = old
             else:
                 _, k, m = task
-                undo = _dispatch(state, k, m)
-                if undo is None:
-                    continue
-                if self._seq_bound(state, assign) <= self.limit() + _EPS:
-                    if not self._seq_dfs(state, assign):
-                        complete = False
-                _undo(state, undo)
+                # as in `_dfs`: each way to load the weights k needs
+                for ext in self._ext_choices(state, k, m):
+                    undo = _dispatch(state, k, m, *ext)
+                    if undo is None:
+                        continue
+                    if self._seq_bound(state, assign) <= self.limit() + _EPS:
+                        if not self._seq_dfs(state, assign):
+                            complete = False
+                    _undo(state, undo)
+                    if self.should_stop():
+                        return False
             if self.should_stop():
                 return False
         return complete and self.stop is None
@@ -1087,6 +1092,11 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None, *,
     The result is the search's incumbent as found; `solve` runs no
     post-pass on it.
 
+    The fixed-assignment enumeration runs when some communication
+    duration is nonzero and machines ** ops is at most
+    `_ENUMERATION_LIMIT`, under static or dynamic weight loading; the
+    other instances go to the saturation search and the DFS.
+
     The result's ``status`` is ``optimal`` only when the explored mode is
     complete for the instance (all-zero communication durations, or the
     fixed-assignment enumeration was used) and the search ran to
@@ -1095,8 +1105,7 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None, *,
     search = _Search(model, cfg or SolveConfig(), hint)
     inst = search.inst
     dfs = False
-    if (not inst.zero_comm and not inst.dynamic
-            and inst.nm ** inst.n <= _ENUMERATION_LIMIT):
+    if not inst.zero_comm and inst.nm ** inst.n <= _ENUMERATION_LIMIT:
         exhausted = search.run_fixed_assignment()
         complete_mode = True
     else:

@@ -1,16 +1,15 @@
 """In-place contraction against candidate searches that start afresh.
 
 `coarsen` keeps one contraction state and never rechecks a non-edge
-pair that failed once. `get_candidate_edge`, `get_candidate_nonedge` and
-`merge_nodes` each start again from a graph. Replaying coarsen's passes
-through them must give the same merges, which checks the incremental
-bookkeeping on more graphs than the golden digests cover.
+pair that failed once. The reference here builds a new `_Contraction`
+from the current graph for each candidate search and each merge.
+Replaying coarsen's passes that way must give the same merges, which
+checks the incremental bookkeeping on more graphs than the golden
+digests cover.
 """
 import pytest
 
-from opsched.coarsen import (CoarsenConfig, coarsen, get_candidate_edge,
-                             get_candidate_nonedge, merge_nodes)
-from opsched.graph import GraphError
+from opsched.coarsen import CoarsenConfig, _Contraction, coarsen
 from opsched.scenarios import RandomDagSpec, gen_random_dag
 
 from conftest import edge, graph, op
@@ -20,18 +19,21 @@ def stepwise(g, cfg):
     cur, origin, counter = g, {}, 0
     while len(cur) > cfg.node_budget:
         merged_any = False
-        for find in (get_candidate_edge, get_candidate_nonedge):
+        for find in (_Contraction.edge_candidate,
+                     _Contraction.nonedge_candidate):
             while len(cur) > cfg.node_budget:
-                pair = find(cur, cfg)
+                pair = find(_Contraction(cur), cfg)
                 if pair is None:
                     break
                 counter += 1
                 while f"m{counter:03d}" in cur.operations \
                         or f"m{counter:03d}" in g.operations:
                     counter += 1
-                a, b = pair
-                cur, rec = merge_nodes(cur, a, b, f"m{counter:03d}")
-                origin[rec.new_id] = origin.pop(a, {a}) | origin.pop(b, {b})
+                a, b, new_id = *pair, f"m{counter:03d}"
+                state = _Contraction(cur)
+                state.merge(a, b, new_id)
+                cur = state.graph()
+                origin[new_id] = origin.pop(a, {a}) | origin.pop(b, {b})
                 merged_any = True
         if not merged_any:
             break
@@ -57,9 +59,3 @@ def test_coarsen_matches_stepwise_search(seed):
     expected, origin = stepwise(g, cfg)
     assert coarse == expected
     assert {r.new_id: set(r.absorbed) for r in records} == origin
-
-
-def test_self_merge_rejected():
-    g = graph([op("a"), op("b")], [edge("a", "b")])
-    with pytest.raises(GraphError, match="itself"):
-        merge_nodes(g, "a", "a")

@@ -1,9 +1,10 @@
 """The package surface: every exported name resolves, no module or test
 file imports a name it never uses, no module defines a private
-top-level name it never uses, every keyword-only parameter of a public
-function is passed by name somewhere, every defaulted field of a public
-dataclass is set somewhere, and only `model` switches the cyclic
-garbage collector."""
+top-level name it never uses, every public top-level function or class
+is exported or named by code in `src/` or `bench/`, every keyword-only
+parameter of a public function is passed by name somewhere, every
+defaulted field of a public dataclass is set somewhere, and only `model`
+switches the cyclic garbage collector."""
 import ast
 import functools
 import pathlib
@@ -15,6 +16,7 @@ import opsched
 SRC = pathlib.Path(opsched.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+BENCH = sorted((pathlib.Path(__file__).parent.parent / "bench").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", opsched.__all__)
@@ -76,6 +78,33 @@ def test_no_unused_private_names(path):
     # a private helper left behind by a half-done deletion
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_private_names(tree) == []
+
+
+@functools.cache
+def _named_by_program() -> frozenset[str]:
+    """Every name that code in `src/` or `bench/` loads, reads as an
+    attribute or imports."""
+    named = set()
+    for path in sorted(SRC.glob("*.py")) + BENCH:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+    return frozenset(named)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_definition_is_reached(path):
+    # a public helper that only tests call is a second way in to keep up
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [f"{node.name} (line {node.lineno})" for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in opsched.__all__
+            and node.name not in _named_by_program()] == []
 
 
 _COLLECTOR_SWITCHES = ("disable", "freeze", "set_threshold")

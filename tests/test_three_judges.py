@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from opsched.graph import HardwareCluster, Machine
+from opsched.graph import (ComputationGraph, DependencyEdge, HardwareCluster,
+                           Machine)
 from opsched.model import ModelError, ModelOptions, build_model
 from opsched.simulate import verify
 from opsched.solver import SolveConfig, solve
@@ -111,7 +112,41 @@ def test_dynamic_loading_without_weights_is_static_loading(dynamic, capped):
     options = ModelOptions(memory_capped=capped, dynamic_loading=dynamic)
     model = build_model(g, h, options)
     sol = solve(model, SolveConfig(time_limit=30))
+    # the assignment enumeration covers dynamic loading too
+    assert sol.status == "optimal"
     assert sol.objective == 5 and verify(g, h, sol, options).feasible
     assert len(set(sol.assignment.values())) == 1
     assert brute_force_makespan(g, h, capped=capped) == 5
     assert highs_makespan(model) == pytest.approx(5)
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
+def test_dynamic_loading_with_timed_transfers(capped):
+    # the brute-force loading oracle takes no transfer times, so here two
+    # judges agree: the assignment enumeration, which branches on each
+    # way to load the weights, and HiGHS
+    compared = 0
+    for seed in range(40):
+        rng = random.Random(1000 + seed)
+        g, h = random_loading_instance(rng)
+        if len(h.machines) < 2 or not g.edges:
+            continue
+        g = ComputationGraph(
+            g.operations.values(),
+            [DependencyEdge(a, b, rng.randint(1, 3)) for (a, b) in g.edges],
+            g.weights.values())
+        options = ModelOptions(memory_capped=capped, dynamic_loading=True)
+        try:
+            model = build_model(g, h, options)
+        except ModelError:
+            continue
+        sol = solve(model, SolveConfig(time_limit=30))
+        got = highs_makespan(model)
+        if got is None:
+            assert sol.status == "infeasible", seed
+        else:
+            assert sol.status == "optimal", seed
+            assert sol.objective == pytest.approx(got), seed
+            assert verify(g, h, sol, options).feasible, seed
+        compared += 1
+    assert compared >= 10
