@@ -79,6 +79,14 @@ def _read_doc(path: str | None) -> dict:
     return doc
 
 
+def _open_output(path: str):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise CliError("bad-output", f"cannot write output: {exc}",
+                       EXIT_USAGE)
+
+
 def _write_doc(doc: dict, path: str | None):
     # no indent: with one, `json.dumps` leaves its C encoder for the
     # pure-Python one, several times slower on a solved instance
@@ -86,7 +94,7 @@ def _write_doc(doc: dict, path: str | None):
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with _open_output(path) as fh:
             fh.write(text)
 
 
@@ -256,11 +264,13 @@ def _cmd_export(args) -> int:
             raise CliError("bad-input", str(exc), EXIT_USAGE)
         return EXIT_OK
     writer = export_mps if args.format == "mps" else export_lp
+    # built before the output is opened: a model that cannot be built
+    # leaves no file behind
     model = _build(doc)[2]
     if args.output in (None, "-"):
         writer(model, sys.stdout)
     else:
-        with open(args.output, "w") as fh:
+        with _open_output(args.output) as fh:
             writer(model, fh)
     return EXIT_OK
 

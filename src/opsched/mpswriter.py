@@ -16,34 +16,36 @@ right-hand side is formatted once per distinct ``(type, value)``: an
 int of 1e15 or more prints differently from the equal float, so the
 type is part of the key.
 
-MPS lists the matrix column by column. `_by_column` transposes the
-row-major entries once, with one sort of plain ints, into compressed
-columns: each column's row numbers and coefficients in row order, in
-two arrays. The objective is one more row, so the objective column's
-``COST 1`` and the ``COST 0`` of a column that no row uses are entries
-like any other. COLUMNS is then joined from strings that already
-exist, a column's padded name, a row's padded name and a coefficient's
-text, without a string per entry.
+MPS lists the matrix column by column. `export_mps` transposes the
+row-major entries once into one list per column, filled at C speed:
+each entry appends two strings that already exist, its row's padded
+name (one list of them) and its coefficient's text (the cache), so an
+entry costs two pointers and no object of its own. The store's entries
+run row by row, so each column's list is in row order. The objective
+is one more row, seeded first in the objective column's list; a column
+that no row uses writes the objective row's ``COST 0``. COLUMNS is then
+joined from those strings and each column's padded name, without a
+string per entry, and a column's list is dropped once it is written.
 
-The text is written as it is produced, in chunks of lines, never
-joined whole: the pp=4 MPS is 16.5 MB, and a joined copy would add its
+The text is written as it is produced, in chunks of lines (COLUMNS in
+whole matrix columns, as many as make about a chunk), never joined
+whole: the pp=4 MPS is 16.5 MB, and a joined copy would add its
 size, and that of its pieces, to the peak memory of an export that
 already holds the materialised model.
 """
 from __future__ import annotations
 
-from array import array
-from collections import Counter
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, mod, mul, ne, sub
-from typing import IO, Iterable
+from itertools import chain, compress, islice, repeat
+from operator import add, ne, sub
+from typing import IO, Iterable, Iterator
 
-from .model import BINARY, ConstraintStore, ScheduleModel
+from .model import BINARY, ScheduleModel
 
 __all__ = ["export_mps", "export_lp"]
 
 _OBJ = "COST"
-# lines (or matrix columns, in COLUMNS) per joined write
+# lines per joined write; a COLUMNS write ends with a whole matrix
+# column, so it may run over by up to one column
 _CHUNK = 4096
 
 
@@ -69,8 +71,8 @@ class _CoefText(dict):
         return text
 
 
-def _names(prefix: str, n: int) -> list[str]:
-    return list(map(f"{prefix}%07d".__mod__, range(1, n + 1)))
+def _names(prefix: str, n: int) -> Iterator[str]:
+    return map(f"{prefix}%07d".__mod__, range(1, n + 1))
 
 
 def _write_lines(w, n: int, *parts: str | Iterable[str]) -> None:
@@ -86,46 +88,6 @@ def _write_lines(w, n: int, *parts: str | Iterable[str]) -> None:
         w("".join(pieces))
 
 
-class _ByColumn:
-    """The matrix in compressed columns, objective row included.
-
-    Column c's entries are the sorted positions ``starts[c]`` to
-    ``starts[c + 1]``, in row order; `entries` gives the entry numbers
-    at a range of positions, and entry k lies in row ``row_of[k]`` with
-    coefficient ``value[k]``. Row number ``len(store.ends)`` is the
-    objective, with ``1.0`` on column `obj` and ``0.0`` on each column
-    that no row names, so every column has an entry.
-
-    The entries are sorted as plain ints, ``column * n + k`` for n
-    entries: one list of ints, where sorting the entry numbers by a key
-    would hold two.
-    """
-
-    def __init__(self, store: ConstraintStore, obj: int):
-        cols, ends = store.cols, store.ends
-        nrows, ncols = len(ends), len(store.variables)
-        counts = Counter(cols)
-        lead = [obj] + [c for c in range(ncols)
-                        if c not in counts and c != obj]
-        counts.update(lead)
-        self.starts = [0, *accumulate(map(counts.__getitem__,
-                                          range(ncols)))]
-        # the lead's entries first, then the store's, so the objective
-        # row comes first in its columns
-        self._n = n = len(lead) + len(cols)
-        self._keys = list(map(add, map(mul, chain(lead, cols), repeat(n)),
-                              range(n)))
-        self._keys.sort()
-        self.row_of = array("i", repeat(nrows, len(lead)))
-        self.row_of.extend(chain.from_iterable(
-            map(repeat, range(nrows), map(sub, ends, chain((0,), ends)))))
-        self.value = array("d", [1.0, *repeat(0.0, len(lead) - 1)])
-        self.value.extend(store.coefs)
-
-    def entries(self, lo: int, hi: int) -> list[int]:
-        return list(map(mod, self._keys[lo:hi], repeat(self._n)))
-
-
 def export_mps(model: ScheduleModel, dest: IO[str]) -> None:
     """Write the model as a fixed-format MPS document.
 
@@ -138,7 +100,7 @@ def export_mps(model: ScheduleModel, dest: IO[str]) -> None:
     store = model.store
     refs = list(store.variables.values())
     ncols, nrows = len(refs), len(store.ends)
-    cnames = _names("C", ncols)
+    cnames = list(_names("C", ncols))
     w = dest.write
     w("* generated schedule model\n")
     _write_lines(w, ncols, "* ", cnames, " = ", (ref.name for ref in refs),
@@ -146,45 +108,51 @@ def export_mps(model: ScheduleModel, dest: IO[str]) -> None:
     w("NAME          SCHEDULE\n")
     w("ROWS\n")
     w(f" N  {_OBJ}\n")
-    # padded row names, and the objective's after them
-    rnames = list(map("%-10s".__mod__, _names("R", nrows)))
-    rnames.append(f"{_OBJ:<10}")
     sense_code = {"<=": " L  ", ">=": " G  ", "==": " E  "}
     _write_lines(w, nrows, map(sense_code.__getitem__, store.senses),
-                 map(str.rstrip, rnames), "\n")
+                 _names("R", nrows), "\n")
 
-    matrix = _ByColumn(store, store.column(model.objective))
-    starts, row_of, value = matrix.starts, matrix.row_of, matrix.value
-    heads = list(map("    %-10s".__mod__, cnames))
+    # each column's entries in row order, as the padded row name and the
+    # coefficient text of each in turn: strings that exist once each
+    rnames = list(map("%-10s".__mod__, _names("R", nrows)))
+    cost = f"{_OBJ:<10}"
     text = _CoefText()
+    by_col = [[] for _ in range(ncols)]
+    by_col[store.column(model.objective)] += (cost, text[1.0])
+    row_of_entry = chain.from_iterable(
+        map(repeat, rnames, map(sub, store.ends, chain((0,), store.ends))))
+    any(map(list.extend, map(by_col.__getitem__, store.cols),
+            zip(row_of_entry, map(text.__getitem__, store.coefs))))
+    unused = (cost, text[0.0])
     w("COLUMNS\n")
     marker = 0
-    c = 0
-    while c < ncols:
-        # a run of columns of one domain, between two markers
-        binary = refs[c].domain == BINARY
-        end = c + 1
-        while end < ncols and (refs[end].domain == BINARY) == binary:
-            end += 1
-        if binary or marker:
+    binary = False
+    pieces = []
+    lines = 0
+    for c, (cname, ref) in enumerate(zip(cnames, refs)):
+        if (ref.domain == BINARY) != binary:
+            # a run of columns of one domain starts
+            binary = not binary
             marker += 1
             kind = "'INTORG'" if binary else "'INTEND'"
-            w(f"    MARKER{marker:04d}  'MARKER'                 {kind}\n")
-        # each entry's column head, then its row and coefficient
-        head = chain.from_iterable(map(repeat, heads[c:end],
-                                       map(sub, starts[c + 1:end + 1],
-                                           starts[c:end])))
-        for lo in range(starts[c], starts[end], _CHUNK):
-            entries = matrix.entries(lo, min(lo + _CHUNK, starts[end]))
-            _write_lines(
-                w, len(entries), head,
-                map(rnames.__getitem__, map(row_of.__getitem__, entries)),
-                map(text.__getitem__, map(value.__getitem__, entries)))
-        c = end
-    if refs and refs[-1].domain == BINARY:
+            pieces.append(
+                f"    MARKER{marker:04d}  'MARKER'                 {kind}\n")
+            lines += 1
+        entries = by_col[c] or unused
+        by_col[c] = None
+        lines += len(entries) // 2
+        pairs = iter(entries)
+        pieces += chain.from_iterable(zip(repeat("    %-10s" % cname), pairs,
+                                          pairs))
+        if lines >= _CHUNK:
+            w("".join(pieces))
+            pieces = []
+            lines = 0
+    if binary:
         marker += 1
-        w(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'\n")
-    del matrix, starts, row_of, value
+        pieces.append(
+            f"    MARKER{marker:04d}  'MARKER'                 'INTEND'\n")
+    w("".join(pieces))
 
     w("RHS\n")
     rhs_text = _RhsText()
@@ -210,7 +178,7 @@ def export_lp(model: ScheduleModel, dest: IO[str]) -> None:
     """
     store = model.store
     refs = list(store.variables.values())
-    names = _names("C", len(refs))
+    names = list(_names("C", len(refs)))
     obj = store.column(model.objective)
     named = set(store.cols)
     named.add(obj)

@@ -8,8 +8,8 @@ import weakref
 import pytest
 
 from opsched import cli
-from opsched.cli import (EXIT_ERROR, EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS,
-                         main)
+from opsched.cli import (EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE,
+                         EXIT_VIOLATIONS, main)
 from opsched.graph import load_computation_graph
 from opsched.scenarios import DualPipeSpec, dualpipe_bubble_target
 from opsched.trace import US_PER_UNIT
@@ -122,7 +122,9 @@ class TestExport:
         finally:
             gc.callbacks.remove(on_collect)
         assert len(models) == 1 and models[0]() is None
-        # 7 for MPS and 5 for LP with CPython 3.11's default thresholds
+        # 9 for MPS and 5 for LP with CPython 3.11's default thresholds;
+        # the MPS writer's per-column lists are containers the collector
+        # tracks
         assert len(starts) <= 15
 
     def _solved_pp2(self, tmp_path):
@@ -362,6 +364,36 @@ class TestBadNumbers:
                      "-o", str(tmp_path / "model.mps")]) == EXIT_USAGE
         assert json.loads(capsys.readouterr().err)["error"] \
             == "bad-instance"
+
+
+class TestBadOutput:
+    @pytest.mark.parametrize("argv", [
+        ["export", "--format", "mps"], ["export", "--format", "lp"],
+        ["solve"], ["gen", "dualpipe", "--pp", "2"]], ids=" ".join)
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_output_is_one_json_error(self, tmp_path, capsys,
+                                                 argv, where):
+        if argv[0] != "gen":
+            argv = argv + ["-i", _write(tmp_path / "inst.json", ONE_OP)]
+        out = tmp_path / "missing" / "out" if where == "missing-directory" \
+            else tmp_path
+        assert main(argv + ["-o", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == "bad-output"
+        assert err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
+    def test_model_error_leaves_no_file(self, tmp_path, capsys):
+        # the model is built before the output is opened
+        doc = json.loads(json.dumps(ONE_OP))
+        doc["graph"]["operations"][0]["weight_mem"] = 5
+        doc["options"] = {"memory_capped": True}
+        inst = _write(tmp_path / "inst.json", doc)
+        out = tmp_path / "model.mps"
+        assert main(["export", "-i", inst, "--format", "mps",
+                     "-o", str(out)]) == EXIT_INFEASIBLE
+        assert json.loads(capsys.readouterr().err)["error"] == "infeasible"
+        assert not out.exists()
 
 
 class TestGen:
