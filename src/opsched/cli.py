@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from .coarsen import CoarsenConfig, coarsen
 from .graph import (GraphError, dump_cluster, dump_computation_graph,
@@ -101,8 +101,7 @@ def _write_doc(doc: dict, path: str | None):
 def _instance_doc(g, h, options: ModelOptions, **extra) -> dict:
     doc = {"graph": dump_computation_graph(g),
            "cluster": dump_cluster(h),
-           "options": {"memory_capped": options.memory_capped,
-                       "dynamic_loading": options.dynamic_loading}}
+           "options": asdict(options)}
     doc.update(extra)
     return doc
 
@@ -220,10 +219,16 @@ def _cmd_solve(args) -> int:
         return _fail("infeasible", "no feasible schedule exists",
                      EXIT_INFEASIBLE, tags=["assign", "dep-order"])
     if sol.objective is None:
+        if sol.stats["stop"] != "exhausted":
+            message = "search budget exhausted without a feasible schedule"
+        elif model.primal_bound is None:
+            message = "search tree exhausted without a feasible schedule"
+        else:
+            message = ("search tree exhausted without a schedule within the "
+                       "primal bound")
         extra = {"stats": sol.stats} if args.stats else {}
-        return _fail("no-incumbent",
-                     "search budget exhausted without a feasible schedule",
-                     EXIT_ERROR, status=sol.status, **extra)
+        return _fail("no-incumbent", message, EXIT_ERROR, status=sol.status,
+                     **extra)
     out = dict(doc)
     out["solution"] = sol.to_dict()
     if args.stats:

@@ -1,18 +1,20 @@
-"""Computation DAG and hardware cluster model, plus file ingestion.
+"""Computation DAG and hardware cluster model, and their documents.
 
 The computation graph holds operations (durations, memory effects,
 optional weight-asset references) connected by data-dependency edges.
 The cluster holds machines with memory capacities and directed
 communication channels. Both are immutable after construction and all
 iteration is in id order so downstream model building is reproducible.
+`load_computation_graph` and `load_cluster` build them from parsed JSON
+documents, and the `dump_*` functions are their inverses; the CLI alone
+reads and writes the JSON text.
 """
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
-from typing import IO, Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 
 class GraphError(ValueError):
@@ -50,6 +52,9 @@ class Operation:
     weight_refs: tuple[str, ...] = ()
 
     def __post_init__(self):
+        # a solution document keys each transfer "producer->consumer"
+        if "->" in self.id:
+            raise GraphError(f"operation id {self.id!r} contains '->'")
         _check_number(self.duration, "duration", self.id)
         _check_number(self.weight_mem, "weight_mem", self.id)
         _check_number(self.activation_delta, "activation_delta", self.id,
@@ -155,9 +160,6 @@ class ComputationGraph:
 
     def successors(self, op_id: str) -> tuple[str, ...]:
         return self._succ[op_id]
-
-    def predecessors(self, op_id: str) -> tuple[str, ...]:
-        return self._pred[op_id]
 
     def __len__(self) -> int:
         return len(self._ops)
@@ -277,85 +279,66 @@ class HardwareCluster:
                 and self._channels == other._channels)
 
 
-# -- file ingestion ---------------------------------------------------------
-
-_OP_FIELDS = {"id", "duration", "weight_mem", "activation_delta", "weight_refs"}
-_EDGE_FIELDS = {"from", "to", "comm_duration"}
-_WEIGHT_FIELDS = {"id", "size", "load_cost", "unload_cost"}
-_MACHINE_FIELDS = {"id", "memory_capacity"}
-_CHANNEL_FIELDS = {"from", "to"}
+# -- documents -------------------------------------------------------------
 
 
-def _reject_unknown(entry: Mapping, allowed: set[str], what: str):
-    unknown = set(entry) - allowed
+def _check_root(doc: Any, keys: set[str], what: str):
+    """Check that `doc` is an object with no key beyond `keys`."""
+    if not isinstance(doc, Mapping):
+        raise GraphError(f"document root must be an object, got {doc!r}")
+    unknown = doc.keys() - keys
     if unknown:
-        raise GraphError(f"unknown fields {sorted(unknown)} in {what}: {entry}")
+        raise GraphError(f"unknown fields {sorted(unknown)} in {what}: {doc}")
 
 
-def _load_doc(source: str | IO[str] | Mapping) -> Mapping:
-    try:
-        if isinstance(source, str):
-            source = json.loads(source)
-        elif hasattr(source, "read"):
-            source = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise GraphError(f"document is not JSON: {exc}")
-    if not isinstance(source, Mapping):
-        raise GraphError(f"document root must be an object, got {source!r}")
-    return source
-
-
-def _entries(doc: Mapping, key: str) -> list[dict]:
-    """The list of objects under `key`, empty when the key is absent."""
+def _entries(doc: Mapping, key: str, what: str, required: tuple[str, ...],
+             optional: tuple[str, ...] = ()) -> list[dict]:
+    """The objects listed under `key` (none when it is absent), checked
+    to have every `required` field and no other field beyond
+    `optional`."""
     entries = doc.get(key, [])
     # `dict`, not `Mapping`: an ABC check per entry costs several times more
     if not (isinstance(entries, list)
             and all(isinstance(e, dict) for e in entries)):
         raise GraphError(f"{key} must be a list of objects, got {entries!r}")
+    need = set(required)
+    allowed = need.union(optional)
+    for entry in entries:
+        unknown = entry.keys() - allowed
+        if unknown:
+            raise GraphError(
+                f"unknown fields {sorted(unknown)} in {what}: {entry}")
+        if not need <= entry.keys():
+            raise GraphError(f"{what} missing {'/'.join(required)}: {entry}")
     return entries
 
 
-def load_computation_graph(source: str | IO[str] | Mapping) -> ComputationGraph:
-    """Parse and validate a graph document (JSON text, stream, or mapping)."""
-    doc = _load_doc(source)
-    _reject_unknown(doc, {"operations", "edges", "weights"}, "graph document")
-    ops = []
-    for entry in _entries(doc, "operations"):
-        _reject_unknown(entry, _OP_FIELDS, "operation")
-        if "id" not in entry or "duration" not in entry:
-            raise GraphError(f"operation missing id/duration: {entry}")
-        refs = entry.get("weight_refs", [])
-        if not isinstance(refs, list):
-            raise GraphError(f"weight_refs of {entry['id']!r} must be a "
-                             f"list, got {refs!r}")
-        ops.append(Operation(
-            id=str(entry["id"]),
-            duration=entry["duration"],
-            weight_mem=entry.get("weight_mem", 0),
-            activation_delta=entry.get("activation_delta", 0),
-            weight_refs=tuple(map(str, refs)),
-        ))
-    edges = []
-    for entry in _entries(doc, "edges"):
-        _reject_unknown(entry, _EDGE_FIELDS, "edge")
-        if "from" not in entry or "to" not in entry:
-            raise GraphError(f"edge missing from/to: {entry}")
-        edges.append(DependencyEdge(
-            producer=str(entry["from"]),
-            consumer=str(entry["to"]),
-            comm_duration=entry.get("comm_duration", 0),
-        ))
-    weights = []
-    for entry in _entries(doc, "weights"):
-        _reject_unknown(entry, _WEIGHT_FIELDS, "weight")
-        if "id" not in entry or "size" not in entry:
-            raise GraphError(f"weight missing id/size: {entry}")
-        weights.append(WeightAsset(
-            id=str(entry["id"]),
-            size=entry["size"],
-            load_cost=entry.get("load_cost", 0),
-            unload_cost=entry.get("unload_cost", 0),
-        ))
+def _weight_refs(entry: Mapping) -> tuple[str, ...]:
+    refs = entry.get("weight_refs", [])
+    if not isinstance(refs, list):
+        raise GraphError(f"weight_refs of {entry['id']!r} must be a "
+                         f"list, got {refs!r}")
+    return tuple(map(str, refs))
+
+
+def load_computation_graph(doc: Mapping) -> ComputationGraph:
+    """Validate a parsed graph document and build its graph."""
+    _check_root(doc, {"operations", "edges", "weights"}, "graph document")
+    ops = [Operation(id=str(e["id"]), duration=e["duration"],
+                     weight_mem=e.get("weight_mem", 0),
+                     activation_delta=e.get("activation_delta", 0),
+                     weight_refs=_weight_refs(e))
+           for e in _entries(doc, "operations", "operation", ("id", "duration"),
+                             ("weight_mem", "activation_delta", "weight_refs"))]
+    edges = [DependencyEdge(producer=str(e["from"]), consumer=str(e["to"]),
+                            comm_duration=e.get("comm_duration", 0))
+             for e in _entries(doc, "edges", "edge", ("from", "to"),
+                               ("comm_duration",))]
+    weights = [WeightAsset(id=str(e["id"]), size=e["size"],
+                           load_cost=e.get("load_cost", 0),
+                           unload_cost=e.get("unload_cost", 0))
+               for e in _entries(doc, "weights", "weight", ("id", "size"),
+                                 ("load_cost", "unload_cost"))]
     return ComputationGraph(ops, edges, weights)
 
 
@@ -387,24 +370,14 @@ def dump_computation_graph(g: ComputationGraph) -> dict:
     return doc
 
 
-def load_cluster(source: str | IO[str] | Mapping) -> HardwareCluster:
-    """Parse and validate a cluster document."""
-    doc = _load_doc(source)
-    _reject_unknown(doc, {"machines", "channels"}, "cluster document")
-    machines = []
-    for entry in _entries(doc, "machines"):
-        _reject_unknown(entry, _MACHINE_FIELDS, "machine")
-        if "id" not in entry or "memory_capacity" not in entry:
-            raise GraphError(f"machine missing id/memory_capacity: {entry}")
-        machines.append(Machine(id=str(entry["id"]),
-                                memory_capacity=entry["memory_capacity"]))
-    channels = []
-    for entry in _entries(doc, "channels"):
-        _reject_unknown(entry, _CHANNEL_FIELDS, "channel")
-        if "from" not in entry or "to" not in entry:
-            raise GraphError(f"channel missing from/to: {entry}")
-        channels.append(Channel(from_machine=str(entry["from"]),
-                                to_machine=str(entry["to"])))
+def load_cluster(doc: Mapping) -> HardwareCluster:
+    """Validate a parsed cluster document and build its cluster."""
+    _check_root(doc, {"machines", "channels"}, "cluster document")
+    machines = [Machine(id=str(e["id"]), memory_capacity=e["memory_capacity"])
+                for e in _entries(doc, "machines", "machine",
+                                  ("id", "memory_capacity"))]
+    channels = [Channel(from_machine=str(e["from"]), to_machine=str(e["to"]))
+                for e in _entries(doc, "channels", "channel", ("from", "to"))]
     return HardwareCluster(machines, channels)
 
 

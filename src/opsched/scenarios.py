@@ -111,21 +111,12 @@ def gen_dualpipe(spec: DualPipeSpec
     else:
         cap = pp + 3 * mb * pp
     machines = [Machine(f"d{d:02d}", cap) for d in range(pp)]
-    channels = []
-    for d in range(pp):
-        nxt = (d + 1) % pp
-        if nxt == d:
-            continue
-        channels.append(Channel(f"d{d:02d}", f"d{nxt:02d}"))
-        channels.append(Channel(f"d{nxt:02d}", f"d{d:02d}"))
-    # pp == 2 wraps onto the same pair; drop duplicates
-    seen = set()
-    ring = []
-    for c in channels:
-        if c.key not in seen:
-            seen.add(c.key)
-            ring.append(c)
-    cluster = HardwareCluster(machines, ring)
+    # each device sends to and receives from both ring neighbours; at
+    # pp=2 the two neighbours are one device
+    ring = {(d, (d + 1) % pp) for d in range(pp)}
+    ring |= {(b, a) for (a, b) in ring}
+    cluster = HardwareCluster(
+        machines, [Channel(f"d{a:02d}", f"d{b:02d}") for (a, b) in ring])
 
     options = ModelOptions(memory_capped=spec.memory_mode != UNCAPPED)
     return graph, cluster, options
@@ -166,6 +157,9 @@ def _rank_token_order(pp: int, half_batches: int, rank: int) -> list[tuple]:
     toks: list[tuple] = []
     f_cnt = [0, 0]
     b_cnt = [0, 0]
+    # the (direction, index) of each deferred weight-gradient op, oldest
+    # first
+    deferred: list[tuple[int, int]] = []
 
     def fwd(p):
         d = p ^ second
@@ -175,12 +169,14 @@ def _rank_token_order(pp: int, half_batches: int, rank: int) -> list[tuple]:
     def bwd(p, defer=False):
         d = p ^ second
         toks.append(("bi", d, b_cnt[d]))
-        if not defer:
+        if defer:
+            deferred.append((d, b_cnt[d]))
+        else:
             toks.append(("bw", d, b_cnt[d]))
         b_cnt[d] += 1
 
     def slot():
-        toks.append(("slot",))
+        toks.append(("bw", *deferred.pop(0)))
 
     for _ in range((half - hr - 1) * 2):
         fwd(0)
@@ -213,21 +209,7 @@ def _rank_token_order(pp: int, half_batches: int, rank: int) -> list[tuple]:
         bwd(0, defer=True)
     for _ in range(hr + 1):
         slot()
-
-    out: list[tuple] = []
-    pending: list[tuple] = []
-    for t in toks:
-        if t[0] == "bi":
-            pending.append((t[1], t[2]))
-            out.append(t)
-        elif t[0] == "slot":
-            d, m = pending.pop(0)
-            out.append(("bw", d, m))
-        else:
-            if t[0] == "bw":
-                pending.remove((t[1], t[2]))
-            out.append(t)
-    return out
+    return toks
 
 
 def dualpipe_order(spec: DualPipeSpec) -> dict[str, list[str]]:

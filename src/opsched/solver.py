@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import math
 import random
 import time as _time
@@ -106,9 +105,6 @@ class Solution:
             "preloads": [list(p) for p in sorted(self.preloads)],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
     @classmethod
     def from_dict(cls, doc: Mapping) -> "Solution":
         """Inverse of `to_dict`. A document of another shape, or a time
@@ -178,10 +174,6 @@ class Solution:
             bound=number("bound"),
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "Solution":
-        return cls.from_dict(json.loads(text))
-
 
 class SolveError(ValueError):
     pass
@@ -244,11 +236,6 @@ class _Instance:
                 default=0.0)
         # dispatch priority: longest remaining path first
         self.prio = [-(self.dur[k] + self.tail[k]) for k in range(self.n)]
-        self.head = [0.0] * self.n
-        for k in order:
-            self.head[k] = max(
-                (self.head[p] + self.dur[p] for p in self.preds[k]),
-                default=0.0)
 
         vals = (self.dur + list(self.comm.values()) + self.cap
                 + self.wmem + self.act)
@@ -263,8 +250,8 @@ class _Instance:
         return total / self.nm
 
     def root_bound(self) -> float:
-        cp = max((self.head[k] + self.dur[k] + self.tail[k]
-                  for k in range(self.n)), default=0.0)
+        # a longest path starts at a source, so it is some dur + tail
+        cp = max((d + t for d, t in zip(self.dur, self.tail)), default=0.0)
         return max(cp, self.load_bound(0.0, self.total_work))
 
 

@@ -13,6 +13,7 @@ same decisions.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 from opsched.graph import (Channel, ComputationGraph, DependencyEdge,
@@ -46,6 +47,11 @@ def cluster(n=2, cap=100.0, channels="full"):
     else:
         chans = [Channel(a, b) for (a, b) in channels]
     return HardwareCluster(machines, chans)
+
+
+def solution_text(sol):
+    """A solution as indented JSON text, the form the golden digests hash."""
+    return json.dumps(sol.to_dict(), indent=2) + "\n"
 
 
 # -- exhaustive makespan oracle (static memory) ------------------------------

@@ -307,6 +307,11 @@ class TestBadInstance:
         (("options", "memory_capped"), "false"),
         # a misspelt option would otherwise be dropped without a word
         (("options", "memory_caped"), True),
+        # a document nested as JSON text is not parsed a second time
+        pytest.param(("graph",), json.dumps(ONE_OP["graph"]),
+                     id="graph-as-json-text"),
+        pytest.param(("cluster",), json.dumps(ONE_OP["cluster"]),
+                     id="cluster-as-json-text"),
     ], ids=lambda v: json.dumps(v) if not isinstance(v, tuple)
         else ".".join(map(str, v)))
     def test_malformed_document_is_one_json_error(self, tmp_path, capsys,
@@ -318,6 +323,21 @@ class TestBadInstance:
         err = capsys.readouterr().err
         assert json.loads(err)["error"] == "bad-instance"
         assert err.count("\n") == 1
+
+    def test_transfer_separator_in_an_op_id(self, tmp_path, capsys):
+        # a solution keys the transfer a->b => c as "a->b->c", which
+        # `verify` and `export` could not read back
+        doc = {"graph": {"operations": [{"id": "a->b", "duration": 1},
+                                        {"id": "c", "duration": 1}],
+                         "edges": [{"from": "a->b", "to": "c"}]},
+               "cluster": ONE_OP["cluster"]}
+        out = tmp_path / "out.json"
+        inst = _write(tmp_path / "inst.json", doc)
+        assert main(["solve", "-i", inst, "-o", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "bad-instance"
+        assert "'->'" in err["message"]
 
     def test_unknown_option_is_named(self, tmp_path, capsys):
         inst = _write(tmp_path / "inst.json",
@@ -499,11 +519,30 @@ class TestSolve:
         assert not out.exists()
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "no-incumbent"
+        assert err["message"] == ("search budget exhausted without a "
+                                  "feasible schedule")
         if not stats:
             assert "stats" not in err
             return
         assert (err["stats"]["nodes"], err["stats"]["stop"],
                 err["stats"]["root_bound"]) == (1001, "node-limit", 24)
+
+    def test_no_incumbent_under_a_primal_bound_names_the_bound(
+            self, tmp_path, capsys):
+        # the tree is exhausted under a bound below the root bound 12: no
+        # budget ran out
+        inst = tmp_path / "inst.json"
+        assert main(["gen", "dualpipe", "--pp", "2", "-o", str(inst)]) \
+            == EXIT_OK
+        doc = json.loads(inst.read_text())
+        doc["primal_bound"] = 5
+        _write(inst, doc)
+        assert main(["solve", "-i", str(inst), "--stats"]) == EXIT_ERROR
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["status"], err["stats"]["stop"]) \
+            == ("no-incumbent", "feasible", "exhausted")
+        assert err["message"] == ("search tree exhausted without a schedule "
+                                  "within the primal bound")
 
     def test_calls_in_one_process_share_no_flags(self, tmp_path):
         # `main` parses every call with the same parser

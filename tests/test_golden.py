@@ -1,6 +1,6 @@
 """Golden digests that pin the search itself, not just its makespans.
 
-Each solver case hashes ``Solution.to_json()``: the schedule, status and
+Each solver case hashes ``conftest.solution_text``: the schedule, status and
 bound byte for byte. The digests were recorded before the solver core
 was consolidated onto one memory-chain step and one earliest-start
 evaluator, so a refactor that changes any branching order, pruning
@@ -64,7 +64,7 @@ from opsched.solver import (Solution, SolveConfig, refine_idle, solve,
                             warm_start)
 from opsched.trace import trace_document
 
-from conftest import cluster, edge, graph, op
+from conftest import cluster, edge, graph, op, solution_text
 
 
 def _dualpipe(pp, micro_batches):
@@ -195,7 +195,7 @@ GOLDEN = {
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda f: f.__name__)
 def test_solution_digest(case):
-    text = case().to_json()
+    text = solution_text(case())
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[case]
 
 
@@ -251,7 +251,7 @@ def dfs_dualpipe_scratch_pp4():
     return solve(clear_primal_bound(model), SolveConfig(node_limit=10000))
 
 
-# case -> (nodes, sha256 of to_json())
+# case -> (nodes, sha256 of solution_text())
 SEARCH_GOLDEN = {
     saturation_continued_pp4: (
         20001,
@@ -271,7 +271,7 @@ SEARCH_GOLDEN = {
 @pytest.mark.parametrize("case", SEARCH_GOLDEN, ids=lambda f: f.__name__)
 def test_search_nodes_and_digest(case):
     sol = case()
-    digest = hashlib.sha256(sol.to_json().encode()).hexdigest()
+    digest = hashlib.sha256(solution_text(sol).encode()).hexdigest()
     assert (sol.stats["nodes"], digest) == SEARCH_GOLDEN[case]
 
 

@@ -30,6 +30,12 @@ class TestOperationValidation:
         with pytest.raises(GraphError):
             DependencyEdge("a", "a")
 
+    def test_transfer_separator_in_id_rejected(self):
+        # a solution keys each transfer "producer->consumer", so such an
+        # id could not be read back
+        with pytest.raises(GraphError, match="'->'"):
+            Operation("a->b", 1)
+
     def test_weight_asset_negative_size_rejected(self):
         with pytest.raises(GraphError):
             WeightAsset("w", -1)
@@ -54,13 +60,13 @@ class TestNonFiniteRejected:
                "weights": [{"id": "w", "size": 1}]}
         doc[section][0][field] = value
         with pytest.raises(GraphError, match="finite"):
-            load_computation_graph(json.dumps(doc))
+            load_computation_graph(json.loads(json.dumps(doc)))
 
     @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
     def test_memory_capacity(self, value):
         with pytest.raises(GraphError, match="finite"):
-            load_cluster(json.dumps(
-                {"machines": [{"id": "m", "memory_capacity": value}]}))
+            load_cluster(json.loads(json.dumps(
+                {"machines": [{"id": "m", "memory_capacity": value}]})))
 
 
 class TestGraphConstruction:
@@ -88,12 +94,10 @@ class TestGraphConstruction:
         g = graph([op("b"), op("a"), op("c")])
         assert list(g.operations) == ["a", "b", "c"]
 
-    def test_successors_predecessors(self):
+    def test_successors(self):
         g = graph([op("a"), op("b"), op("c")],
                   [edge("a", "b"), edge("a", "c")])
         assert set(g.successors("a")) == {"b", "c"}
-        assert g.predecessors("b") == ("a",)
-        assert g.predecessors("a") == ()
 
 
 class TestDagUtilities:
@@ -153,7 +157,7 @@ class TestSerialization:
     def test_graph_round_trip_via_json_text(self):
         g = self._sample()
         text = json.dumps(dump_computation_graph(g))
-        assert load_computation_graph(text) == g
+        assert load_computation_graph(json.loads(text)) == g
 
     def test_cluster_round_trip(self):
         h = cluster(2, channels=[("m0", "m1")])
@@ -182,4 +186,4 @@ class TestSerialization:
 
     def test_root_must_be_object(self):
         with pytest.raises(GraphError):
-            load_computation_graph("[1, 2]")
+            load_computation_graph(json.loads("[1, 2]"))

@@ -1,10 +1,11 @@
 """The package surface: every exported name resolves, no module or test
 file imports a name it never uses, no module defines a private
 top-level name it never uses, every public top-level function or class
-is exported or named by code in `src/` or `bench/`, every keyword-only
-parameter of a public function is passed by name somewhere, every
-defaulted field of a public dataclass is set somewhere, and only `model`
-switches the cyclic garbage collector."""
+is exported or named by code in `src/` or `bench/`, every public method
+or property of a public class is named there as an attribute, every
+keyword-only parameter of a public function is passed by name
+somewhere, every defaulted field of a public dataclass is set
+somewhere, and only `model` switches the cyclic garbage collector."""
 import ast
 import functools
 import pathlib
@@ -105,6 +106,28 @@ def test_every_public_definition_is_reached(path):
             and not node.name.startswith("_")
             and node.name not in opsched.__all__
             and node.name not in _named_by_program()] == []
+
+
+@functools.cache
+def _attributes_named_by_program() -> frozenset[str]:
+    """Every attribute that code in `src/` or `bench/` reads or calls."""
+    return frozenset(
+        node.attr for path in sorted(SRC.glob("*.py")) + BENCH
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_method_is_reached(path):
+    # a method that only tests call is a second way in to keep up
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [f"{cls.name}.{node.name} (line {node.lineno})"
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")
+            and node.name not in _attributes_named_by_program()] == []
 
 
 _COLLECTOR_SWITCHES = ("disable", "freeze", "set_threshold")

@@ -10,7 +10,7 @@ from opsched import solver
 from opsched.graph import Channel, HardwareCluster, Machine, WeightAsset
 from opsched.model import ModelOptions, build_model, set_primal_bound
 
-from conftest import edge, graph, op, packed_search_oracle
+from conftest import edge, graph, op, packed_search_oracle, solution_text
 
 
 @st.composite
@@ -51,7 +51,7 @@ def packed_cases(draw):
 def _outcome(search, complete):
     inc = search.incumbent
     return (complete, search.nodes, search.stop,
-            None if inc is None else inc.to_json())
+            None if inc is None else solution_text(inc))
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
