@@ -6,7 +6,7 @@ branch-and-bound (or exports MPS/LP for external solvers), verifies
 solutions with an independent discrete-event replay, and ships
 benchmark scenario generators plus chrome-tracing export.
 """
-from .coarsen import CoarsenConfig, MergeRecord, coarsen
+from .coarsen import MergeRecord, coarsen
 from .graph import (Channel, ComputationGraph, DependencyEdge, GraphError,
                     HardwareCluster, Machine, Operation, WeightAsset,
                     dump_cluster, dump_computation_graph, load_cluster,
@@ -22,11 +22,11 @@ from .solver import (Solution, SolveConfig, SolveError, refine_idle, solve,
                      warm_start)
 
 __all__ = [
-    "Channel", "CoarsenConfig", "ComputationGraph", "DependencyEdge",
-    "DualPipeSpec", "GraphError", "HardwareCluster", "Machine",
-    "MergeRecord", "ModelError", "ModelOptions", "Operation",
-    "RandomDagSpec", "ScheduleModel", "Solution", "SolveConfig",
-    "SolveError", "VerifyReport", "WeightAsset",
+    "Channel", "ComputationGraph", "DependencyEdge", "DualPipeSpec",
+    "GraphError", "HardwareCluster", "Machine", "MergeRecord",
+    "ModelError", "ModelOptions", "Operation", "RandomDagSpec",
+    "ScheduleModel", "Solution", "SolveConfig", "SolveError",
+    "VerifyReport", "WeightAsset",
     "build_model", "clear_primal_bound", "coarsen",
     "dualpipe_bubble_target", "dualpipe_primal_bound",
     "dualpipe_reference", "dump_cluster", "dump_computation_graph",

@@ -21,9 +21,10 @@ import sys
 import time
 from dataclasses import asdict, fields
 
-from .coarsen import CoarsenConfig, coarsen
-from .graph import (GraphError, dump_cluster, dump_computation_graph,
-                    load_cluster, load_computation_graph)
+from .coarsen import coarsen
+from .graph import (Channel, GraphError, HardwareCluster, Machine,
+                    dump_cluster, dump_computation_graph, load_cluster,
+                    load_computation_graph)
 from .model import (ModelError, ModelOptions, build_model,
                     clear_primal_bound, set_primal_bound)
 from .mpswriter import export_lp, export_mps
@@ -136,8 +137,8 @@ def _solution(doc: dict) -> Solution:
 
 
 def _spec(cls, **fields):
-    """Build a scenario spec, coarsening config or solve config,
-    reporting a rejected value as a usage error."""
+    """Build a scenario spec or solve config, reporting a rejected value
+    as a usage error."""
     try:
         return cls(**fields)
     except ValueError as exc:
@@ -153,8 +154,10 @@ def _cmd_gen(args) -> int:
                      micro_batches=args.micro_batches,
                      memory_mode=args.memory_mode)
         g, h, options = gen_dualpipe(spec)
-        doc = _instance_doc(g, h, options,
-                            primal_bound=dualpipe_primal_bound(spec))
+        doc = _instance_doc(g, h, options)
+        bound = dualpipe_primal_bound(spec)
+        if bound is not None:
+            doc["primal_bound"] = bound
     else:
         if args.machines < 1:
             raise CliError("bad-spec",
@@ -164,7 +167,6 @@ def _cmd_gen(args) -> int:
                      max_in_degree=args.max_in_degree,
                      max_out_degree=args.max_out_degree)
         g = gen_random_dag(spec)
-        from .graph import Channel, HardwareCluster, Machine
         cap = sum(op.weight_mem for op in g.operations.values()) + 1
         machines = [Machine(f"m{k:02d}", cap) for k in range(args.machines)]
         channels = [Channel(a.id, b.id) for a in machines for b in machines
@@ -179,8 +181,9 @@ def _cmd_coarsen(args) -> int:
     doc = _read_doc(args.input)
     g, h, options = _parse_instance(doc)
     budget = max(1, len(g) // 5) if args.to is None else args.to
-    coarse, records = coarsen(g, _spec(CoarsenConfig.for_graph, g=g,
-                                       node_budget=budget))
+    if budget < 1:
+        raise CliError("bad-spec", "node_budget must be >= 1", EXIT_USAGE)
+    coarse, records = coarsen(g, budget)
     out = _instance_doc(coarse, h, options,
                         coarsen_records=[{"id": r.new_id,
                                           "absorbed": list(r.absorbed)}
@@ -229,7 +232,8 @@ def _cmd_solve(args) -> int:
         extra = {"stats": sol.stats} if args.stats else {}
         return _fail("no-incumbent", message, EXIT_ERROR, status=sol.status,
                      **extra)
-    out = dict(doc)
+    # stats describe one solve: the input's go, and only this one's stay
+    out = {k: v for k, v in doc.items() if k != "stats"}
     out["solution"] = sol.to_dict()
     if args.stats:
         out["stats"] = sol.stats

@@ -7,14 +7,18 @@ budget is met or no candidate remains:
   dependent with a single predecessor and i1 has a single successor;
   such merges never lengthen the critical path;
 * non-edge merges — unrelated pairs whose merge cannot form a cycle,
-  admitted under stricter size thresholds because they may lengthen the
-  critical path.
+  admitted under half the edge merges' size limits because they may
+  lengthen the critical path.
+
+A merged node's duration and weight memory must stay within its kind's
+limits, which `_limits` works out from the graph and the budget: the
+budget is coarsening's one setting.
 
 Candidate selection ignores single-hop redundant edges so structurally
 important edges are not hidden by shortcuts.
 
-`coarsen` is the one entry point. All merges act in place on one
-contraction state (`_Contraction`): the live operations,
+`coarsen(g, node_budget)` is the one entry point. All merges act in
+place on one contraction state (`_Contraction`): the live operations,
 `succ[i] = {child: comm}` and `pred[i] = {parent}` adjacency, the set of
 operations each one reaches (a bit mask), and the sorted list of live
 ids. The `ComputationGraph` is built once, at the end.
@@ -48,51 +52,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .graph import ComputationGraph, DependencyEdge, Operation
-
-
-@dataclass(frozen=True)
-class CoarsenConfig:
-    node_budget: int
-    edge_merge_max_duration: float
-    edge_merge_max_memory: float
-    nonedge_merge_max_duration: float
-    nonedge_merge_max_memory: float
-
-    def __post_init__(self):
-        if self.node_budget < 1:
-            raise ValueError("node_budget must be >= 1")
-        if self.nonedge_merge_max_duration > self.edge_merge_max_duration:
-            raise ValueError("non-edge duration threshold must not exceed "
-                             "the edge threshold")
-        if self.nonedge_merge_max_memory > self.edge_merge_max_memory:
-            raise ValueError("non-edge memory threshold must not exceed "
-                             "the edge threshold")
-
-    @classmethod
-    def for_graph(cls, g: ComputationGraph, node_budget: int) -> "CoarsenConfig":
-        """Default thresholds sized from the graph and the budget.
-
-        Edge merges allow nodes up to twice the mean size; when the budget
-        implies larger average nodes the thresholds scale with
-        2 * total / budget instead. Non-edge merges get half the edge
-        allowance. The thresholds bound each merge, not the outcome:
-        coarsening stops when no pair fits them, so the budget can be
-        missed (n=400 random DAGs with budget 80 end at 82 to 91 nodes).
-        """
-        n = max(len(g), 1)
-        # the constructor rejects a budget below one
-        per_node = max(node_budget, 1)
-        mean_dur = g.total_duration() / n
-        mean_mem = (sum(op.weight_mem for op in g.operations.values()) / n)
-        edge_dur = max(2 * mean_dur, 2 * g.total_duration() / per_node)
-        edge_mem = max(2 * mean_mem, 2 * n * mean_mem / per_node)
-        return cls(
-            node_budget=node_budget,
-            edge_merge_max_duration=edge_dur,
-            edge_merge_max_memory=edge_mem,
-            nonedge_merge_max_duration=edge_dur / 2,
-            nonedge_merge_max_memory=edge_mem / 2,
-        )
 
 
 @dataclass(frozen=True)
@@ -147,7 +106,8 @@ class _Contraction:
     # predecessor of x. Following such predecessors inside succ[a] goes
     # back in topological order, so the chain ends at a kept successor,
     # which can only be b. So b -> ... -> x -> ... -> b would be a cycle.
-    def edge_candidate(self, cfg: CoarsenConfig) -> tuple[str, str] | None:
+    def edge_candidate(self, max_duration: float, max_memory: float
+                       ) -> tuple[str, str] | None:
         succ, pred = self.succ, self.pred
         kept = {a: [b for b in outs
                     if not any(m != a and m in outs for m in pred[b])]
@@ -158,14 +118,12 @@ class _Contraction:
         for a in self.order:
             if len(kept[a]) == 1:
                 b = kept[a][0]
-                if n_pred[b] == 1 and _within(
-                        self.ops[a], self.ops[b],
-                        cfg.edge_merge_max_duration,
-                        cfg.edge_merge_max_memory):
+                if n_pred[b] == 1 and _within(self.ops[a], self.ops[b],
+                                              max_duration, max_memory):
                     return (a, b)
         return None
 
-    def nonedge_candidate(self, cfg: CoarsenConfig
+    def nonedge_candidate(self, max_duration: float, max_memory: float
                           ) -> tuple[str, str] | None:
         ops, bit, reach = self.ops, self.bit, self.reach
         for k, a in enumerate(self.order):
@@ -176,9 +134,7 @@ class _Contraction:
             for j, b in enumerate(rest):
                 # an edge either way is a path, so reachability covers it
                 if (b in ops and not (ra & bit[b] or reach[b] & ba)
-                        and _within(oa, ops[b],
-                                    cfg.nonedge_merge_max_duration,
-                                    cfg.nonedge_merge_max_memory)):
+                        and _within(oa, ops[b], max_duration, max_memory)):
                     self.partners[a] = rest[j:]
                     return (a, b)
             self.partners[a] = []
@@ -240,15 +196,37 @@ class _Contraction:
                                 self.weights.values())
 
 
-def coarsen(g: ComputationGraph, cfg: CoarsenConfig
+def _limits(g: ComputationGraph, node_budget: int
+            ) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The (duration, memory) limits of an edge merge and of a non-edge
+    merge, sized from the graph and the budget.
+
+    Edge merges allow nodes up to twice the mean size; when the budget
+    implies larger average nodes the limits scale with 2 * total / budget
+    instead. Non-edge merges get half the edge allowance.
+    """
+    n = max(len(g), 1)
+    mean_dur = g.total_duration() / n
+    mean_mem = sum(op.weight_mem for op in g.operations.values()) / n
+    edge_dur = max(2 * mean_dur, 2 * g.total_duration() / node_budget)
+    edge_mem = max(2 * mean_mem, 2 * n * mean_mem / node_budget)
+    return (edge_dur, edge_mem), (edge_dur / 2, edge_mem / 2)
+
+
+def coarsen(g: ComputationGraph, node_budget: int
             ) -> tuple[ComputationGraph, list[MergeRecord]]:
-    """Shrink `g` below `cfg.node_budget` by repeated pair merges.
+    """Shrink `g` to at most `node_budget` nodes by repeated pair merges.
 
     Returns the coarse graph and one provenance record per coarse node
     that absorbed anything, with absorbed ids in the original topological
     order. Total duration, weight memory, and activation delta are
-    conserved. If the budget is unreachable, the fixed point is returned.
+    conserved. The limits bound each merge, not the outcome: coarsening
+    stops at the fixed point when no pair fits them, so the budget can be
+    missed (n=400 random DAGs with budget 80 end at 82 to 91 nodes).
     """
+    if node_budget < 1:
+        raise ValueError("node_budget must be >= 1")
+    edge_limits, nonedge_limits = _limits(g, node_budget)
     topo_index = {i: k for k, i in enumerate(g.topo_order())}
     origin: dict[str, list[str]] = {}
     counter = 0
@@ -262,11 +240,12 @@ def coarsen(g: ComputationGraph, cfg: CoarsenConfig
             if cand not in cur.ops and cand not in g.operations:
                 return cand
 
-    while len(cur) > cfg.node_budget:
+    while len(cur) > node_budget:
         merged_any = False
-        for find in (cur.edge_candidate, cur.nonedge_candidate):
-            while len(cur) > cfg.node_budget:
-                pair = find(cfg)
+        for find, limits in ((cur.edge_candidate, edge_limits),
+                             (cur.nonedge_candidate, nonedge_limits)):
+            while len(cur) > node_budget:
+                pair = find(*limits)
                 if pair is None:
                     break
                 a, b = pair

@@ -107,7 +107,6 @@ class ScheduleModel:
     graph: ComputationGraph
     cluster: HardwareCluster
     options: ModelOptions
-    big_M: float
     primal_bound: float | None = None
 
     @cached_property
@@ -125,6 +124,10 @@ class ScheduleModel:
     @property
     def objective(self) -> VarRef:
         return VarRef("makespan", (), CONTINUOUS)
+
+    @property
+    def big_M(self) -> float:
+        return compute_horizon(self.graph)
 
     def memory_big_M(self) -> float:
         g = self.graph
@@ -210,17 +213,18 @@ def build_model(g: ComputationGraph, h: HardwareCluster,
     opts = opts or ModelOptions()
     if opts.memory_capped:
         for i, op in g.operations.items():
-            static = op.weight_mem + sum(
-                g.weights[r].size for r in op.weight_refs
-                if not opts.dynamic_loading)
-            need = static + max(0, op.activation_delta)
+            # with loading, an op's weight memory and weights stay out of
+            # the level it runs at, as in every judge of a schedule
+            need = max(0, op.activation_delta)
+            if not opts.dynamic_loading:
+                need += op.weight_mem + sum(g.weights[r].size
+                                            for r in op.weight_refs)
             if all(m.memory_capacity < need
                    for m in h.machines.values()):
                 raise ModelError(
                     f"operation {i!r} needs {need} memory units but no "
                     f"machine has that much capacity")
-    return ScheduleModel(graph=g, cluster=h, options=opts,
-                         big_M=compute_horizon(g))
+    return ScheduleModel(graph=g, cluster=h, options=opts)
 
 
 def set_primal_bound(model: ScheduleModel, bound: float) -> ScheduleModel:

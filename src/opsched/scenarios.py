@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .graph import (Channel, ComputationGraph, DependencyEdge,
                     HardwareCluster, Machine, Operation, WeightAsset)
 from .model import ModelOptions
+from .solver import Solution, earliest_starts
 
 DUALPIPE = "dualpipe"
 RELAXED = "relaxed"
@@ -122,9 +123,19 @@ def gen_dualpipe(spec: DualPipeSpec
     return graph, cluster, options
 
 
-def dualpipe_primal_bound(spec: DualPipeSpec) -> float:
+def _has_order(spec: DualPipeSpec) -> bool:
+    """Whether the hand-built bidirectional schedule exists for `spec`."""
+    mb = spec.n_micro_batches
+    return mb % 2 == 0 and mb >= 2 * spec.pp
+
+
+def dualpipe_primal_bound(spec: DualPipeSpec) -> float | None:
     """Makespan target of the hand-designed bidirectional schedule:
-    per-device busy time plus `dualpipe_bubble_target`."""
+    per-device busy time plus `dualpipe_bubble_target`. None where that
+    schedule does not exist (`dualpipe_order`): no schedule need meet
+    the target then, and at pp=2 with one micro-batch none does."""
+    if not _has_order(spec):
+        return None
     busy = spec.n_micro_batches * (_FORWARD + _BACKWARD)
     return busy + dualpipe_bubble_target(spec)
 
@@ -218,12 +229,11 @@ def dualpipe_order(spec: DualPipeSpec) -> dict[str, list[str]]:
     Down-flowing micro-batches run stage s on device s, up-flowing ones
     on device pp-1-s, so each device serves one stage of each direction.
     """
-    pp, mb = spec.pp, spec.n_micro_batches
-    if mb % 2 or mb < 2 * pp:
+    if not _has_order(spec):
         raise ValueError(
             "the bidirectional schedule needs an even micro-batch count "
             "of at least 2*pp")
-    half_batches = mb // 2
+    pp, half_batches = spec.pp, spec.n_micro_batches // 2
     order = {}
     for rank in range(pp):
         seq = []
@@ -243,8 +253,6 @@ def dualpipe_reference(spec: DualPipeSpec):
     ``dualpipe_primal_bound(spec)``, and its pipeline bubble is half of
     ``dualpipe_bubble_target(spec)``; it fits the DualPipe memory cap.
     """
-    from .solver import Solution, earliest_starts
-
     g = gen_dualpipe(spec)[0]
     order = dualpipe_order(spec)
     ops = list(g.operations)

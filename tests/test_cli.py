@@ -429,6 +429,23 @@ class TestGen:
         err = capsys.readouterr().err
         assert json.loads(err)["error"] == "bad-spec"
 
+    @pytest.mark.parametrize("pp, micro_batches, bound, optimum", [
+        ("2", "1", None, 5.0), ("4", "2", None, 9.0), ("2", "4", 12, 12.0)])
+    def test_primal_bound_only_with_the_hand_built_schedule(
+            self, tmp_path, pp, micro_batches, bound, optimum):
+        # the bound is the makespan target of the hand-built schedule,
+        # which needs an even micro-batch count of at least 2*pp; it was
+        # written for every spec, 3 and 8 for the first two, below their
+        # optima, so their solves found no schedule
+        inst, out = str(tmp_path / "inst.json"), tmp_path / "out.json"
+        assert main(["gen", "dualpipe", "--pp", pp, "--micro-batches",
+                     micro_batches, "-o", inst]) == EXIT_OK
+        assert json.loads((tmp_path / "inst.json").read_text()).get(
+            "primal_bound") == bound
+        assert main(["solve", "-i", inst, "-o", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["solution"]["objective"] \
+            == optimum
+
 
 class TestCoarsen:
     def _coarsen(self, tmp_path, extra=None):
@@ -465,7 +482,9 @@ class TestCoarsen:
                                                 budget):
         inst = _write(tmp_path / "inst.json", ONE_OP)
         assert main(["coarsen", "-i", inst, "--to", budget]) == EXIT_USAGE
-        assert json.loads(capsys.readouterr().err)["error"] == "bad-spec"
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "bad-spec",
+                       "message": "node_budget must be >= 1"}
 
 
 class TestSolve:
@@ -508,6 +527,21 @@ class TestSolve:
             "pruned": {"bound-before-dispatch": 0, "bound-after-dispatch": 0,
                        "memory": 6}}
         assert stats == plain
+
+    def test_resolving_drops_the_inputs_stats(self, tmp_path):
+        # stats describe the solve that wrote them: solving a --stats
+        # output again without --stats copied them next to the new schedule
+        inst = str(tmp_path / "inst.json")
+        assert main(["gen", "dualpipe", "--pp", "2", "-o", inst]) == EXIT_OK
+        first, again, plain = (tmp_path / f"{name}.json"
+                               for name in ("first", "again", "plain"))
+        base = ["solve", "--ignore-primal-bound"]
+        assert main(base + ["-i", inst, "--stats", "-o", str(first)]) \
+            == EXIT_OK
+        assert main(base + ["-i", str(first), "-o", str(again)]) == EXIT_OK
+        assert main(base + ["-i", inst, "-o", str(plain)]) == EXIT_OK
+        assert "stats" in json.loads(first.read_text())
+        assert again.read_bytes() == plain.read_bytes()
 
     @pytest.mark.parametrize("stats", [True, False], ids=["stats", "plain"])
     def test_no_incumbent_error_carries_stats(self, tmp_path, capsys, stats):

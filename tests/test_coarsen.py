@@ -1,6 +1,6 @@
 import pytest
 
-from opsched.coarsen import CoarsenConfig, _Contraction, coarsen
+from opsched.coarsen import _Contraction, _limits, coarsen
 from opsched.graph import GraphError, WeightAsset
 from opsched.scenarios import RandomDagSpec, gen_random_dag
 
@@ -19,38 +19,26 @@ def merged(g, a, b):
     return state.graph()
 
 
-def wide_config(budget):
-    return CoarsenConfig(node_budget=budget,
-                         edge_merge_max_duration=1e9,
-                         edge_merge_max_memory=1e9,
-                         nonedge_merge_max_duration=1e9,
-                         nonedge_merge_max_memory=1e9)
+# (duration, memory) limits that admit every merge
+WIDE = (1e9, 1e9)
 
 
 class TestConfig:
     def test_budget_must_be_positive(self):
-        with pytest.raises(ValueError):
-            wide_config(0)
-        # sizing from a graph, also an empty one, rejects such a budget
-        # as the constructor does, not with a division by zero
+        # also on an empty graph: the budget is checked before the limits
+        # divide by it
         for g in (chain(3), graph([])):
             for budget in (0, -3):
-                with pytest.raises(ValueError, match="node_budget"):
-                    CoarsenConfig.for_graph(g, budget)
+                with pytest.raises(ValueError,
+                                   match="node_budget must be >= 1"):
+                    coarsen(g, budget)
 
-    def test_nonedge_thresholds_capped_by_edge_thresholds(self):
-        with pytest.raises(ValueError):
-            CoarsenConfig(node_budget=1, edge_merge_max_duration=1,
-                          edge_merge_max_memory=1,
-                          nonedge_merge_max_duration=2,
-                          nonedge_merge_max_memory=1)
-
-    def test_for_graph_defaults_scale_with_budget(self):
+    def test_limits_scale_with_budget(self):
         g = chain(20, dur=5)
-        cfg = CoarsenConfig.for_graph(g, 4)
-        # budget implies mean merged duration 25; threshold covers it
-        assert cfg.edge_merge_max_duration >= 2 * 100 / 4
-        assert cfg.nonedge_merge_max_duration < cfg.edge_merge_max_duration
+        edge_limits, nonedge_limits = _limits(g, 4)
+        # budget implies mean merged duration 25; the limit covers it
+        assert edge_limits[0] >= 2 * 100 / 4
+        assert nonedge_limits == (edge_limits[0] / 2, edge_limits[1] / 2)
 
 
 class TestCandidates:
@@ -59,35 +47,31 @@ class TestCandidates:
         g = graph([op(i) for i in "abcd"],
                   [edge("a", "b"), edge("a", "c"),
                    edge("b", "d"), edge("c", "d")])
-        assert _Contraction(g).edge_candidate(wide_config(1)) is None
+        assert _Contraction(g).edge_candidate(*WIDE) is None
 
     def test_edge_candidate_on_chain(self):
         g = chain(3)
-        assert _Contraction(g).edge_candidate(wide_config(1)) is not None
+        assert _Contraction(g).edge_candidate(*WIDE) is not None
 
     def test_redundant_shortcut_does_not_hide_chain(self):
         # a->b->c plus shortcut a->c: the shortcut is ignored, so a->b
         # still qualifies as a unique link
         g = graph([op(i) for i in "abc"],
                   [edge("a", "b"), edge("b", "c"), edge("a", "c")])
-        assert _Contraction(g).edge_candidate(wide_config(1)) == ("a", "b")
+        assert _Contraction(g).edge_candidate(*WIDE) == ("a", "b")
 
     def test_size_threshold_blocks_edge_candidate(self):
         g = chain(2, dur=10)
-        cfg = CoarsenConfig(node_budget=1, edge_merge_max_duration=15,
-                            edge_merge_max_memory=1e9,
-                            nonedge_merge_max_duration=15,
-                            nonedge_merge_max_memory=1e9)
-        assert _Contraction(g).edge_candidate(cfg) is None
+        assert _Contraction(g).edge_candidate(15, 1e9) is None
 
     def test_nonedge_candidate_skips_connected_pairs(self):
         g = graph([op("a"), op("b"), op("c")], [edge("a", "b")])
-        pair = _Contraction(g).nonedge_candidate(wide_config(1))
+        pair = _Contraction(g).nonedge_candidate(*WIDE)
         assert pair is not None and set(pair) != {"a", "b"}
 
     def test_nonedge_candidate_avoids_path_pairs(self):
         g = chain(3)  # every pair is connected or path-linked
-        assert _Contraction(g).nonedge_candidate(wide_config(1)) is None
+        assert _Contraction(g).nonedge_candidate(*WIDE) is None
 
 
 class TestMergeNodes:
@@ -120,13 +104,13 @@ class TestMergeNodes:
 class TestCoarsen:
     def test_chain_reaches_budget(self):
         g = chain(12)
-        coarse, records = coarsen(g, wide_config(3))
+        coarse, records = coarsen(g, 3)
         assert len(coarse) <= 3
         assert records
 
     def test_totals_conserved(self):
         g = gen_random_dag(RandomDagSpec(nodes=60, seed=5))
-        coarse, _ = coarsen(g, CoarsenConfig.for_graph(g, 12))
+        coarse, _ = coarsen(g, 12)
         assert coarse.total_duration() == g.total_duration()
         total_mem = sum(o.weight_mem for o in g.operations.values())
         assert sum(o.weight_mem
@@ -134,7 +118,7 @@ class TestCoarsen:
 
     def test_result_is_acyclic_with_provenance_partition(self):
         g = gen_random_dag(RandomDagSpec(nodes=80, seed=9))
-        coarse, records = coarsen(g, CoarsenConfig.for_graph(g, 16))
+        coarse, records = coarsen(g, 16)
         coarse.topo_order()  # raises on a cycle
         absorbed = [i for r in records for i in r.absorbed]
         assert len(absorbed) == len(set(absorbed))
@@ -144,28 +128,28 @@ class TestCoarsen:
 
     def test_absorbed_listed_in_topological_order(self):
         g = chain(6)
-        _, records = coarsen(g, wide_config(1))
+        _, records = coarsen(g, 1)
         order = {i: k for k, i in enumerate(g.topo_order())}
         for rec in records:
             ranks = [order[i] for i in rec.absorbed]
             assert ranks == sorted(ranks)
 
     def test_unreachable_budget_returns_fixed_point(self):
-        g = chain(4, dur=10)
-        cfg = CoarsenConfig(node_budget=1, edge_merge_max_duration=5,
-                            edge_merge_max_memory=0,
-                            nonedge_merge_max_duration=5,
-                            nonedge_merge_max_memory=0)
-        coarse, records = coarsen(g, cfg)
+        # a diamond has no edge candidate, and its heavy middle pair,
+        # duration 20, exceeds the non-edge limit 22 / 3 at budget 3
+        g = graph([op("a"), op("b", 10), op("c", 10), op("d")],
+                  [edge("a", "b"), edge("a", "c"),
+                   edge("b", "d"), edge("c", "d")])
+        coarse, records = coarsen(g, 3)
         assert len(coarse) == 4 and not records
 
     def test_budget_already_met_is_noop(self):
         g = chain(3)
-        coarse, records = coarsen(g, wide_config(5))
+        coarse, records = coarsen(g, 5)
         assert coarse == g and not records
 
     def test_weights_preserved(self):
         g = graph([op("a", refs=("w",)), op("b")], [edge("a", "b")],
                   [WeightAsset("w", 3, load_cost=1)])
-        coarse, _ = coarsen(g, wide_config(1))
+        coarse, _ = coarsen(g, 1)
         assert coarse.weights["w"].size == 3

@@ -9,20 +9,22 @@ digests cover.
 """
 import pytest
 
-from opsched.coarsen import CoarsenConfig, _Contraction, coarsen
+from opsched.coarsen import _Contraction, _limits, coarsen
 from opsched.scenarios import RandomDagSpec, gen_random_dag
 
 from conftest import edge, graph, op
 
 
-def stepwise(g, cfg):
+def stepwise(g, budget):
     cur, origin, counter = g, {}, 0
-    while len(cur) > cfg.node_budget:
+    edge_limits, nonedge_limits = _limits(g, budget)
+    while len(cur) > budget:
         merged_any = False
-        for find in (_Contraction.edge_candidate,
-                     _Contraction.nonedge_candidate):
-            while len(cur) > cfg.node_budget:
-                pair = find(_Contraction(cur), cfg)
+        for find, limits in ((_Contraction.edge_candidate, edge_limits),
+                             (_Contraction.nonedge_candidate,
+                              nonedge_limits)):
+            while len(cur) > budget:
+                pair = find(_Contraction(cur), *limits)
                 if pair is None:
                     break
                 counter += 1
@@ -54,8 +56,7 @@ def mixed_ids(seed, nodes):
 @pytest.mark.parametrize("seed", range(6))
 def test_coarsen_matches_stepwise_search(seed):
     g = mixed_ids(seed, 50)
-    cfg = CoarsenConfig.for_graph(g, 10)
-    coarse, records = coarsen(g, cfg)
-    expected, origin = stepwise(g, cfg)
+    coarse, records = coarsen(g, 10)
+    expected, origin = stepwise(g, 10)
     assert coarse == expected
     assert {r.new_id: set(r.absorbed) for r in records} == origin

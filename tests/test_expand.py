@@ -2,7 +2,7 @@
 original operations."""
 import pytest
 
-from opsched.coarsen import CoarsenConfig, MergeRecord, coarsen
+from opsched.coarsen import MergeRecord, coarsen
 from opsched.model import ModelOptions, build_model
 from opsched.simulate import expand_schedule, verify
 from opsched.solver import solve
@@ -20,18 +20,19 @@ def two_chains():
     return graph(ops, edges)
 
 
-def edge_merges_only(budget):
-    # a non-edge merge needs a pair with total duration <= 0
-    return CoarsenConfig(node_budget=budget, edge_merge_max_duration=2,
-                         edge_merge_max_memory=1e9,
-                         nonedge_merge_max_duration=0,
-                         nonedge_merge_max_memory=0)
+def coarse_two_chains():
+    # edge merges alone meet budget 4, each a chain along its edges:
+    # {b0,b1}, {b2,b3} and {a0,a1,a2}
+    g = two_chains()
+    coarse, records = coarsen(g, 4)
+    assert sorted(r.absorbed for r in records) == [
+        ("a0", "a1", "a2"), ("b0", "b1"), ("b2", "b3")]
+    return g, coarse, records
 
 
 def test_edge_merged_schedule_expands_to_feasible_original():
-    g, h = two_chains(), cluster(2)
-    coarse, records = coarsen(g, edge_merges_only(1))
-    assert records and len(coarse) < len(g)
+    g, coarse, records = coarse_two_chains()
+    h = cluster(2)
     sol = solve(build_model(coarse, h))
     capped = ModelOptions(memory_capped=True)
     assert verify(coarse, h, sol, capped).feasible
@@ -43,9 +44,8 @@ def test_edge_merged_schedule_expands_to_feasible_original():
 
 
 def test_record_naming_unknown_operation_rejected():
-    g, h = two_chains(), cluster(2)
-    coarse, records = coarsen(g, edge_merges_only(1))
-    sol = solve(build_model(coarse, h))
+    g, coarse, records = coarse_two_chains()
+    sol = solve(build_model(coarse, cluster(2)))
     bad = records + [MergeRecord("m999", ("a0", "zz"))]
     with pytest.raises(ValueError, match="unknown operation 'zz'"):
         expand_schedule(sol, bad, g)

@@ -10,7 +10,11 @@ Each coarsening case hashes the coarse graph document and the merge
 records. Those digests were recorded while every merge still rebuilt the
 whole graph and every candidate search rescanned all pairs, so the
 in-place contraction must make the same merges in the same order, with
-the same float sums.
+the same float sums. `fractional_parallel_edges` was re-recorded when
+`coarsen` came to take a node budget alone: its limits had admitted
+every merge, which no budget gives. Its new digest is what the code
+before that change gave with the limits budget 2 works out, and
+`test_fractional_parallel_edges_sums_and_refs` spells out its sums.
 
 Each export case hashes the MPS and the LP text of one model, and one
 case hashes the pp=4 DualPipe MPS (the benchmark's 16.5 MB artifact).
@@ -51,7 +55,7 @@ import json
 import pytest
 
 from opsched.cli import _write_doc, main
-from opsched.coarsen import CoarsenConfig, coarsen
+from opsched.coarsen import coarsen
 from opsched.graph import (WeightAsset, dump_computation_graph, load_cluster,
                            load_computation_graph)
 from opsched.model import (BINARY, ModelOptions, _Builder, build_model,
@@ -103,7 +107,7 @@ def dfs_bench_direct():
 
 def dfs_bench_coarse():
     g, h = _bench_dag()
-    coarse, _ = coarsen(g, CoarsenConfig.for_graph(g, len(g) // 5))
+    coarse, _ = coarsen(g, len(g) // 5)
     return solve(build_model(coarse, h), SolveConfig(node_limit=1000))
 
 
@@ -275,8 +279,8 @@ def test_search_nodes_and_digest(case):
     assert (sol.stats["nodes"], digest) == SEARCH_GOLDEN[case]
 
 
-def _digest_coarsening(g, cfg):
-    coarse, records = coarsen(g, cfg)
+def _digest_coarsening(g, budget):
+    coarse, records = coarsen(g, budget)
     doc = {"graph": dump_computation_graph(coarse),
            "records": [[r.new_id, list(r.absorbed)] for r in records]}
     return json.dumps(doc, sort_keys=True)
@@ -285,10 +289,10 @@ def _digest_coarsening(g, cfg):
 def benchmark_shape():
     # the coarsen-chain benchmark's DAGs: 400 nodes down to ~80
     g = gen_random_dag(RandomDagSpec(nodes=400, seed=0))
-    return _digest_coarsening(g, CoarsenConfig.for_graph(g, 80))
+    return _digest_coarsening(g, 80)
 
 
-def fractional_parallel_edges():
+def _fractional_graph():
     # merging the sources turns their edges into parallel edges whose
     # fractional comm sums depend on the order of the merges, which
     # groups the additions; the merged nodes' weight_refs are unions
@@ -301,11 +305,11 @@ def fractional_parallel_edges():
                edge("s2", "t0", 0.7), edge("s3", "t0", 0.3),
                edge("s0", "t1", 0.6), edge("s1", "t1", 0.1),
                edge("s2", "t1", 0.2), edge("s3", "t1", 0.4)], weights)
-    wide = CoarsenConfig(node_budget=2, edge_merge_max_duration=1e9,
-                         edge_merge_max_memory=1e9,
-                         nonedge_merge_max_duration=1e9,
-                         nonedge_merge_max_memory=1e9)
-    return _digest_coarsening(g, wide)
+    return g
+
+
+def fractional_parallel_edges():
+    return _digest_coarsening(_fractional_graph(), 2)
 
 
 def ids_around_merged():
@@ -318,14 +322,14 @@ def ids_around_merged():
                for o in base.operations.values()],
               [edge(name[a], name[b], 0.1 * k)
                for k, (a, b) in enumerate(base.edges)])
-    return _digest_coarsening(g, CoarsenConfig.for_graph(g, 12))
+    return _digest_coarsening(g, 12)
 
 
 COARSEN_GOLDEN = {
     benchmark_shape:
         "cde3cd2a7223f08efc509a1b1fdc265f7f0aa39b0725316a2d9c79150982161a",
     fractional_parallel_edges:
-        "1102eff20242562e0215234d58c0ad54e27e1812359fe8283add387b4cf64b16",
+        "371872e5bca6234bcd47214bb2e6a890660032b368a705ee0b8206ad88ae1c53",
     ids_around_merged:
         "820370751f7140b9e83c83e92ccd5ec94992f088873ea3677f9ad1d3e17354ed",
 }
@@ -335,6 +339,22 @@ COARSEN_GOLDEN = {
 def test_coarsening_digest(case):
     text = case()
     assert hashlib.sha256(text.encode()).hexdigest() == COARSEN_GOLDEN[case]
+
+
+def test_fractional_parallel_edges_sums_and_refs():
+    # what the digest pins: s0, s1 then s2 merge into m002 (adding s3
+    # would pass the non-edge duration limit 5), then t0 and t1 into
+    # m003, so each comm sum is grouped by those merges; adding in edge
+    # order gives 1.9000000000000001
+    coarse, _ = coarsen(_fractional_graph(), 2)
+    comm = {k: e.comm_duration for k, e in coarse.edges.items()}
+    assert comm == {("m002", "m003"): ((0.1 + 0.2) + 0.7)
+                    + ((0.6 + 0.1) + 0.2),
+                    ("s3", "m003"): 0.3 + 0.4}
+    assert comm[("m002", "m003")] == 1.9
+    refs = {i: o.weight_refs for i, o in coarse.operations.items()}
+    assert refs == {"m002": ("w0", "w1", "w2"), "m003": ("w0", "w2"),
+                    "s3": ()}
 
 
 def dualpipe_pp2():

@@ -10,6 +10,9 @@ from opsched.model import (BINARY, CAPACITY_TAG, CONTINUOUS, CORE_TAGS,
                            build_model, clear_primal_bound, compute_horizon,
                            set_primal_bound)
 
+from opsched.simulate import verify
+from opsched.solver import solve
+
 from conftest import cluster, edge, graph, op
 
 
@@ -50,6 +53,19 @@ class TestBuildValidation:
                   weights=[WeightAsset("w", 10)])
         build_model(g, cluster(1, cap=3),
                     ModelOptions(memory_capped=True, dynamic_loading=True))
+
+    def test_dynamic_ignores_weight_mem_in_fit_check(self):
+        # with loading, no judge counts an op's weight_mem: the search and
+        # the replay both run this op at makespan 1 on capacity 3
+        g = graph([op("a", 1, mem=5)])
+        h = cluster(1, cap=3)
+        dynamic = ModelOptions(memory_capped=True, dynamic_loading=True)
+        sol = solve(build_model(g, h, dynamic))
+        assert (sol.status, sol.objective) == ("optimal", 1.0)
+        report = verify(g, h, sol, dynamic)
+        assert (report.feasible, report.makespan) == (True, 1.0)
+        with pytest.raises(ModelError, match="needs 5 memory units"):
+            build_model(g, h, ModelOptions(memory_capped=True))
 
 
 class TestConstraintStore:

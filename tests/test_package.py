@@ -5,7 +5,8 @@ is exported or named by code in `src/` or `bench/`, every public method
 or property of a public class is named there as an attribute, every
 keyword-only parameter of a public function is passed by name
 somewhere, every defaulted field of a public dataclass is set
-somewhere, and only `model` switches the cyclic garbage collector."""
+somewhere, no module switches the cyclic garbage collector, and no
+function imports unless it breaks a module cycle."""
 import ast
 import functools
 import pathlib
@@ -154,6 +155,33 @@ def test_only_model_switches_the_collector(path):
     # object that the collector tracks, so nothing pauses it
     assert _collector_switches(ast.parse(path.read_text(),
                                          filename=str(path))) == []
+
+
+# (module, function, import) for each import inside a function that
+# breaks a real module cycle: `simulate` imports `solver` at its top
+_CYCLE_BREAKERS = {("solver.py", "warm_start", "from .simulate import verify")}
+
+
+def _imports_in_functions(path: pathlib.Path) -> list[str]:
+    owner = {}
+    for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    # the walk is breadth first, so an inner function
+                    # comes later and wins
+                    owner[node] = fn.name
+    return sorted(f"{name}: {ast.unparse(node)} (line {node.lineno})"
+                  for node, name in owner.items()
+                  if (path.name, name, ast.unparse(node))
+                  not in _CYCLE_BREAKERS)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    # an import belongs at the top of its module, where a reader finds
+    # the module's dependencies, unless it breaks an import cycle
+    assert _imports_in_functions(path) == []
 
 
 def _keyword_only_knobs(tree: ast.Module) -> list[tuple[str, str]]:

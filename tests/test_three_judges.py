@@ -28,6 +28,15 @@ pytest.importorskip("scipy")
 SEEDS = (*range(12), 30)
 
 
+def test_highs_runs_a_dynamic_op_whose_weight_mem_exceeds_capacity():
+    # no judge counts weight_mem under dynamic loading, so neither may
+    # the model's capacity precheck
+    model = build_model(graph([op("a", 1, mem=5)]), cluster(1, cap=3),
+                        ModelOptions(memory_capped=True,
+                                     dynamic_loading=True))
+    assert highs_makespan(model) == pytest.approx(1.0)
+
+
 def _three_machine_ring(h):
     """Three machines of `h`'s capacity on a one-way ring: co-location is
     one choice among three, and a dependent pair cannot sit on every
