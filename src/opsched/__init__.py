@@ -18,8 +18,8 @@ from .scenarios import (DualPipeSpec, RandomDagSpec, dualpipe_bubble_target,
                         dualpipe_primal_bound, dualpipe_reference,
                         gen_dualpipe, gen_random_dag)
 from .simulate import VerifyReport, expand_schedule, verify
-from .solver import (Solution, SolveConfig, SolveError, refine_idle, solve,
-                     warm_start)
+from .solver import (Solution, SolveConfig, SolveError, list_schedule,
+                     refine_idle, solve, warm_start)
 
 __all__ = [
     "Channel", "ComputationGraph", "DependencyEdge", "DualPipeSpec",
@@ -31,7 +31,7 @@ __all__ = [
     "dualpipe_bubble_target", "dualpipe_primal_bound",
     "dualpipe_reference", "dump_cluster", "dump_computation_graph",
     "expand_schedule", "export_lp", "export_mps",
-    "gen_dualpipe", "gen_random_dag", "load_cluster",
+    "gen_dualpipe", "gen_random_dag", "list_schedule", "load_cluster",
     "load_computation_graph", "refine_idle", "set_primal_bound", "solve",
     "verify", "warm_start",
 ]

@@ -103,7 +103,9 @@ def verify(g: ComputationGraph, h: HardwareCluster, sol: Solution,
     for i in placed:
         by_machine[sol.assignment[i]].append(i)
     for j, ops in by_machine.items():
-        ops.sort(key=lambda i: (sol.op_times[i][0], i))
+        # by start, then end: an op of zero duration runs before one that
+        # starts at the same time and takes time
+        ops.sort(key=lambda i: (*sol.op_times[i], i))
         for a, b in zip(ops, ops[1:]):
             if sol.op_times[b][0] < sol.op_times[a][1] - _EPS:
                 flag("machine-overlap", (a, b), sol.op_times[b][0])

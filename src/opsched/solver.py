@@ -29,6 +29,11 @@ immediately. With static weights, ops of one memory class step a
 machine's chain alike, so both memory-capped searches remember each
 class's step for as long as the machine's memory state lasts, and skip
 the ops that do not fit without retrying them.
+
+Apart from the searches, `list_schedule` is a primal heuristic: a seeded
+hill climb over the priority keys and placement of a list-scheduling
+pass, for zero-communication, static-loading models. `solve` does not
+run it; a caller hands its schedule to `solve` as a hint.
 """
 from __future__ import annotations
 
@@ -1074,7 +1079,9 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None, *,
     """Minimize makespan; exact when the search space can be covered.
 
     `hint` is a feasible schedule (see `warm_start`) that the search
-    starts from as its incumbent and can then only improve on.
+    starts from as its incumbent and can then only improve on. A hint
+    that already meets the root or the primal bound is returned at once,
+    after 0 nodes, with ``stop`` ``bound-met``.
 
     The result is the search's incumbent as found; `solve` runs no
     post-pass on it.
@@ -1092,7 +1099,11 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None, *,
     search = _Search(model, cfg or SolveConfig(), hint)
     inst = search.inst
     dfs = False
-    if not inst.zero_comm and inst.nm ** inst.n <= _ENUMERATION_LIMIT:
+    exhausted = False
+    complete_mode = inst.zero_comm
+    if search.should_stop():
+        pass  # the hint meets the root or the primal bound already
+    elif not inst.zero_comm and inst.nm ** inst.n <= _ENUMERATION_LIMIT:
         exhausted = search.run_fixed_assignment()
         complete_mode = True
     else:
@@ -1100,7 +1111,6 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None, *,
         dfs = exhausted is None
         if dfs:
             exhausted = search._dfs(_State(inst))
-        complete_mode = inst.zero_comm
 
     sol = search.incumbent
     root = search.root
@@ -1139,6 +1149,296 @@ def warm_start(model: ScheduleModel, hint: Solution) -> Solution:
             "warm-start hint is infeasible: "
             + "; ".join(str(v) for v in report.violations[:5]))
     return hint
+
+
+# -- list-scheduling climb -----------------------------------------------------
+
+# A parallel schedule-generation pass (Kolisch, EJOR 1996) turns priority
+# keys and a placement (a machine per op) into a schedule; a seeded hill
+# climb over random keys (Hartmann, NRL 1998) and placement moves searches
+# both. The climb's budget is counted in iterations, so its result does
+# not depend on the clock; a deadline is only a backstop.
+_CLIMB_SEED = 0
+_CLIMB_PATIENCE = 600  # iterations without a better schedule
+_CLIMB_ITERATIONS = 5_000
+_KEY_SIGMA = 2.0
+_KEYS_PER_STEP = 3
+_PLACEMENT_EVERY = 5  # every fifth step is a placement move
+# above this many machines no permutations are enumerated (8! = 40,320)
+_PERMUTED_MACHINES = 8
+
+
+def _start_placement(inst: _Instance) -> list[int]:
+    """A machine per op: each weight asset goes to one machine, in order
+    of first reference along the topological order, cycling through the
+    machines, and an op runs where the first of its assets by id went.
+    An op without weights takes the next machine of the cycle itself."""
+    slot = itertools.count()
+    home: dict[str, int] = {}
+    mach = [0] * inst.n
+    for i in inst.model.graph.topo_order():
+        k = inst.idx[i]
+        for w in inst.refs[k]:
+            if w not in home:
+                home[w] = next(slot) % inst.nm
+        mach[k] = (home[inst.refs[k][0]] if inst.refs[k]
+                   else next(slot) % inst.nm)
+    return mach
+
+
+def _machine_automorphisms(inst: _Instance) -> list[tuple[int, ...]]:
+    """Every permutation p of the machines but the identity that keeps
+    capacities and the channel set: a sends to b iff p[a] sends to p[b].
+    Moving every op of a weakly connected component from its machine m to
+    p[m] keeps every channel the component's edges use. Empty above
+    `_PERMUTED_MACHINES` machines."""
+    nm, cap, out = inst.nm, inst.cap, inst.out_mask
+    if nm > _PERMUTED_MACHINES:
+        return []
+    found: list[tuple[int, ...]] = []
+    perm: list[int] = []
+
+    def extend():
+        a = len(perm)
+        if a == nm:
+            found.append(tuple(perm))
+            return
+        for t in range(nm):
+            if t in perm or cap[t] != cap[a]:
+                continue
+            if all(out[a] >> b & 1 == out[t] >> perm[b] & 1
+                   and out[b] >> a & 1 == out[perm[b]] >> t & 1
+                   for b in range(a)):
+                perm.append(t)
+                extend()
+                perm.pop()
+
+    extend()
+    # targets are tried in increasing order, so the identity comes first
+    return found[1:]
+
+
+def _components(inst: _Instance) -> list[list[int]]:
+    """The weakly connected components of the graph, as op indices."""
+    seen = [False] * inst.n
+    comps = []
+    for root in range(inst.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp, stack = [], [root]
+        while stack:
+            k = stack.pop()
+            comp.append(k)
+            for x in itertools.chain(inst.preds[k], inst.succs[k]):
+                if not seen[x]:
+                    seen[x] = True
+                    stack.append(x)
+        comps.append(comp)
+    return comps
+
+
+class _StepTable:
+    """`_static_step` on interned memory states, remembered across passes.
+
+    A machine's static memory state (chain, weight total, resident
+    assets) is an index into `states`; `nxt[m]` maps (state, memory class)
+    to the state after the step on machine m, None when it does not fit.
+    A step depends on the op only through its class (see `_static_step`),
+    so each pair is stepped once per machine for the whole climb."""
+
+    def __init__(self, inst: _Instance):
+        self.inst = inst
+        self.states = [(_MEM0, 0.0, frozenset())]
+        self.ids = {self.states[0]: 0}
+        self.nxt: list[dict] = [{} for _ in range(inst.nm)]
+
+    def step(self, m: int, sid: int, k: int) -> int | None:
+        inst = self.inst
+        new = _static_step(inst, *self.states[sid], k, inst.mem_cap[m])
+        if new is not None:
+            if new not in self.ids:
+                self.ids[new] = len(self.states)
+                self.states.append(new)
+            new = self.ids[new]
+        self.nxt[m][sid, inst.mem_class[k]] = new
+        return new
+
+
+def _list_pass(inst: _Instance, prio: Sequence[float], mach: Sequence[int],
+               table: _StepTable, limit: float):
+    """One parallel schedule-generation pass: again and again, dispatch
+    the ready op with the earliest start on its machine, the lowest
+    `prio` (the highest key) first on ties, at its exact earliest start,
+    passing over ops whose memory step fails; those are tried again once
+    their machine has taken another op. `mach` must obey the channel rule
+    of `_dispatch`.
+
+    Returns (makespan, pipeline bubble, summed interior idle, dispatch
+    order), or None when no ready op can be placed, or when an op's end
+    plus its critical tail exceeds `limit`, so the makespan would."""
+    n, nm = inst.n, inst.nm
+    dur, tail, succs = inst.dur, inst.tail, inst.succs
+    mem_class, capped, nxt = inst.mem_class, inst.capped, table.nxt
+    limit += _EPS
+    free = [0.0] * nm
+    first: list[float | None] = [None] * nm
+    busy = [0.0] * nm
+    est = [0.0] * n
+    missing = [len(p) for p in inst.preds]
+    sid = [0] * nm  # each machine's memory state in `table`
+    ready: list[list[int]] = [[] for _ in range(nm)]
+    for k in range(n):
+        if not missing[k]:
+            ready[mach[k]].append(k)
+    # per machine: its next dispatch (start, prio, k, memory state after
+    # it), or None
+    best: list[tuple | None] = [None] * nm
+    dirty = set(range(nm))
+    seq: list[int] = []
+    for _ in range(n):
+        for m in dirty:
+            f, s, steps = free[m], sid[m], nxt[m]
+            best[m] = None
+            for cand in sorted([(est[k] if est[k] > f else f, prio[k], k)
+                                for k in ready[m]]):
+                if capped:
+                    to = steps.get((s, mem_class[cand[2]]), _UNKNOWN)
+                    if to is _UNKNOWN:
+                        to = table.step(m, s, cand[2])
+                    if to is None:
+                        continue
+                    cand += (to,)
+                best[m] = cand
+                break
+        dirty.clear()
+        pick = min(filter(None, best), default=None)
+        if pick is None:
+            return None
+        start, k = pick[0], pick[2]
+        m = mach[k]
+        end = start + dur[k]
+        if end + tail[k] > limit:
+            return None
+        if capped:
+            sid[m] = pick[3]
+        if first[m] is None:
+            first[m] = start
+        free[m] = end
+        busy[m] += dur[k]
+        ready[m].remove(k)
+        dirty.add(m)
+        seq.append(k)
+        for sx in succs[k]:
+            missing[sx] -= 1
+            if end > est[sx]:
+                est[sx] = end
+            if not missing[sx]:
+                ready[mach[sx]].append(sx)
+                dirty.add(mach[sx])
+    makespan = max(free, default=0.0)
+    idle = sum(free[m] - first[m] - busy[m] for m in range(nm)
+               if first[m] is not None)
+    return makespan, makespan - min(busy, default=0.0), idle, seq
+
+
+def list_schedule(model: ScheduleModel, *,
+                  deadline: float | None = None) -> Solution | None:
+    """A schedule from scratch by a seeded list-scheduling hill climb, or
+    None when no pass placed every op (so also when the start placement
+    breaks the channel rule, which no placement move repairs).
+
+    Each op starts with the key dur + critical tail and the placement of
+    `_start_placement`; `_list_pass` turns keys and placement into a
+    schedule. Most steps add Gaussian noise to `_KEYS_PER_STEP` random
+    keys; every `_PLACEMENT_EVERY`-th step moves the ops of one weakly
+    connected component by a machine permutation that keeps capacities
+    and channels (`_machine_automorphisms`). A step is kept when its
+    makespan is no worse. The result is the best schedule seen by
+    (makespan, pipeline bubble, summed interior idle), laid out by
+    `_dispatch`, so it has the form a search result has.
+
+    The climb stops at the root bound, after `_CLIMB_PATIENCE` iterations
+    without a better schedule, after `_CLIMB_ITERATIONS`, or, as a
+    backstop, at ``deadline`` (a monotonic-clock timestamp); its stats
+    hold ``iterations``, ``stop`` and ``root_bound``. The primal bound is
+    not read. Only zero-communication, static-loading models: anything
+    else raises SolveError. With every pair of machines connected and no
+    memory cap, some pass always places every op.
+    """
+    inst = _Instance(model)
+    why = ("it loads weights dynamically" if inst.dynamic
+           else "a transfer takes time" if not inst.zero_comm else None)
+    if why is not None:
+        raise SolveError("list scheduling needs a zero-communication, "
+                         f"static-loading model; {why}")
+    mach = _start_placement(inst)
+    # the channel rule of `_dispatch`: each edge's producer machine sends
+    # to its consumer's. A placement move maps an edge's machines (a, b)
+    # to (p[a], p[b]), a channel iff (a, b) is one, so every placement
+    # the climb reaches obeys the rule iff the start does
+    if not all(inst.out_mask[mach[p]] >> mach[k] & 1 for p, k in inst.comm):
+        return None
+    rng = random.Random(_CLIMB_SEED)
+    # the negated keys, the form `_State.ready` sorts by
+    prio = list(inst.prio)
+    moves = _machine_automorphisms(inst)
+    comps = _components(inst)
+    table = _StepTable(inst)
+    root = inst.root_bound()
+    cur = _list_pass(inst, prio, mach, table, math.inf)
+    best = cur and (cur, list(mach))
+    stale = it = 0
+    while True:
+        stop = ("bound-met" if best and best[0][0] <= root + _EPS
+                else "patience" if stale >= _CLIMB_PATIENCE
+                else "iteration-limit" if it >= _CLIMB_ITERATIONS
+                else "time-limit" if (deadline is not None
+                                      and _time.monotonic() > deadline)
+                else None)
+        if stop is not None:
+            break
+        it += 1
+        if moves and it % _PLACEMENT_EVERY == 0:
+            comp = comps[rng.randrange(len(comps))]
+            perm = moves[rng.randrange(len(moves))]
+            changed, undo = mach, [(k, mach[k]) for k in comp]
+            for k in comp:
+                mach[k] = perm[mach[k]]
+        else:
+            changed, undo = prio, []
+            for _ in range(_KEYS_PER_STEP):
+                k = rng.randrange(inst.n)
+                undo.append((k, prio[k]))
+                prio[k] += rng.gauss(0.0, _KEY_SIGMA)
+        res = _list_pass(inst, prio, mach, table,
+                         math.inf if cur is None else cur[0])
+        if res is None:
+            for k, old in reversed(undo):
+                changed[k] = old
+            stale += 1
+            continue
+        cur = res
+        if best is None or res[:3] < best[0][:3]:
+            best = (res, list(mach))
+            stale = 0
+        else:
+            stale += 1
+    if best is None:
+        return None
+    (_, _, _, seq), placed = best
+    state = _State(inst)
+    for k in seq:
+        _dispatch(state, k, placed[k])
+    assignment, op_times, comm_times, loads, preloads = state.solution_parts()
+    obj = state.cur_max_end
+    proved = obj <= root + _EPS
+    return Solution(status=OPTIMAL if proved else FEASIBLE, objective=obj,
+                    assignment=assignment, op_times=op_times,
+                    comm_times=comm_times, load_events=loads,
+                    preloads=preloads, bound=obj if proved else root,
+                    stats={"iterations": it, "stop": stop,
+                           "root_bound": root})
 
 
 # -- fixed-order evaluation ---------------------------------------------------

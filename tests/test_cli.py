@@ -658,11 +658,11 @@ class TestReproDualpipe:
             == EXIT_OK
         # at pp=2 the DualPipe formula, and every bubble, is 0
         assert dualpipe_bubble_target(DualPipeSpec(pp=2)) == 0
-        printed = capsys.readouterr().out
-        assert ("pipeline_bubble(bound)=0 bubble_total(bound)=0 "
-                "pipeline_bubble(continued)=0 bubble_total(continued)=0") \
-            in printed
-        assert "pp=2 makespan(bound)=12 makespan(continued)=12 " in printed
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("reference: makespan=12 pipeline_bubble=0 "
+                            "bubble_total=0")
+        assert lines[1] == ("heuristic: makespan=12 pipeline_bubble=0 "
+                            "bubble_total=0 iterations=5 stop=bound-met")
         report = tmp_path / "report.json"
         assert main(["verify", "-i", str(out), "-o", str(report)]) \
             == EXIT_OK
@@ -680,31 +680,56 @@ class TestReproDualpipe:
             == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
             "a42f83377fd79929564fb32ef2af17d4cef4dc463992eccc71bc76da890033d0"
-        # both searches stop at their hint, which meets the root bound
-        assert ("source(bound)=hint stop(bound)=bound-met "
-                "source(continued)=hint stop(continued)=bound-met") \
-            in capsys.readouterr().out.splitlines()
+        # the climb only ties the hand-built order, which is kept; it meets
+        # the root bound, so the solve returns it at once
+        assert capsys.readouterr().out.splitlines()[2].startswith(
+            "pp=2 written=reference makespan=12 pipeline_bubble=0 "
+            "bubble_total=0 status=optimal stop=bound-met nodes=0 ")
 
-    def test_pp4_meets_both_gates_with_the_hand_built_order(self, capsys):
+    def test_pp4_writes_the_climbs_schedule(self, tmp_path, capsys):
         # pp=4 is the first size with a bubble: the formula gives 2 and
         # the primal bound 26; the hand-built order is 25 long and each
-        # device idles at most 1 (2 in all between first and last op)
-        assert main(["repro-dualpipe", "--pp", "4", "--node-limit",
-                     "1000"]) == EXIT_OK
+        # device idles at most 1 (2 in all between first and last op). The
+        # climb ties it on makespan and pipeline bubble and idles 1 in all
+        out = tmp_path / "repro.json"
+        assert main(["repro-dualpipe", "--pp", "4", "--node-limit", "1000",
+                     "-o", str(out)]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == (
-            "pipeline_bubble(bound)=1 bubble_total(bound)=2 "
-            "pipeline_bubble(continued)=1 bubble_total(continued)=2")
-        assert lines[1].startswith(
-            "pp=4 makespan(bound)=25 makespan(continued)=25 ")
-        assert lines[2] == (
-            "source(bound)=hint stop(bound)=bound-met "
-            "source(continued)=hint stop(continued)=node-limit")
+        assert lines[:2] == [
+            "reference: makespan=25 pipeline_bubble=1 bubble_total=2",
+            "heuristic: makespan=25 pipeline_bubble=1 bubble_total=1 "
+            "iterations=1406 stop=patience"]
+        assert lines[2].startswith(
+            "pp=4 written=heuristic makespan=25 pipeline_bubble=1 "
+            "bubble_total=1 status=feasible stop=bound-met nodes=0 ")
+        report = tmp_path / "report.json"
+        assert main(["verify", "-i", str(out), "-o", str(report)]) \
+            == EXIT_OK
+        rep = json.loads(report.read_text())
+        assert (rep["makespan"], rep["pipeline_bubble"],
+                rep["bubble_total"]) == (25, 1, 1)
+
+    def test_pp4_default_limits_spend_no_solve_nodes(self, capsys):
+        # the written schedule meets the primal bound, so the solve stops
+        # before its first node; at the parent a continued search ran all
+        # 2M nodes of the default limit
+        assert main(["repro-dualpipe", "--pp", "4"]) == EXIT_OK
+        last = capsys.readouterr().out.splitlines()[2]
+        assert " stop=bound-met nodes=0 " in last
+
+    def test_no_schedule_from_the_climb_writes_the_reference(
+            self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "list_schedule",
+                            lambda model, *, deadline: None)
+        assert main(["repro-dualpipe", "--pp", "2"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "heuristic: no schedule"
+        assert lines[2].startswith("pp=2 written=reference ")
 
     @staticmethod
     def _late_pp4(monkeypatch, capsys, delay):
-        """Run pp=4 on the hand-built schedule `delay` units later, with
-        both searches returning their hint; exit code and stderr."""
+        """Run pp=4 with both the hand-built schedule and the climb's
+        result `delay` units late; exit code and stderr."""
         real_reference = cli.dualpipe_reference
 
         def late(spec):
@@ -717,8 +742,9 @@ class TestReproDualpipe:
                             for k, (c, s, e) in sol.comm_times.items()})
 
         monkeypatch.setattr(cli, "dualpipe_reference", late)
-        monkeypatch.setattr(cli, "solve",
-                            lambda model, cfg=None, *, hint: hint)
+        monkeypatch.setattr(cli, "list_schedule",
+                            lambda model, *, deadline:
+                            late(DualPipeSpec(pp=4)))
         code = main(["repro-dualpipe", "--pp", "4"])
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -729,9 +755,9 @@ class TestReproDualpipe:
         # makespan 26 <= 26; pipeline bubble 26 - 24 = 2 > 1
         assert self._late_pp4(monkeypatch, capsys, 1) == (EXIT_ERROR, {
             "error": "bubble-mismatch",
-            "message": "continued pipeline_bubble 2 > limit 1"})
+            "message": "written pipeline_bubble 2 > limit 1"})
 
     def test_two_units_late_misses_the_bound(self, monkeypatch, capsys):
         assert self._late_pp4(monkeypatch, capsys, 2) == (EXIT_ERROR, {
             "error": "bubble-mismatch",
-            "message": "bounded makespan 27 > limit 26"})
+            "message": "reference makespan 27 > limit 26"})

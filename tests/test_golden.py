@@ -204,9 +204,10 @@ def test_solution_digest(case):
 
 
 def saturation_continued_pp4():
-    # the continued phase of `repro-dualpipe --pp 4`: no primal bound,
-    # the bounded solve's schedule (makespan 25) as the incumbent, so the
-    # saturation search looks for 24 until its node budget
+    # what was the continued phase of `repro-dualpipe --pp 4`, which the
+    # repro no longer runs: no primal bound, the hand-built schedule
+    # (makespan 25) as the incumbent, so the saturation search looks for
+    # 24 until its node budget
     spec = DualPipeSpec(pp=4)
     model, bound = _dualpipe(4, None)
     model = set_primal_bound(model, bound)

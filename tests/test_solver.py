@@ -7,8 +7,8 @@ from opsched.graph import ComputationGraph, DependencyEdge
 from opsched.model import (ModelError, ModelOptions, build_model,
                            clear_primal_bound, set_primal_bound)
 from opsched.scenarios import (DualPipeSpec, RandomDagSpec,
-                               dualpipe_primal_bound, gen_dualpipe,
-                               gen_random_dag)
+                               dualpipe_primal_bound, dualpipe_reference,
+                               gen_dualpipe, gen_random_dag)
 from opsched.simulate import verify
 from opsched.solver import (SolveConfig, SolveError, Solution, refine_idle,
                             solve, warm_start)
@@ -68,6 +68,15 @@ class TestExactSmallSolves:
                   [edge("a", "b")])
         sol = solve(build(g, cluster(1, cap=5), memory_capped=True))
         assert sol.status == "infeasible" and sol.objective is None
+
+    def test_zero_duration_op_before_a_longer_one_verifies(self):
+        # z and b both start at 0 on the one machine, z first since it
+        # takes no time; `verify` once ordered them by id and saw overlap
+        g = graph([op("z", 0), op("b", 3), op("a", 1)], [edge("z", "b")])
+        model = build(g, cluster(1))
+        sol = solve(model)
+        assert sol.op_times["z"] == sol.op_times["b"][:1] * 2 == (0.0, 0.0)
+        assert verify(g, cluster(1), sol, model.options).feasible
 
     def test_unreachable_machine_is_avoided(self):
         # no channel into m1, so a dependent chain cannot use it
@@ -183,6 +192,21 @@ class TestWarmStart:
         again = solve(bounded, cfg, hint=warm_start(model, first))
         assert again.objective == first.objective
         assert again.op_times == first.op_times
+
+    @pytest.mark.parametrize("pp,node_limit,status", [
+        (4, 5, "feasible"), (4, None, "feasible"), (2, 0, "optimal")])
+    def test_hint_that_meets_a_bound_spends_no_nodes(self, pp, node_limit,
+                                                     status):
+        # the hand-built order is 25 at pp=4, within the primal bound 26,
+        # and 12 at pp=2, the root bound
+        spec = DualPipeSpec(pp=pp)
+        model = set_primal_bound(build_model(*gen_dualpipe(spec)),
+                                 dualpipe_primal_bound(spec))
+        hint = warm_start(model, dualpipe_reference(spec))
+        sol = solve(model, SolveConfig(node_limit=node_limit), hint=hint)
+        assert (sol.status, sol.stats["nodes"], sol.stats["stop"]) == \
+            (status, 0, "bound-met")
+        assert sol.op_times == hint.op_times
 
     def test_infeasible_hint_rejected(self):
         model, first = self.setup_pair()
