@@ -44,7 +44,7 @@ import random
 import time as _time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .graph import is_finite_number
 from .model import ScheduleModel
@@ -1265,8 +1265,24 @@ class _StepTable:
         return new
 
 
+class _Pass(NamedTuple):
+    """A completed `_list_pass`: the measures the climb compares, the
+    dispatch order, and what `_resume_step` reads. Per op: `start`, `est`
+    (the latest end among its predecessors) and `resume`, the number of
+    dispatches up to and including the one before it on its machine (0
+    for a machine's first op). `on[m]` lists machine m's ops."""
+    makespan: float
+    bubble: float  # pipeline bubble: makespan minus the least busy time
+    idle: float  # summed interior idle
+    seq: list[int]
+    start: list[float]
+    est: list[float]
+    resume: list[int]
+    on: list[list[int]]
+
+
 def _list_pass(inst: _Instance, prio: Sequence[float], mach: Sequence[int],
-               table: _StepTable, limit: float):
+               table: _StepTable, limit: float, prefix: Sequence[int]):
     """One parallel schedule-generation pass: again and again, dispatch
     the ready op with the earliest start on its machine, the lowest
     `prio` (the highest key) first on ties, at its exact earliest start,
@@ -1274,9 +1290,13 @@ def _list_pass(inst: _Instance, prio: Sequence[float], mach: Sequence[int],
     their machine has taken another op. `mach` must obey the channel rule
     of `_dispatch`.
 
-    Returns (makespan, pipeline bubble, summed interior idle, dispatch
-    order), or None when no ready op can be placed, or when an op's end
-    plus its critical tail exceeds `limit`, so the makespan would."""
+    The pass first dispatches `prefix` as given, choosing nothing: the
+    start of an earlier pass's `seq` on this placement that the present
+    keys would repeat (`_resume_step`). An empty prefix is a full pass.
+
+    Returns a `_Pass`, or None when no ready op can be placed, or when
+    the makespan would exceed `limit`: an op's end plus its critical tail
+    does, or a machine's free time plus the work still to come on it."""
     n, nm = inst.n, inst.nm
     dur, tail, succs = inst.dur, inst.tail, inst.succs
     mem_class, capped, nxt = inst.mem_class, inst.capped, table.nxt
@@ -1284,7 +1304,16 @@ def _list_pass(inst: _Instance, prio: Sequence[float], mach: Sequence[int],
     free = [0.0] * nm
     first: list[float | None] = [None] * nm
     busy = [0.0] * nm
+    rem = [0.0] * nm  # each machine's work not yet dispatched
+    for k in range(n):
+        rem[mach[k]] += dur[k]
+    if max(rem, default=0.0) > limit:
+        return None
     est = [0.0] * n
+    start = [0.0] * n
+    resume = [0] * n
+    on: list[list[int]] = [[] for _ in range(nm)]
+    mark = [0] * nm  # dispatches up to and including m's latest
     missing = [len(p) for p in inst.preds]
     sid = [0] * nm  # each machine's memory state in `table`
     ready: list[list[int]] = [[] for _ in range(nm)]
@@ -1296,39 +1325,54 @@ def _list_pass(inst: _Instance, prio: Sequence[float], mach: Sequence[int],
     best: list[tuple | None] = [None] * nm
     dirty = set(range(nm))
     seq: list[int] = []
-    for _ in range(n):
-        for m in dirty:
-            f, s, steps = free[m], sid[m], nxt[m]
-            best[m] = None
-            for cand in sorted([(est[k] if est[k] > f else f, prio[k], k)
-                                for k in ready[m]]):
-                if capped:
-                    to = steps.get((s, mem_class[cand[2]]), _UNKNOWN)
-                    if to is _UNKNOWN:
-                        to = table.step(m, s, cand[2])
-                    if to is None:
-                        continue
-                    cand += (to,)
-                best[m] = cand
-                break
-        dirty.clear()
-        pick = min(filter(None, best), default=None)
-        if pick is None:
+    replayed = len(prefix)
+    for step in range(n):
+        if step < replayed:
+            k = prefix[step]
+            m = mach[k]
+            t = est[k] if est[k] > free[m] else free[m]
+            if capped:
+                # the earlier pass made this step, so the table holds it
+                sid[m] = nxt[m][sid[m], mem_class[k]]
+        else:
+            for m in dirty:
+                f, s, steps = free[m], sid[m], nxt[m]
+                best[m] = None
+                for cand in sorted([(est[k] if est[k] > f else f, prio[k], k)
+                                    for k in ready[m]]):
+                    if capped:
+                        to = steps.get((s, mem_class[cand[2]]), _UNKNOWN)
+                        if to is _UNKNOWN:
+                            to = table.step(m, s, cand[2])
+                        if to is None:
+                            continue
+                        cand += (to,)
+                    best[m] = cand
+                    break
+            dirty.clear()
+            pick = min(filter(None, best), default=None)
+            if pick is None:
+                return None
+            t, k = pick[0], pick[2]
+            m = mach[k]
+            if capped:
+                sid[m] = pick[3]
+        end = t + dur[k]
+        rem[m] -= dur[k]
+        # every op still to come on m starts at `end` or later
+        if end + tail[k] > limit or end + rem[m] > limit:
             return None
-        start, k = pick[0], pick[2]
-        m = mach[k]
-        end = start + dur[k]
-        if end + tail[k] > limit:
-            return None
-        if capped:
-            sid[m] = pick[3]
         if first[m] is None:
-            first[m] = start
+            first[m] = t
         free[m] = end
         busy[m] += dur[k]
+        start[k] = t
+        resume[k] = mark[m]
         ready[m].remove(k)
         dirty.add(m)
         seq.append(k)
+        on[m].append(k)
+        mark[m] = len(seq)
         for sx in succs[k]:
             missing[sx] -= 1
             if end > est[sx]:
@@ -1339,7 +1383,65 @@ def _list_pass(inst: _Instance, prio: Sequence[float], mach: Sequence[int],
     makespan = max(free, default=0.0)
     idle = sum(free[m] - first[m] - busy[m] for m in range(nm)
                if first[m] is not None)
-    return makespan, makespan - min(busy, default=0.0), idle, seq
+    return _Pass(makespan, makespan - min(busy, default=0.0), idle, seq,
+                 start, est, resume, on)
+
+
+# Resuming a pass. The climb keeps its accepted pass and, on a key step,
+# changes a few keys; a pass reads keys only to break ties between
+# candidates that start at the same time, and few such ties matter.
+#
+# * Only ties on one machine. Every duration is > 0, so the starts along
+#   `seq` never decrease, and the machines whose best candidate starts
+#   at the earliest time t each dispatch that candidate, in some order:
+#   a dispatch on m moves m's next start past t, the ops it makes ready
+#   start after t, and memory is per machine, so it leaves every other
+#   machine's best candidate as it was. Same-start dispatches on
+#   different machines therefore commute, and how a pass orders them
+#   changes no start time, nor the schedule `_dispatch` lays out from
+#   the best pass's `seq`.
+# * Which pairs. When a pass dispatches c on m, its choice depends on
+#   c's key only against ready ops j on m whose start ties c's (ops
+#   whose memory step fails are passed over in any order): est[j] <=
+#   start[c], and j runs later on m, so est[c] <= start[c] < start[j].
+#   A changed key of op k can thus alter a decision only if some op j
+#   on k's machine has est[k] <= start[j] and est[j] <= start[k] in the
+#   accepted pass, and the two keys now compare the other way (the pair
+#   flips).
+# * Skip. With no flip, every decision is repeated and the schedule is
+#   the accepted one, so the step needs no pass (its makespan is the
+#   accepted one, and it cannot improve on the best).
+# * Resume. A flip can first alter the decision that picked the pair's
+#   earlier op a on its machine. Every dispatch before a's on that
+#   machine, and every other dispatch before those in `seq`, is one the
+#   new keys would make as well, so the pass replays `seq` up to and
+#   including the dispatch before a on its machine (`_Pass.resume`) and
+#   chooses from there. After a skip the accepted `seq` may interleave
+#   machines as the new keys would not, but it is still an order the
+#   pass could take under them, which is all the replay needs.
+#
+# Placement moves and models with a zero duration run full passes.
+
+
+def _resume_step(run: _Pass, mach: Sequence[int], prio: Sequence[float],
+                 old: Mapping[int, float]) -> int | None:
+    """How many of `run`'s first dispatches a pass under the keys `prio`
+    may replay before it must choose; None when it would repeat all of
+    `run`. `run` is the pass accepted before the ops in `old` changed
+    their keys, and `old` maps each of them to its key then."""
+    start, est, resume, on = run.start, run.est, run.resume, run.on
+    step = None
+    for k, was in old.items():
+        sk, ek, pk = start[k], est[k], prio[k]
+        for j in on[mach[k]]:
+            if j == k or start[j] < ek or est[j] > sk:
+                continue
+            pj = prio[j]
+            if ((pk, k) < (pj, j)) != ((was, k) < (old.get(j, pj), j)):
+                a = k if sk < start[j] else j
+                if step is None or resume[a] < step:
+                    step = resume[a]
+    return step
 
 
 def list_schedule(model: ScheduleModel, *,
@@ -1354,17 +1456,25 @@ def list_schedule(model: ScheduleModel, *,
     keys; every `_PLACEMENT_EVERY`-th step moves the ops of one weakly
     connected component by a machine permutation that keeps capacities
     and channels (`_machine_automorphisms`). A step is kept when its
-    makespan is no worse. The result is the best schedule seen by
-    (makespan, pipeline bubble, summed interior idle), laid out by
-    `_dispatch`, so it has the form a search result has.
+    makespan is no worse. A key step skips the pass when its keys leave
+    the accepted schedule as it is, or resumes the accepted pass from the
+    first decision they can change (`_resume_step`); placement moves, and
+    every step of a model with a zero duration, run the pass in full.
+    The result is the best schedule seen by (makespan, pipeline bubble,
+    summed interior idle), laid out by `_dispatch`, so it has the form a
+    search result has.
 
     The climb stops at the root bound, after `_CLIMB_PATIENCE` iterations
     without a better schedule, after `_CLIMB_ITERATIONS`, or, as a
-    backstop, at ``deadline`` (a monotonic-clock timestamp); its stats
-    hold ``iterations``, ``stop`` and ``root_bound``. The primal bound is
-    not read. Only zero-communication, static-loading models: anything
-    else raises SolveError. With every pair of machines connected and no
-    memory cap, some pass always places every op.
+    backstop, at ``deadline`` (a monotonic-clock timestamp). Its stats
+    hold ``iterations``, ``stop``, ``root_bound``, ``passes`` (the steps
+    that ``skipped``, ``resumed`` or ran in ``full`` their pass) and
+    ``improvements``, the (iteration, makespan, pipeline bubble, summed
+    interior idle) of each best schedule in turn, from the first pass at
+    iteration 0. The primal bound is not read. Only zero-communication,
+    static-loading models: anything else raises SolveError. With every
+    pair of machines connected and no memory cap, some pass always places
+    every op.
     """
     inst = _Instance(model)
     why = ("it loads weights dynamically" if inst.dynamic
@@ -1386,11 +1496,14 @@ def list_schedule(model: ScheduleModel, *,
     comps = _components(inst)
     table = _StepTable(inst)
     root = inst.root_bound()
-    cur = _list_pass(inst, prio, mach, table, math.inf)
+    resumable = all(d > 0 for d in inst.dur)
+    passes = dict.fromkeys(("skipped", "resumed", "full"), 0)
+    cur = _list_pass(inst, prio, mach, table, math.inf, ())
     best = cur and (cur, list(mach))
+    improvements = [(0, *cur[:3])] if cur else []
     stale = it = 0
     while True:
-        stop = ("bound-met" if best and best[0][0] <= root + _EPS
+        stop = ("bound-met" if best and best[0].makespan <= root + _EPS
                 else "patience" if stale >= _CLIMB_PATIENCE
                 else "iteration-limit" if it >= _CLIMB_ITERATIONS
                 else "time-limit" if (deadline is not None
@@ -1399,6 +1512,7 @@ def list_schedule(model: ScheduleModel, *,
         if stop is not None:
             break
         it += 1
+        step = 0
         if moves and it % _PLACEMENT_EVERY == 0:
             comp = comps[rng.randrange(len(comps))]
             perm = moves[rng.randrange(len(moves))]
@@ -1411,8 +1525,18 @@ def list_schedule(model: ScheduleModel, *,
                 k = rng.randrange(inst.n)
                 undo.append((k, prio[k]))
                 prio[k] += rng.gauss(0.0, _KEY_SIGMA)
+            if resumable and cur is not None:
+                # a key drawn twice keeps its first old value
+                step = _resume_step(cur, mach, prio, dict(reversed(undo)))
+        if step is None:
+            # the accepted schedule again: kept, and no better
+            passes["skipped"] += 1
+            stale += 1
+            continue
+        passes["resumed" if step else "full"] += 1
         res = _list_pass(inst, prio, mach, table,
-                         math.inf if cur is None else cur[0])
+                         math.inf if cur is None else cur.makespan,
+                         cur.seq[:step] if step else ())
         if res is None:
             for k, old in reversed(undo):
                 changed[k] = old
@@ -1421,14 +1545,15 @@ def list_schedule(model: ScheduleModel, *,
         cur = res
         if best is None or res[:3] < best[0][:3]:
             best = (res, list(mach))
+            improvements.append((it, *res[:3]))
             stale = 0
         else:
             stale += 1
     if best is None:
         return None
-    (_, _, _, seq), placed = best
+    run, placed = best
     state = _State(inst)
-    for k in seq:
+    for k in run.seq:
         _dispatch(state, k, placed[k])
     assignment, op_times, comm_times, loads, preloads = state.solution_parts()
     obj = state.cur_max_end
@@ -1438,7 +1563,8 @@ def list_schedule(model: ScheduleModel, *,
                     comm_times=comm_times, load_events=loads,
                     preloads=preloads, bound=obj if proved else root,
                     stats={"iterations": it, "stop": stop,
-                           "root_bound": root})
+                           "root_bound": root, "passes": passes,
+                           "improvements": improvements})
 
 
 # -- fixed-order evaluation ---------------------------------------------------

@@ -1,5 +1,7 @@
-"""The list-scheduling climb: verified schedules, deterministic output and
-the models it refuses."""
+"""The list-scheduling climb: verified schedules, deterministic output,
+resumed passes that change nothing, and the models it refuses."""
+import hashlib
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from opsched.graph import Channel, HardwareCluster, Machine, WeightAsset
 from opsched.model import ModelError, ModelOptions, build_model
 from opsched.scenarios import DualPipeSpec, gen_dualpipe
 from opsched.simulate import verify
+from opsched import solver
 from opsched.solver import (SolveError, _Instance, _machine_automorphisms,
                             list_schedule)
 
@@ -82,6 +85,112 @@ def test_two_calls_give_the_same_schedule():
     first, second = list_schedule(model), list_schedule(model)
     assert solution_text(first) == solution_text(second)
     assert first.stats == second.stats
+
+
+@st.composite
+def climb_instances(draw):
+    """A zero-communication, static-loading instance of 8-30 ops in 1-4
+    weakly connected components on 1-4 fully connected machines, with
+    integer durations, so that starts tie; in some, one op takes no
+    time."""
+    n = draw(st.integers(8, 30))
+    parts = draw(st.integers(1, 4))
+    assets = [WeightAsset(f"w{k}", size=1) for k in range(parts)]
+    durs = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        durs[draw(st.integers(0, n - 1))] = 0
+    ops = [op(f"o{k:02d}", durs[k], act=draw(st.integers(-1, 1)),
+              refs=[f"w{k % parts}"])
+           for k in range(n)]
+    # an op joins its component through up to three earlier ops of it
+    edges = {(f"o{a:02d}", f"o{b:02d}") for b in range(parts, n)
+             for a in draw(st.lists(st.sampled_from(range(b % parts, b,
+                                                          parts)),
+                                    min_size=1, max_size=3))}
+    nm = draw(st.integers(1, 4))
+    # equal capacities give the placement moves the most permutations
+    machines = [Machine(f"m{k}", draw(st.sampled_from([4, 6])))
+                for k in range(nm)]
+    h = HardwareCluster(machines, [Channel(a.id, b.id) for a in machines
+                                   for b in machines if a != b])
+    options = ModelOptions(memory_capped=draw(st.booleans()))
+    return (graph(ops, [edge(a, b) for a, b in sorted(edges)], assets), h,
+            options)
+
+
+def _schedule(run):
+    return run and (run[:3], run.start)
+
+
+@settings(max_examples=50, deadline=None)
+@given(climb_instances())
+def test_skipped_and_resumed_passes_change_nothing(instance):
+    model = _model(*instance)
+    real_pass, real_step = solver._list_pass, solver._resume_step
+    # each resumed pass, and each skipped one, beside a full pass on the
+    # same keys and placement
+    pairs, seen = [], {}
+
+    def resumed(inst, prio, mach, table, limit, prefix):
+        seen.update(inst=inst, table=table)
+        run = real_pass(inst, prio, mach, table, limit, prefix)
+        if prefix:
+            pairs.append((_schedule(run), _schedule(
+                real_pass(inst, prio, mach, table, limit, ()))))
+        return run
+
+    def skipped(run, mach, prio, old):
+        step = real_step(run, mach, prio, old)
+        if step is None:
+            pairs.append((_schedule(run), _schedule(real_pass(
+                seen["inst"], prio, mach, seen["table"], run.makespan, ()))))
+        return step
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_list_pass", resumed)
+        patch.setattr(solver, "_resume_step", skipped)
+        fast = list_schedule(model)
+    for got, want in pairs:
+        assert got == want
+    with pytest.MonkeyPatch.context() as patch:
+        # every step runs its pass from the first dispatch
+        patch.setattr(solver, "_resume_step", lambda *args: 0)
+        full = list_schedule(model)
+    assert (fast is None) == (full is None)
+    if fast is None:
+        return
+    assert solution_text(fast) == solution_text(full)
+    for key in ("iterations", "stop", "improvements"):
+        assert fast.stats[key] == full.stats[key]
+    passes = fast.stats["passes"]
+    assert sum(passes.values()) == fast.stats["iterations"]
+    if any(o.duration == 0 for o in model.graph.operations.values()):
+        # a zero duration makes every step run its pass in full
+        assert passes["full"] == fast.stats["iterations"]
+
+
+# case -> (sha256 of solution_text(), iterations, stop, passes); the
+# digest, iterations and stop were recorded before skipped and resumed
+# passes, when every step ran a full pass
+CLIMB_GOLDEN = {
+    4: ("4cddf8607a2cac926cac0683a452ebe368ddf63a0fbafaed1d406cf6da9a476d",
+        1406, "patience", {"skipped": 743, "resumed": 369, "full": 294}),
+    6: ("cfedb87f70ad4861c9e6ab39c04a34b71e9a36d0af77d7fa86db08201fb88b77",
+        1928, "patience", {"skipped": 887, "resumed": 646, "full": 395}),
+}
+
+
+@pytest.mark.parametrize("pp", sorted(CLIMB_GOLDEN))
+def test_dualpipe_climb_output_is_pinned(pp):
+    g, h, options = gen_dualpipe(DualPipeSpec(pp=pp))
+    sol = list_schedule(build_model(g, h, options))
+    assert (hashlib.sha256(solution_text(sol).encode()).hexdigest(),
+            sol.stats["iterations"], sol.stats["stop"],
+            sol.stats["passes"]) == CLIMB_GOLDEN[pp]
+    # the last improvement is the schedule returned, as `verify` measures it
+    report = verify(g, h, sol, options)
+    assert sol.stats["improvements"][-1][1:] == (
+        report.makespan, report.pipeline_bubble, report.bubble_total)
 
 
 def test_dynamic_loading_is_refused():
