@@ -400,7 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add the search's nodes, stop reason, root_bound "
                         "and, for a DFS, its prunes by reason under a "
                         "top-level stats key, also of the error when no "
-                        "schedule is found")
+                        "schedule is found. The prunes count placements a "
+                        "node listed and then rejected: bound-before-"
+                        "dispatch, by the bound before placing them; "
+                        "bound-after-dispatch, by the bound after placing "
+                        "them; memory, as they do not fit. Placements a "
+                        "node never lists are not counted")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="replay a solution")

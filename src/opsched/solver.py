@@ -21,8 +21,9 @@ Three search modes share the same bounding machinery:
   DFS does. Complete for any instance, practical at desk scale only.
 
 Lower bounds combine the remaining critical path with an aggregate
-machine-load bound; the DFS checks a placement's own end and the idle it
-inserts before it dispatches the placement. Per-machine memory
+machine-load bound; a DFS node lists only the placements whose own end
+is within its limit, and checks a placement's own end and the idle it
+inserts again before it dispatches the placement. Per-machine memory
 feasibility is one recurrence along the machine's operation order
 (`_mem_step`); it is monotone under appends, so violations prune
 immediately. With static weights, ops of one memory class step a
@@ -37,12 +38,11 @@ run it; a caller hands its schedule to `solve` as a hint.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import random
 import time as _time
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -232,6 +232,7 @@ class _Instance:
 
         self.zero_comm = all(v == 0 for v in self.comm.values())
         self.total_work = sum(self.dur)
+        self.min_dur = min(self.dur, default=0.0)
 
         order = [self.idx[i] for i in g.topo_order()]
         self.tail = [0.0] * self.n
@@ -558,9 +559,16 @@ class _Search:
         self.nodes = 0
         # the budget that ended the search: "node-limit" or "time-limit"
         self.stop: str | None = None
-        # the DFS's rejected placements by reason: candidates over the
-        # limit before their dispatch, dispatches over it after, and
-        # placements the machine's memory chain does not fit
+        # the DFS's rejected placements by reason:
+        #   bound-before-dispatch  listed pairs whose load bound, or own
+        #                          end once the limit fell, is over it
+        #   bound-after-dispatch   dispatches whose `_node_bound` is over
+        #                          the limit
+        #   memory                 listed pairs the machine's memory chain
+        #                          does not fit (under dynamic loading,
+        #                          each load choice that fails)
+        # The pairs a candidate list leaves out (`_candidate_list`) are
+        # in none of them.
         self.pruned = {"bound-before-dispatch": 0, "bound-after-dispatch": 0,
                        "memory": 0}
         self.incumbent: Solution | None = None
@@ -792,55 +800,124 @@ class _Search:
 
         return rec()
 
-    # The candidate order of a DFS node is every usable (op, machine)
-    # pair sorted by (lb_start, prio, k, m), lb_start = max(free[m],
-    # est[k]), less the pairs with lb_start < last_start - _EPS. For one
-    # machine m the order is known without a sort: first the ready ops
+    # A DFS node branches on every usable (op, machine) pair, in the
+    # order (lb_start, prio, k, m) with lb_start = max(free[m], est[k]),
+    # less the pairs with lb_start < last_start - _EPS.
+    # `_candidate_list` builds that list with plain loops and sorts it
+    # once. It leaves out three kinds of pair, each of which `_dfs` would
+    # pass over when it reached it, so no decision changes:
+    #   - a pair whose op's memory class its machine's memo knows not to
+    #     fit: `_dfs` rejects it for memory (a memo only grows while it
+    #     is current, see the memory-class memo);
+    #   - a pair whose own end lb_start + dur[k] is over `lim`, the
+    #     node's limit when the list is built: `_dfs` rejects it before
+    #     dispatch, since a child can only lower the limit;
+    #   - on machine m, every pair from the first whose lb_start +
+    #     min(dur) is over `lim`: lb_start only grows along `ready_est`,
+    #     and a float sum only grows with either term, so each such
+    #     pair's own end is over `lim` as well.
+    # Every child restores free, the ready lists and the predecessors'
+    # machines exactly (`_undo`), so the list stays the node's order.
+    #
+    # A node with no finite limit yet (no incumbent, no primal bound)
+    # could leave nothing out by the bound, and its first child usually
+    # sets a limit, since the first descent ends at a leaf. So it takes
+    # its first pair from `_first_candidate` and builds the rest only
+    # after that child returns, under the limit the child left. For one
+    # machine the order is known without a sort: first the ready ops
     # with est <= free[m], in `ready` order, all at lb_start = free[m];
     # then those with est > free[m], in `ready_est` order, at lb_start =
-    # est. heapq.merge combines the per-machine streams, and since no two
-    # keys share (k, m) the merged order is exactly the sorted one.
-    #
-    # The streams are lazy: they read `free`, the ready lists and the
-    # predecessors' machines when resumed. `_dfs` resumes them only after
-    # the child's `_undo`, which restores all of that exactly, so each
-    # stream sees the state it started from. A stream also passes over
-    # the ops whose memory class its machine's memo knows not to fit; the
-    # memo only grows while the stream runs, and `_dfs` rejects such a
-    # pair itself when the stream yielded it before its class failed.
+    # est. So the machine's first usable pair in that order is its
+    # least, and the least of those over the machines is the first pair
+    # of the node's whole list. The rest list holds no pair below it,
+    # since it is built from the same state with a memo that has only
+    # grown, so the node drops that pair, already tried, from the rest.
 
-    def _candidates(self, state: _State, last_start: float):
+    def _candidates(self, state: _State, last_start: float, lim: float):
         """The (lb_start, prio, k, m) dispatches a DFS node branches on,
-        in order, lazily."""
-        threshold = last_start - _EPS
-        return heapq.merge(*(self._machine_candidates(state, m, threshold)
-                             for m in range(self.inst.nm)))
+        in order; `lim` is the node's limit on entry."""
+        if lim < math.inf:
+            yield from self._candidate_list(state, last_start, lim)
+            return
+        first = self._first_candidate(state, last_start)
+        if first is None:
+            return
+        yield first
+        # resumed after the first child's undo
+        rest = self._candidate_list(state, last_start, self.limit() + _EPS)
+        yield from rest[bisect_right(rest, first):]
 
-    def _machine_candidates(self, state: _State, m: int, threshold: float):
-        out_mask, preds = self.inst.out_mask, self.inst.preds
-        mach_of, est, ready_est = state.mach_of, state.est, state.ready_est
-        mem_class, memo = self.inst.mem_class, state.memo[m]
-        bit = 1 << m
-        free = state.free[m]
-        # ready_est[late:] are the ops with est > free
-        late = bisect_left(ready_est, (free, math.inf))
-        if free >= threshold:
-            early = ((free, prio, k) for (prio, k) in state.ready
-                     if est[k] <= free)
-        else:
-            # every early pair, and every late one with est < threshold,
-            # starts before the previous dispatch
-            early = ()
-            late = max(late, bisect_left(ready_est, (threshold,)))
-        for (lb_start, prio, k) in itertools.chain(
-                early, itertools.islice(ready_est, late, None)):
-            if memo and memo.get(mem_class[k], _UNKNOWN) is None:
+    def _candidate_list(self, state: _State, last_start: float,
+                        lim: float) -> list:
+        """The node's (lb_start, prio, k, m) pairs, sorted, less those
+        known not to fit and those whose own end is over `lim`."""
+        inst = self.inst
+        threshold = last_start - _EPS
+        dur, min_dur, preds = inst.dur, inst.min_dur, inst.preds
+        out_mask, mem_class = inst.out_mask, inst.mem_class
+        mach_of, ready_est = state.mach_of, state.ready_est
+        cands = []
+        for m, free in enumerate(state.free):
+            if free + min_dur > lim:
                 continue
-            for p in preds[k]:
-                if not out_mask[mach_of[p]] & bit:
+            memo = state.memo[m]
+            bit = 1 << m
+            # with free below the threshold, a pair starts at or after it
+            # only if its est does
+            start = (0 if free >= threshold
+                     else bisect_left(ready_est, (threshold,)))
+            for (est, prio, k) in itertools.islice(ready_est, start, None):
+                lb_start = est if est > free else free
+                if lb_start + min_dur > lim:
                     break
+                if lb_start + dur[k] > lim or (
+                        memo and memo.get(mem_class[k], _UNKNOWN) is None):
+                    continue
+                for p in preds[k]:
+                    if not out_mask[mach_of[p]] & bit:
+                        break
+                else:
+                    cands.append((lb_start, prio, k, m))
+        cands.sort()
+        return cands
+
+    def _first_candidate(self, state: _State, last_start: float):
+        """The first pair of `_candidate_list` under no limit, or None;
+        the least of each machine's first usable pair."""
+        inst = self.inst
+        threshold = last_start - _EPS
+        preds, out_mask, mem_class = inst.preds, inst.out_mask, inst.mem_class
+        mach_of, est = state.mach_of, state.est
+        ready, ready_est = state.ready, state.ready_est
+        best = None
+        for m, free in enumerate(state.free):
+            if best is not None and free > best[0]:
+                continue  # every pair of m starts after the best
+            memo = state.memo[m]
+            bit = 1 << m
+            # ready_est[late:] are the ops with est > free
+            late = bisect_left(ready_est, (free, math.inf))
+            if free >= threshold:
+                early = ((free, prio, k) for (prio, k) in ready
+                         if est[k] <= free)
             else:
-                yield (lb_start, prio, k, m)
+                # every early pair, and every late one with est <
+                # threshold, starts before the previous dispatch
+                early = ()
+                late = max(late, bisect_left(ready_est, (threshold,)))
+            for (lb_start, prio, k) in itertools.chain(
+                    early, itertools.islice(ready_est, late, None)):
+                if memo and memo.get(mem_class[k], _UNKNOWN) is None:
+                    continue
+                for p in preds[k]:
+                    if not out_mask[mach_of[p]] & bit:
+                        break
+                else:
+                    head = (lb_start, prio, k, m)
+                    if best is None or head < best:
+                        best = head
+                    break
+        return best
 
     def _ext_choices(self, state: _State, k: int, m: int):
         """Load/unload/preload alternatives for dispatching op k on m.
@@ -918,7 +995,8 @@ class _Search:
         # canonical dispatch order: every schedule the dispatcher can
         # produce is reachable with nondecreasing start times, so the
         # candidates skip starts before the previous dispatch
-        for (lb_start, _, k, m) in self._candidates(state, last_start):
+        for (lb_start, _, k, m) in self._candidates(state, last_start,
+                                                    lim):
             if self.should_stop():
                 return False
             end = lb_start + dur[k]

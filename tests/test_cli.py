@@ -525,7 +525,7 @@ class TestSolve:
         assert stats.pop("stats") == {
             "nodes": 25, "stop": "bound-met", "root_bound": 12.0,
             "pruned": {"bound-before-dispatch": 0, "bound-after-dispatch": 0,
-                       "memory": 6}}
+                       "memory": 9}}
         assert stats == plain
 
     def test_resolving_drops_the_inputs_stats(self, tmp_path):

@@ -1,11 +1,14 @@
 """The DFS's bound before dispatch, checked against the bound after it.
 
 A DFS node bounds each candidate (lb_start, op, machine) before it
-dispatches it. That check must prune only what `_node_bound` would
-prune after the dispatch, so that the search stays the same: every
-candidate the node does not dispatch, dispatched with any of its load
-choices, must fail its memory step or exceed the limit.
+dispatches it, and its candidate list leaves out the pairs it can tell
+are over the limit or do not fit. Both must drop only what
+`_node_bound` would prune after the dispatch, so that the search stays
+the same: every pair the node passes over, listed or not, dispatched
+with any of its load choices, must fail its memory step or exceed the
+limit the node had when it passed it over.
 """
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -18,6 +21,7 @@ from opsched.graph import ComputationGraph, HardwareCluster
 from opsched.model import ModelOptions, build_model, clear_primal_bound
 from opsched.scenarios import DualPipeSpec, gen_dualpipe
 
+from conftest import candidate_order_oracle
 from test_dfs_order import dfs_cases
 
 _DISPATCH = solver._dispatch
@@ -42,13 +46,17 @@ def _times_four(g, h):
 
 
 class _WatchedSearch(solver._Search):
-    """Counts the DFS's dispatches, and checks each candidate that its
-    node passed over without one."""
+    """Counts the DFS's dispatches, and checks each pair that its node
+    passed over without one: the pairs its candidate lists left out, and
+    the listed pairs it rejected when it reached them."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.dispatches = 0
+        # listed pairs rejected before any dispatch
         self.passed_over = 0
+        # pairs of the node's order that a list left out
+        self.left_out = 0
         # passed over although some load choice dispatches: by the bound
         self.bounded = 0
 
@@ -56,18 +64,36 @@ class _WatchedSearch(solver._Search):
         self.dispatches += 1
         return _DISPATCH(*args)
 
-    def _candidates(self, state, last_start):
-        for cand in super()._candidates(state, last_start):
+    def _candidates(self, state, last_start, lim):
+        for cand in super()._candidates(state, last_start, lim):
             before = self.dispatches
             yield cand
             # resumed once the node is done with cand, its state restored
             if self.dispatches == before:
-                self.check_passed_over(state, cand)
+                self.passed_over += 1
+                self.check(state, cand, self.limit() + solver._EPS)
 
-    def check_passed_over(self, state, cand):
+    def _first_candidate(self, state, last_start):
+        first = super()._first_candidate(state, last_start)
+        # the node has no limit, and the pairs before its first are out
+        for cand in candidate_order_oracle(self, state, last_start):
+            if cand == first:
+                break
+            self.left_out += 1
+            self.check(state, cand, math.inf)
+        return first
+
+    def _candidate_list(self, state, last_start, lim):
+        cands = super()._candidate_list(state, last_start, lim)
+        listed = set(cands)
+        for cand in candidate_order_oracle(self, state, last_start):
+            if cand not in listed:
+                self.left_out += 1
+                self.check(state, cand, lim)
+        return cands
+
+    def check(self, state, cand, lim):
         _, _, k, m = cand
-        self.passed_over += 1
-        lim = self.limit() + solver._EPS
         fits = False
         for loads, unloads, preload in self._ext_choices(state, k, m):
             undo = _DISPATCH(state, k, m, loads, unloads, preload)
@@ -111,7 +137,12 @@ def test_dualpipe_bound_rejections_are_checked():
     model = clear_primal_bound(build_model(g, h, options))
     search = _WatchedSearch(model, solver.SolveConfig(node_limit=300), None)
     search.run()
-    assert search.pruned == {"bound-before-dispatch": 269,
-                             "bound-after-dispatch": 168, "memory": 86}
-    # the other 34 rejected candidates fail their memory step as well
-    assert search.bounded == 235
+    assert search.pruned == {"bound-before-dispatch": 155,
+                             "bound-after-dispatch": 168, "memory": 100}
+    # the nodes reject 255 listed pairs before dispatch and their lists
+    # leave out 271 more; 236 of these fit with some load choice and are
+    # over the limit, the other 290 fail their memory step
+    assert (search.passed_over, search.left_out, search.bounded) == \
+        (255, 271, 236)
+    # as many dispatches as when each node merged a stream per machine
+    assert search.dispatches == 468

@@ -1,7 +1,13 @@
-"""The DFS's lazily merged candidate order, incremental ready set and
-memory-class memo, checked node by node against a full
-enumerate-sort-filter oracle, a from-scratch recount of the ready set
-and fresh memory steps."""
+"""The DFS's candidate order, incremental ready set and memory-class
+memo, checked node by node against a full enumerate-sort-filter oracle,
+a from-scratch recount of the ready set and fresh memory steps.
+
+A node with a finite limit branches on one sorted list built on entry.
+A node without one takes the first pair of its order alone and builds
+the rest of the list after its first child, under the limit that child
+left. Either list leaves out the pairs known not to fit and those whose
+own end is over the limit when the list is built."""
+import math
 from unittest import mock
 
 import pytest
@@ -79,23 +85,35 @@ def _check_memo(state):
                 member[c], inst.mem_cap[m])
 
 
+def _expected(search, state, last_start, lim):
+    """The oracle's order less the pairs known not to fit and those whose
+    own end is over `lim`. Each pair the memo calls unfit is checked with
+    a fresh memory step."""
+    dur = search.inst.dur
+    return [c for c in candidate_order_oracle(search, state, last_start)
+            if not c[0] + dur[c[2]] > lim and not _known_unfit(state, c)]
+
+
 class _CheckedSearch(solver._Search):
-    def _candidates(self, state, last_start):
-        expected = candidate_order_oracle(self, state, last_start)
-        # the whole order, generated at once from the node's state, less
-        # the ops known not to fit
-        assert list(super()._candidates(state, last_start)) == \
-            [c for c in expected if not _known_unfit(state, c)]
-        # and generated lazily, resumed only after each child's undo;
-        # the memo grows meanwhile, so more pairs may be left out
-        seen = 0
-        for cand in super()._candidates(state, last_start):
-            while expected[seen] != cand:
-                assert _known_unfit(state, expected[seen])
-                seen += 1
-            seen += 1
+    def _candidates(self, state, last_start, lim):
+        expected = _expected(self, state, last_start, lim)
+        built = super()._candidates(state, last_start, lim)
+        if lim == math.inf:
+            # the first pair alone, before any list is built
+            first = next(built, None)
+            assert first == (expected[0] if expected else None)
+            if first is None:
+                return
+            yield first
+            # resumed after the first child's undo: the rest, built under
+            # the limit the child left, with a memo that may have grown
+            expected = [c for c in _expected(self, state, last_start,
+                                             self.limit() + solver._EPS)
+                        if c != first]
+        for cand in expected:
+            assert next(built) == cand
             yield cand
-        assert all(_known_unfit(state, c) for c in expected[seen:])
+        assert next(built, None) is None
 
 
 def _checked(step):

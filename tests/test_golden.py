@@ -31,7 +31,10 @@ added.
 The DFS cases below `dfs` were recorded while every DFS node still
 listed, sorted and filtered all (operation, machine) pairs and rescanned
 every operation for its bound, so the incremental ready lists and the
-lazily merged candidate order must branch in the same order.
+bounded candidate lists must branch in the same order. The node counts
+of the two `dfs_bench` cases were recorded while each node still merged
+one lazy candidate stream per machine; the direct one pins a search
+with about 97 ready operations per node and no limit until its leaf.
 
 Each trace case hashes the chrome-tracing document of one solved
 schedule, in the bytes the CLI writes. Those digests were re-recorded
@@ -270,6 +273,12 @@ SEARCH_GOLDEN = {
     dfs_dualpipe_scratch_pp4: (
         10001,
         "a6eeae60e5ef6a88cdb204342710a7729ce57d4a7b115dec8562b358d30a1361"),
+    dfs_bench_direct: (
+        401,
+        "b53d699b7a5ef1d469b42072f03b12d282ba7bc83176adc4106636bcd4e4a68b"),
+    dfs_bench_coarse: (
+        1001,
+        "2ca11c5b5928bccb3e7945fa30ddac0753c5c345f2e6697b7e5455dbf37315a7"),
 }
 
 

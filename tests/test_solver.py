@@ -310,8 +310,8 @@ class TestSolveConfig:
         model = clear_primal_bound(build_model(g, h, options))
         runs = [solve(model, SolveConfig(node_limit=300)).stats["pruned"]
                 for _ in range(2)]
-        assert runs == [{"bound-before-dispatch": 269,
-                         "bound-after-dispatch": 168, "memory": 86}] * 2
+        assert runs == [{"bound-before-dispatch": 155,
+                         "bound-after-dispatch": 168, "memory": 100}] * 2
         # the saturation search (the bound leaves no idle) and the
         # fixed-assignment enumeration count none
         bounded = set_primal_bound(model, dualpipe_primal_bound(spec))
