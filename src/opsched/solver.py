@@ -5,10 +5,10 @@ Three search modes share the same bounding machinery:
 * saturation search — runs first whenever the aggregate load bound
   meets the pruning limit exactly, so no machine may ever idle; it
   dispatches chronologically on the earliest-free machine at exact
-  start times, with per-op deadlines and deadline-work cuts. It keeps
-  its ready ops sorted by priority and by deadline, with each one's
-  usable machines fixed when it becomes ready, so a node touches only
-  the ops its cuts and candidates need.
+  start times, with per-op deadlines and deadline-work cuts. It runs on
+  the DFS's dispatch state (`_State`, `_dispatch`, `_undo`) and keeps
+  only its deadline buckets; each node takes its cuts and candidates
+  from the ready ops in priority order.
 * depth-first dispatching (DFS) — branches on (operation, machine) in
   chronological order, appending induced transfers to their channels.
   Complete (hence exact on exhaustion) whenever all communication
@@ -27,9 +27,9 @@ inserts again before it dispatches the placement. Per-machine memory
 feasibility is one recurrence along the machine's operation order
 (`_mem_step`); it is monotone under appends, so violations prune
 immediately. With static weights, ops of one memory class step a
-machine's chain alike, so both memory-capped searches remember each
-class's step for as long as the machine's memory state lasts, and skip
-the ops that do not fit without retrying them.
+machine's chain alike, so the DFS and the saturation search remember
+each class's step for as long as the machine's memory state lasts, and
+skip the ops that do not fit without retrying them.
 
 Apart from the searches, `list_schedule` is a primal heuristic: a seeded
 hill climb over the priority keys and placement of a list-scheduling
@@ -320,12 +320,10 @@ def _static_step(inst, mem, static_w, resident, k, cap):
 
 # The memory-class memo. In static mode a machine's memory state is its
 # chain, weight total and resident assets, and `_static_step` on it
-# depends on the op only through the op's memory class. So both
-# memory-capped searches keep, per machine, a dict from memory class to
-# that step (None: ops of the class do not fit) for the machine's
-# current state:
-#     _State.memo[m]           the DFS (`_dfs` fills it)
-#     memo[m] in _run_packed   the saturation search
+# depends on the op only through the op's memory class. So the DFS (on
+# a capped model) and the saturation search fill one memo,
+# `_State.memo[m]`: per machine, a dict from memory class to that step
+# (None: ops of the class do not fit) for the machine's current state.
 # A dispatch on machine m starts an empty dict for m's new state, and its
 # undo puts m's state and the old dict back. Undo restores exactly, so an
 # entry holds for as long as its dict is current: at the later siblings
@@ -636,164 +634,82 @@ class _Search:
         inst = self.inst
         lim_f = self.limit()
         if (inst.dynamic or not inst.integral or not inst.zero_comm
-                or lim_f == float("inf")):
+                or lim_f == math.inf or (inst.n and inst.min_dur < 1)):
             return None
         lim = int(math.floor(lim_f + _EPS))
         if inst.nm * lim != int(inst.total_work):
             return None
-        n, nm = inst.n, inst.nm
-        dur = [int(d) for d in inst.dur]
-        if dur and min(dur) < 1:
-            return None
-        tail = [int(t) for t in inst.tail]
+        nm, dur, preds = inst.nm, inst.dur, inst.preds
         # deadline buckets: distinct latest feasible end times
-        les = sorted({lim - t for t in tail})
-        le_of = [les.index(lim - t) for t in tail]
-        brem = [0] * len(les)
-        for k in range(n):
-            brem[le_of[k]] += dur[k]
+        les = sorted({lim - t for t in inst.tail})
+        le_of = [les.index(lim - t) for t in inst.tail]
+        brem = [0.0] * len(les)
+        for k, d in enumerate(dur):
+            brem[le_of[k]] += d
         # machine capacity up to each deadline
         room = [nm * le for le in les]
-        accumulate = itertools.accumulate
         # latest start that leaves room for the op and its critical tail
-        late = [lim - dur[k] - tail[k] for k in range(n)]
-        # the ready ops are kept as two sorted lists of ranks: `ready` in
-        # (priority, k) order, `due` in (late, k) order
-        by_prio = sorted(range(n), key=lambda k: (inst.prio[k], k))
-        by_late = sorted(range(n), key=lambda k: (late[k], k))
-        prio_rank = [0] * n
-        late_rank = [0] * n
-        for r in range(n):
-            prio_rank[by_prio[r]] = r
-            late_rank[by_late[r]] = r
-        out_mask = inst.out_mask
+        late = [lim - d - t for d, t in zip(dur, inst.tail)]
         every = (1 << nm) - 1
-        caps = inst.mem_cap
-        mem_class = inst.mem_class
-        preds = inst.preds
-        succs = inst.succs
-
-        free = [0] * nm
-        mach_of = [-1] * n
-        est = [0] * n
-        missing = [len(p) for p in preds]
-        # per ready op, the machines it may still use: those that every
-        # predecessor's machine can send to
-        rmask = [every] * n
-        ready = sorted(prio_rank[k] for k in range(n) if not missing[k])
-        due = sorted(late_rank[k] for k in range(n) if not missing[k])
-        # ready ops the deadline cut prunes whatever the machines do:
-        # est > late, or no usable machine (the cut then takes lim as the
-        # op's earliest machine, and late < lim since dur >= 1); a source
-        # may use every machine and has est 0
-        doomed = sum(1 for k in range(n) if not missing[k] and late[k] < 0)
-        mem = [_MEM0] * nm
-        static = [0.0] * nm
-        assets: list[frozenset[str]] = [frozenset()] * nm
-        memo: list[dict] = [{} for _ in range(nm)]
-        seq: list[int] = []  # the dispatched ops, in dispatch order
-
-        def leaf() -> None:
-            state = _State(inst)
-            for k in seq:
-                _dispatch(state, k, mach_of[k])
-            self.record_leaf(state)
-
-        # Each node dispatches on machine m, and every child restores what
-        # it changed exactly before the next sibling is tried: `free`,
-        # `est`, `missing`, both rank lists, `doomed`, `brem` and machine
-        # m's memory state and memo. `rmask` needs no restoring: an op's
-        # mask is final once it is ready, and is rewritten when it becomes
-        # ready again. So the node can walk `ready` itself while its
-        # children run, and the memo of m's state holds throughout (see
-        # the memory-class memo above).
+        out_mask, mem_class, caps = inst.out_mask, inst.mem_class, inst.mem_cap
+        state = _State(inst)
+        free, est, mach_of = state.free, state.est, state.mach_of
 
         def rec() -> bool:
-            nonlocal doomed
             if self.out_of_budget():
                 return False
-            if len(seq) == n:
-                leaf()
+            if state.n_done == inst.n:
+                self.record_leaf(state)
                 return True
             t = min(free)
-            if t >= lim or doomed:
+            if t >= lim:
                 return True
-            m = free.index(t)
             nt = nm * t
-            for cum, room_b in zip(accumulate(brem), room):
+            for cum, room_b in zip(itertools.accumulate(brem), room):
                 if cum > room_b - nt and cum:
                     return True
-            # an op due before the latest free machine needs one of its
-            # own machines free by then; later ops always have one
+            m = free.index(t)
+            bit = 1 << m
             top = max(free)
-            for r in due:
-                k = by_late[r]
+            cands = []
+            for _, k in state.ready:
+                # the machines every predecessor's machine can send to
+                mask = every
+                for p in preds[k]:
+                    mask &= out_mask[mach_of[p]]
                 lk = late[k]
-                if lk >= top:
-                    break
-                mask = rmask[k]
-                for j in range(nm):
-                    if mask >> j & 1 and free[j] <= lk:
-                        break
-                else:
+                # no usable machine, or ready only after its latest start
+                if not mask or est[k] > lk:
                     return True
+                # an op due before the latest free machine needs one of
+                # its own machines free by then; later ops always have one
+                if lk < top:
+                    for j in range(nm):
+                        if mask >> j & 1 and free[j] <= lk:
+                            break
+                    else:
+                        return True
+                if est[k] <= t and mask & bit and t + dur[k] <= lim:
+                    cands.append(k)
+            # every child restores the state exactly (`_undo`), so the
+            # candidates and m's memo hold until the node returns
             complete = True
-            steps = memo[m]
-            for r in ready:
-                k = by_prio[r]
-                if est[k] > t or not rmask[k] >> m & 1:
-                    continue
-                e_new = t + dur[k]
-                if e_new > lim:
-                    continue
+            steps = state.memo[m]
+            for k in cands:
                 c = mem_class[k]
                 step = steps.get(c, _UNKNOWN)
                 if step is _UNKNOWN:
                     step = steps[c] = _static_step(
-                        inst, mem[m], static[m], assets[m], k, caps[m])
+                        inst, state.mem[m], state.static_w[m],
+                        state.resident[m], k, caps[m])
                 if step is None:
                     continue
-                o_mem, o_static, held = mem[m], static[m], assets[m]
-                mem[m], static[m], assets[m] = step
-                memo[m] = {}
-                free[m] = e_new
-                mach_of[k] = m
-                del ready[bisect_left(ready, prio_rank[k])]
-                del due[bisect_left(due, late_rank[k])]
+                undo = _dispatch(state, k, m, step=step)
                 brem[le_of[k]] -= dur[k]
-                o_ests = [est[s] for s in succs[k]]
-                for s in succs[k]:
-                    missing[s] -= 1
-                    if e_new > est[s]:
-                        est[s] = e_new
-                    if not missing[s]:
-                        mask = every
-                        for p in preds[s]:
-                            mask &= out_mask[mach_of[p]]
-                        rmask[s] = mask
-                        if not mask or est[s] > late[s]:
-                            doomed += 1
-                        insort(ready, prio_rank[s])
-                        insort(due, late_rank[s])
-                seq.append(k)
                 if not rec():
                     complete = False
-                seq.pop()
-                for s, v in zip(succs[k], o_ests):
-                    if not missing[s]:
-                        if not rmask[s] or est[s] > late[s]:
-                            doomed -= 1
-                        del ready[bisect_left(ready, prio_rank[s])]
-                        del due[bisect_left(due, late_rank[s])]
-                    missing[s] += 1
-                    est[s] = v
                 brem[le_of[k]] += dur[k]
-                insort(ready, prio_rank[k])
-                insort(due, late_rank[k])
-                mach_of[k] = -1
-                free[m] = t
-                mem[m], static[m], assets[m] = o_mem, o_static, held
-                memo[m] = steps
+                _undo(state, undo)
                 if self.should_stop():
                     return False
             return complete

@@ -1,7 +1,9 @@
 """The saturation search, checked against a copy of the node loop it
 replaced (`conftest.packed_search_oracle`): same node count, same
-completeness, same schedule, on small capped instances whose load bound
-meets the primal bound exactly."""
+completeness, same schedule, on small instances whose load bound meets
+the primal bound exactly."""
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,14 +12,15 @@ from opsched import solver
 from opsched.graph import Channel, HardwareCluster, Machine, WeightAsset
 from opsched.model import ModelOptions, build_model, set_primal_bound
 
-from conftest import edge, graph, op, packed_search_oracle, solution_text
+from conftest import (cluster, edge, graph, op, packed_search_oracle,
+                      solution_text)
 
 
 @st.composite
 def packed_cases(draw):
     """3-9 ops of integral duration >= 1 on 1-3 machines, zero comm,
-    total work a multiple of the machine count; binding memory caps
-    and sparse channels."""
+    total work a multiple of the machine count; binding memory caps or
+    none, and sparse channels."""
     nm = draw(st.integers(1, 3))
     weights = [WeightAsset(f"w{k}", draw(st.integers(1, 2)))
                for k in range(draw(st.integers(0, 2)))]
@@ -42,7 +45,7 @@ def packed_cases(draw):
                 if a.id != b.id and draw(st.booleans())]
     g = graph(ops, edges, weights)
     model = build_model(g, HardwareCluster(machines, channels),
-                        ModelOptions(memory_capped=True))
+                        ModelOptions(memory_capped=draw(st.booleans())))
     model = set_primal_bound(model, g.total_duration() // nm)
     cfg = solver.SolveConfig(node_limit=2000)
     return model, cfg
@@ -118,3 +121,38 @@ def test_node_budget_stops_both_alike(budget):
     oracle = solver._Search(model, cfg, None)
     assert _outcome(search, search._run_packed()) == \
         _outcome(oracle, packed_search_oracle(oracle))
+
+
+def _chain_model(durs=(1, 1, 2), comm=0, options=ModelOptions(), bound=2):
+    g = graph([op(f"o{k}", d) for k, d in enumerate(durs)],
+              [edge("o0", "o1", comm)])
+    model = build_model(g, cluster(2), options)
+    return model if bound is None else set_primal_bound(model, bound)
+
+
+# each breaks one precondition; the rest hold
+NOT_PACKED = {
+    "zero-duration": _chain_model(durs=(0, 2, 2)),
+    "dynamic-loading": _chain_model(options=ModelOptions(
+        dynamic_loading=True)),
+    "fractional-duration": _chain_model(durs=(1.5, 1.5, 1)),
+    "timed-transfer": _chain_model(comm=1),
+    "no-limit": _chain_model(bound=None),
+    "limit-above-load": _chain_model(bound=3),
+}
+
+
+@pytest.mark.parametrize("name", NOT_PACKED)
+def test_preconditions_leave_the_search_to_the_dfs(name):
+    search = solver._Search(NOT_PACKED[name], solver.SolveConfig(), None)
+    assert search._run_packed() is None
+    assert search.nodes == 0
+
+
+def test_empty_graph_is_one_leaf():
+    model = dataclasses.replace(build_model(graph([]), cluster(2)),
+                                primal_bound=0)
+    search = solver._Search(model, solver.SolveConfig(), None)
+    assert search._run_packed() is True
+    assert (search.nodes, search.incumbent_obj) == (1, 0)
+    assert search.incumbent.assignment == search.incumbent.op_times == {}
