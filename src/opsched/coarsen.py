@@ -20,8 +20,9 @@ important edges are not hidden by shortcuts.
 `coarsen(g, node_budget)` is the one entry point. All merges act in
 place on one contraction state (`_Contraction`): the live operations,
 `succ[i] = {child: comm}` and `pred[i] = {parent}` adjacency, the set of
-operations each one reaches (a bit mask), and the sorted list of live
-ids. The `ComputationGraph` is built once, at the end.
+operations each one reaches (a bit mask), the sorted list of live ids,
+and what the candidate scans below carry from one merge to the next.
+The `ComputationGraph` is built once, at the end.
 
 `_Contraction.merge` checks nothing: `coarsen` hands it two distinct
 live operations and an id not yet in use, and neither kind of candidate
@@ -30,23 +31,42 @@ candidate has no path besides its edge (the argument is at
 `edge_candidate`). Building the coarse graph still rejects a cycle, so a
 broken invariant fails loudly.
 
+An edge pass works out, once, each producer's kept edges (`kept[p]`:
+the successors of p that no other successor of p precedes directly) and
+how many producers keep an edge into each operation (`n_pred`). kept[p]
+reads only succ[p] and the pred sets of p's successors. Merging a and b
+into z changes succ only for z and for the producers of a or b (`into`),
+and pred only for z and for the consumers of a or b, in which z takes
+the place of a or b. A producer p outside `into` has none of a, b and z
+among its successors, so that swap leaves each of its successors' pred
+set meeting succ[p] where it did. So a merge works out kept again for z
+and `into` alone. Most merges are non-edge merges, and keeping the sets
+current through them costs more than working them out once per edge
+pass, so a non-edge pass drops them.
+
 The non-edge scan rests on one invariant: a pair of live operations that
 fails the non-edge test once fails it for as long as both live. A merge
 never changes either one's duration or memory, never changes the direct
 edges between operations it does not touch, and can only add
-reachability between them. So each operation keeps the sorted list of
-later-sorting partners it has not yet ruled out, taken from the live ids
-when its pairs are first scanned, and a failed pair is dropped for good.
+reachability between them.
 
-A node merged afterwards never needs an entry in such a list. The scan
-that emptied x's list had ruled out x against every live node: those
-sorting before x in their own lists, which the scan passed first, and
-those after x in x's list. A merged node is a union of nodes live then,
-and a pair that fails with a piece fails with whatever absorbs it, since
-paths carry over and sizes, which are non-negative, only grow.
+The scan walks `open`, the sorted live ids not yet ruled out, and tests
+each id there against every later one. `coarsen` merges the first pair
+that passes at once, so no id is scanned twice while it lives: an id
+that finds no partner is ruled out and leaves `open` for good, and a
+merged node joins it. A ruled-out x fails against every other live
+node, merged ones included, for as long as it lives. By induction on
+the order of ruling out: the scan that ruled out x had ruled out every
+id before x in `open` (it stops at the first pair that passes), which
+tested x; it tested x against every id after x there; and an id no
+longer in `open` was ruled out earlier. A node merged afterwards is a
+union of nodes live then, and a pair that fails with a piece fails with
+whatever absorbs it, since paths carry over and sizes, which are
+non-negative, only grow.
 """
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -93,12 +113,30 @@ class _Contraction:
             for s in self.succ[i]:
                 r |= self.bit[s] | self.reach[s]
             self.reach[i] = r
-        # partners[i]: ids after i not yet ruled out as non-edge partners;
-        # absent until i's pairs are first scanned (then: all live after i)
-        self.partners: dict[str, list[str]] = {}
+        # during an edge pass, kept[a]: a's successors that no other
+        # successor of a precedes directly; n_pred[b]: the producers that
+        # keep an edge into b. None outside an edge pass.
+        self.kept: dict[str, list[str]] | None = None
+        self.n_pred: Counter[str] = Counter()
+        # the live ids not yet ruled out as non-edge partners, sorted
+        self.open: list[str] = list(self.order)
 
     def __len__(self) -> int:
         return len(self.ops)
+
+    def _keep(self, a: str) -> None:
+        """Work out kept[a] afresh and count its edges in n_pred."""
+        outs, pred, n_pred = self.succ[a], self.pred, self.n_pred
+        # a is not among its own successors, so only another one can
+        # precede b
+        kept = self.kept[a] = [b for b in outs if pred[b].isdisjoint(outs)]
+        for b in kept:
+            n_pred[b] += 1
+
+    def _drop_kept(self, a: str) -> None:
+        n_pred = self.n_pred
+        for b in self.kept.pop(a):
+            n_pred[b] -= 1
 
     # An edge candidate (a, b) cannot close a cycle. Suppose a path of two
     # or more edges ran a -> x -> ... -> b. Then x is a successor of a
@@ -108,36 +146,36 @@ class _Contraction:
     # which can only be b. So b -> ... -> x -> ... -> b would be a cycle.
     def edge_candidate(self, max_duration: float, max_memory: float
                        ) -> tuple[str, str] | None:
-        succ, pred = self.succ, self.pred
-        kept = {a: [b for b in outs
-                    if not any(m != a and m in outs for m in pred[b])]
-                for a, outs in succ.items()}
-        n_pred = Counter(b for outs in kept.values() for b in outs)
+        if self.kept is None:
+            self.kept, self.n_pred = {}, Counter()
+            for a in self.ops:
+                self._keep(a)
+        kept, n_pred, ops = self.kept, self.n_pred, self.ops
         # a producer with one kept edge has one candidate, so scanning
         # producers in id order visits candidates in edge-key order
         for a in self.order:
             if len(kept[a]) == 1:
                 b = kept[a][0]
-                if n_pred[b] == 1 and _within(self.ops[a], self.ops[b],
+                if n_pred[b] == 1 and _within(ops[a], ops[b],
                                               max_duration, max_memory):
                     return (a, b)
         return None
 
     def nonedge_candidate(self, max_duration: float, max_memory: float
                           ) -> tuple[str, str] | None:
-        ops, bit, reach = self.ops, self.bit, self.reach
-        for k, a in enumerate(self.order):
-            rest = self.partners.get(a)
-            if rest is None:
-                rest = self.order[k + 1:]
+        # a non-edge merge ends the edge pass
+        self.kept = None
+        ops, bit, reach, open_ = self.ops, self.bit, self.reach, self.open
+        for k, a in enumerate(open_):
             oa, ra, ba = ops[a], reach[a], bit[a]
-            for j, b in enumerate(rest):
+            for b in itertools.islice(open_, k + 1, None):
                 # an edge either way is a path, so reachability covers it
-                if (b in ops and not (ra & bit[b] or reach[b] & ba)
+                if (not (ra & bit[b] or reach[b] & ba)
                         and _within(oa, ops[b], max_duration, max_memory)):
-                    self.partners[a] = rest[j:]
+                    # every op before a failed against all its partners
+                    del open_[:k]
                     return (a, b)
-            self.partners[a] = []
+        open_.clear()
         return None
 
     def merge(self, a: str, b: str, new_id: str) -> None:
@@ -183,11 +221,23 @@ class _Contraction:
                 self.reach[i] = ri | m | r
         self.reach[new_id] = r
 
-        order = self.order
+        if self.kept is not None:
+            # only the merged node and its producers can keep other edges
+            # now (the argument is in the module docstring)
+            for p in (a, b, *into):
+                self._drop_kept(p)
+            del self.n_pred[a], self.n_pred[b]  # both are 0 now
+            for p in (*into, new_id):
+                self._keep(p)
+
+        order, open_ = self.order, self.open
         for x in (a, b):
             del order[bisect_left(order, x)]
-            self.partners.pop(x, None)
+            k = bisect_left(open_, x)
+            if k < len(open_) and open_[k] == x:
+                del open_[k]
         order.insert(bisect_left(order, new_id), new_id)
+        open_.insert(bisect_left(open_, new_id), new_id)
 
     def graph(self) -> ComputationGraph:
         edges = [DependencyEdge(p, c, w)

@@ -134,6 +134,23 @@ class ComputationGraph:
                     raise GraphError(
                         f"operation {op.id!r} references unknown weight {ref!r}")
 
+        # a schedule's horizon (`model.compute_horizon`), a memory level
+        # and a merged node's fields are sums of these; past the float
+        # range they would read inf
+        ops = self._ops.values()
+        time_total = self.total_duration() + self.total_comm_duration() + sum(
+            self._weights[ref].load_cost + self._weights[ref].unload_cost
+            for op in ops for ref in op.weight_refs)
+        mem_total = (sum(op.weight_mem + abs(op.activation_delta) for op in ops)
+                     + sum(w.size for w in self._weights.values()))
+        for what, total in (("durations, transfer times and load costs",
+                             time_total),
+                            ("weight memory, activations and weight sizes",
+                             mem_total)):
+            if not math.isfinite(total):
+                raise GraphError(f"the graph's {what} sum past the float "
+                                 "range")
+
         succ: dict[str, list[str]] = {i: [] for i in self._ops}
         pred: dict[str, list[str]] = {i: [] for i in self._ops}
         for (a, b) in self._edges:

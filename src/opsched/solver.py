@@ -371,7 +371,11 @@ class _State:
         self.n_done = 0
         self.work_rem = float(inst.total_work)
         self.cur_max_end = 0.0
-        self.comm_sched: dict[tuple[int, int], tuple[int, int, float, float]] = {}
+        # (p, k) -> (from, to, start, end) of each transfer dispatched;
+        # None when no transfer takes time, see `_dispatch`
+        self.comm_sched: dict[tuple[int, int],
+                              tuple[int, int, float, float]] | None = (
+            None if inst.zero_comm else {})
         self.load_events: list[tuple[int, str, str]] = []
         self.preloads: list[tuple[str, int]] = []
         self.est = [0.0] * n  # max end over scheduled predecessors
@@ -387,10 +391,21 @@ class _State:
                       for k in range(inst.n)}
         op_times = {inst.ops[k]: (self.start[k], self.end[k])
                     for k in range(inst.n)}
-        comm_times = {}
-        for (p, k), (j1, j2, cs, ce) in self.comm_sched.items():
-            comm_times[(inst.ops[p], inst.ops[k])] = (
-                (inst.machines[j1], inst.machines[j2]), cs, ce)
+        if self.comm_sched is None:
+            # each transfer runs from its producer's machine to its
+            # consumer's, at its producer's end: the record `_dispatch`
+            # keeps when transfers take time, and `to_dict` sorts them
+            machines, mach_of, end = inst.machines, self.mach_of, self.end
+            comm_times = {
+                (inst.ops[p], inst.ops[k]): (
+                    (machines[mach_of[p]], machines[mach_of[k]]),
+                    end[p], end[p])
+                for (p, k) in inst.comm}
+        else:
+            comm_times = {}
+            for (p, k), (j1, j2, cs, ce) in self.comm_sched.items():
+                comm_times[(inst.ops[p], inst.ops[k])] = (
+                    (inst.machines[j1], inst.machines[j2]), cs, ce)
         loads = [(inst.ops[k], wid, kind)
                  for (k, wid, kind) in self.load_events]
         preloads = [(inst.machines[j], wid) for (wid, j) in self.preloads]
@@ -408,6 +423,14 @@ def _dispatch(state: _State, k: int, m: int,
     Transfers into k that were already dispatched separately (the
     fixed-assignment mode does this for contended nonzero transfers) are
     respected; the rest are appended to their channels here.
+
+    When no transfer takes time (`state.comm_sched` is None) nothing is
+    recorded. A transfer that takes no time never occupies its channel,
+    so `chan_free` stays empty and each transfer would be recorded as
+    (producer's machine, m, end[p], end[p]). The last of them arrives at
+    est[k], the latest end among k's predecessors (0.0 with none), which
+    is final once k is ready. So only the channels are checked, and
+    `_State.solution_parts` writes the transfers out from the edges.
     """
     inst = state.inst
     extra = 0.0
@@ -437,24 +460,30 @@ def _dispatch(state: _State, k: int, m: int,
 
     mach_of, out_mask, comm_sched = state.mach_of, inst.out_mask, \
         state.comm_sched
-    arrival = 0.0
     new_comms = []
-    for p in inst.preds[k]:
-        mp = mach_of[p]
-        if not out_mask[mp] >> m & 1:
-            return None
-        key = (p, k)
-        if key in comm_sched:
-            arrival = max(arrival, comm_sched[key][3])
-            continue
-        if mp == m:
-            cs = ce = state.end[p]
-        else:
-            cs = max(state.end[p], state.chan_free.get((mp, m), 0.0))
-            ce = cs + inst.comm[key]
-        if ce > arrival:
-            arrival = ce
-        new_comms.append((key, (mp, m, cs, ce)))
+    if comm_sched is None:
+        for p in inst.preds[k]:
+            if not out_mask[mach_of[p]] >> m & 1:
+                return None
+        arrival = state.est[k]
+    else:
+        arrival = 0.0
+        for p in inst.preds[k]:
+            mp = mach_of[p]
+            if not out_mask[mp] >> m & 1:
+                return None
+            key = (p, k)
+            if key in comm_sched:
+                arrival = max(arrival, comm_sched[key][3])
+                continue
+            if mp == m:
+                cs = ce = state.end[p]
+            else:
+                cs = max(state.end[p], state.chan_free.get((mp, m), 0.0))
+                ce = cs + inst.comm[key]
+            if ce > arrival:
+                arrival = ce
+            new_comms.append((key, (mp, m, cs, ce)))
 
     start = max(state.free[m], arrival)
     end = start + inst.dur[k] + extra
@@ -939,7 +968,10 @@ class _Search:
                     # the candidates have their channels, so memory failed
                     pruned["memory"] += 1
                     continue
-                if self._node_bound(state) <= lim:
+                # any bound is <= an infinite limit, so while there is no
+                # incumbent and no primal bound (the first descent of
+                # such a search) the check always passes and is skipped
+                if lim == math.inf or self._node_bound(state) <= lim:
                     if not self._dfs(state, lb_start):
                         complete = False
                     # the child may have found a better incumbent

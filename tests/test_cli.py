@@ -373,6 +373,35 @@ class TestBadNumbers:
         assert json.loads(capsys.readouterr().err)["error"] \
             == "bad-instance"
 
+    @pytest.mark.parametrize("field", ["duration", "weight_mem",
+                                       "activation_delta", "comm_duration",
+                                       "load_cost"])
+    @pytest.mark.parametrize("argv", [["export", "--format", "mps"],
+                                      ["export", "--format", "lp"],
+                                      ["solve"], ["coarsen", "--to", "1"]],
+                             ids=" ".join)
+    def test_sum_past_the_float_range_is_one_json_error(self, tmp_path,
+                                                        capsys, argv, field):
+        # every value is finite and their sum is not: the horizon, a
+        # memory level or the merged node would read inf
+        ops = [{"id": i, "duration": 1, "weight_refs": ["w"]} for i in "ab"]
+        edges = [{"from": "a", "to": "c"}, {"from": "b", "to": "c"}]
+        weights = [{"id": "w", "size": 1}]
+        for entry in {"comm_duration": edges,
+                      "load_cost": weights}.get(field, ops):
+            entry[field] = 1e308
+        doc = {"graph": {"operations": ops + [{"id": "c", "duration": 1}],
+                         "edges": edges, "weights": weights},
+               "cluster": ONE_OP["cluster"]}
+        inst = _write(tmp_path / "inst.json", doc)
+        out = tmp_path / "out"
+        assert main(argv + ["-i", inst, "-o", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == "bad-instance"
+        assert "sum past the float range" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("bound", [
         float("nan"), float("inf"), "x",
         pytest.param(10**400, id="int-beyond-float")], ids=repr)

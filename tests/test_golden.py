@@ -279,6 +279,10 @@ SEARCH_GOLDEN = {
     dfs_bench_coarse: (
         1001,
         "2ca11c5b5928bccb3e7945fa30ddac0753c5c345f2e6697b7e5455dbf37315a7"),
+    # the DFS with timed transfers, which record every transfer
+    dfs_fractional_ring: (
+        1001,
+        "7b2a2b5d420ac00287b4b7590c7a5aa1476a86d4c648daaeceeb5b023d7e5619"),
 }
 
 
