@@ -17,9 +17,9 @@ from .mpswriter import export_lp, export_mps
 from .scenarios import (DualPipeSpec, RandomDagSpec, dualpipe_bubble_target,
                         dualpipe_primal_bound, dualpipe_reference,
                         gen_dualpipe, gen_random_dag)
-from .simulate import VerifyReport, expand_schedule, verify
+from .simulate import VerifyReport, expand_schedule, verify, warm_start
 from .solver import (Solution, SolveConfig, SolveError, list_schedule,
-                     refine_idle, solve, warm_start)
+                     refine_idle, solve)
 
 __all__ = [
     "Channel", "ComputationGraph", "DependencyEdge", "DualPipeSpec",

@@ -33,9 +33,9 @@ from .mpswriter import export_lp, export_mps
 from .scenarios import (DualPipeSpec, RandomDagSpec, dualpipe_bubble_target,
                         dualpipe_primal_bound, dualpipe_reference,
                         gen_dualpipe, gen_random_dag)
-from .simulate import verify
+from .simulate import verify, warm_start
 from .solver import (INFEASIBLE, Solution, SolveConfig, SolveError,
-                     list_schedule, solve, warm_start)
+                     list_schedule, solve)
 from .trace import trace_document
 
 EXIT_OK = 0
@@ -200,6 +200,9 @@ def _build(doc: dict):
     g, h, options = _parse_instance(doc)
     try:
         model = build_model(g, h, options)
+    except GraphError as exc:
+        raise CliError("bad-instance", f"invalid instance document: {exc}",
+                       EXIT_USAGE)
     except ModelError as exc:
         raise CliError("infeasible", str(exc), EXIT_INFEASIBLE,
                        tags=["capacity"])
@@ -393,14 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ignore-primal-bound", action="store_true")
     p.add_argument("--stats", action="store_true",
                    help="add the search's nodes, stop reason, root_bound "
-                        "and, for a DFS, its prunes by reason under a "
-                        "top-level stats key, also of the error when no "
-                        "schedule is found. The prunes count placements a "
-                        "node listed and then rejected: bound-before-"
-                        "dispatch, by the bound before placing them; "
-                        "bound-after-dispatch, by the bound after placing "
-                        "them; memory, as they do not fit. Placements a "
-                        "node never lists are not counted")
+                        "and, for the DFS (not the fixed-assignment mode), "
+                        "its prunes by reason under a top-level stats key, "
+                        "also of the error when no schedule is found. The "
+                        "prunes are placements a node listed and rejected: "
+                        "bound-before-dispatch, by the bound before placing "
+                        "them; bound-after-dispatch, by the bound after; "
+                        "memory, as they do not fit. Placements never listed "
+                        "(as under a limit leaving no idle) count nowhere")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="replay a solution")

@@ -134,19 +134,21 @@ class ComputationGraph:
                     raise GraphError(
                         f"operation {op.id!r} references unknown weight {ref!r}")
 
-        # a schedule's horizon (`model.compute_horizon`), a memory level
-        # and a merged node's fields are sums of these; past the float
-        # range they would read inf
+        # a merged node's fields, a memory level and the MIP's horizon and
+        # memory big-M are sums of these, the last two in the float order
+        # the MIP's bytes depend on; past the float range they read inf
         ops = self._ops.values()
-        time_total = self.total_duration() + self.total_comm_duration() + sum(
-            self._weights[ref].load_cost + self._weights[ref].unload_cost
-            for op in ops for ref in op.weight_refs)
-        mem_total = (sum(op.weight_mem + abs(op.activation_delta) for op in ops)
-                     + sum(w.size for w in self._weights.values()))
+        self.time_total = sum(
+            (self._weights[ref].load_cost + self._weights[ref].unload_cost
+             for op in ops for ref in op.weight_refs),
+            self.total_duration() + self.total_comm_duration())
+        self.mem_total = (sum(op.weight_mem for op in ops)
+                          + sum(abs(op.activation_delta) for op in ops)
+                          + sum(w.size for w in self._weights.values()))
         for what, total in (("durations, transfer times and load costs",
-                             time_total),
+                             self.time_total),
                             ("weight memory, activations and weight sizes",
-                             mem_total)):
+                             self.mem_total)):
             if not math.isfinite(total):
                 raise GraphError(f"the graph's {what} sum past the float "
                                  "range")

@@ -47,7 +47,8 @@ from functools import cached_property
 from itertools import accumulate, chain
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .graph import ComputationGraph, HardwareCluster, is_finite_number
+from .graph import (ComputationGraph, GraphError, HardwareCluster,
+                    is_finite_number)
 
 BINARY = "binary"
 CONTINUOUS = "continuous"
@@ -130,12 +131,9 @@ class ScheduleModel:
         return compute_horizon(self.graph)
 
     def memory_big_M(self) -> float:
-        g = self.graph
-        total = sum(op.weight_mem for op in g.operations.values())
-        total += sum(abs(op.activation_delta) for op in g.operations.values())
-        total += sum(w.size for w in g.weights.values())
-        total += max(m.memory_capacity for m in self.cluster.machines.values())
-        return total + 1
+        return (self.graph.mem_total
+                + max(m.memory_capacity for m in self.cluster.machines.values())
+                + 1)
 
 
 @dataclass(slots=True)
@@ -199,12 +197,7 @@ class _Rows(Sequence):
 
 def compute_horizon(g: ComputationGraph) -> float:
     """Σ operation durations + Σ communication durations (+ load costs)."""
-    horizon = g.total_duration() + g.total_comm_duration()
-    for op in g.operations.values():
-        for ref in op.weight_refs:
-            w = g.weights[ref]
-            horizon += w.load_cost + w.unload_cost
-    return horizon
+    return g.time_total
 
 
 def build_model(g: ComputationGraph, h: HardwareCluster,
@@ -224,7 +217,16 @@ def build_model(g: ComputationGraph, h: HardwareCluster,
                 raise ModelError(
                     f"operation {i!r} needs {need} memory units but no "
                     f"machine has that much capacity")
-    return ScheduleModel(graph=g, cluster=h, options=opts)
+    model = ScheduleModel(graph=g, cluster=h, options=opts)
+    # the MIP's largest numbers: 3 * big_M in a machine-exclusive row
+    # and, capped, a capacity plus the memory big-M in a capacity row
+    top = model.memory_big_M() + (max(
+        m.memory_capacity for m in h.machines.values())
+        if opts.memory_capped else 0.0)
+    if not (is_finite_number(3 * model.big_M) and is_finite_number(top)):
+        raise GraphError("the MIP's big-M bounds on time or memory sum "
+                         "past the float range")
+    return model
 
 
 def set_primal_bound(model: ScheduleModel, bound: float) -> ScheduleModel:

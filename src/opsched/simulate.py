@@ -2,8 +2,8 @@
 
 Rebuilds timing, channel occupancy, and memory trajectories from a
 Solution and the original problem data, without reusing any solver
-state. Every check lands in the report's violation list; nothing
-raises, so the report doubles as a diagnostic for hand-built schedules.
+state. Every check lands in the report's violation list, so the report
+doubles as a diagnostic for hand-built schedules; only `warm_start` raises.
 
 Memory semantics: each machine's level follows its operations'
 activation deltas on top of an initial level chosen as low as the
@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import ComputationGraph, HardwareCluster
-from .model import ModelOptions
-from .solver import Solution
+from .model import ModelOptions, ScheduleModel
+from .solver import Solution, SolveError
 
 _EPS = 1e-9
 
@@ -237,6 +237,17 @@ def verify(g: ComputationGraph, h: HardwareCluster, sol: Solution,
         pipeline_bubble=pipeline_bubble,
         channel_busy=channel_busy,
     )
+
+
+def warm_start(model: ScheduleModel, hint: Solution) -> Solution:
+    """Check that `hint` is feasible for `model` and return it, ready to
+    pass to `solve(model, cfg, hint=...)`."""
+    report = verify(model.graph, model.cluster, hint, model.options)
+    if not report.feasible:
+        raise SolveError(
+            "warm-start hint is infeasible: "
+            + "; ".join(str(v) for v in report.violations[:5]))
+    return hint
 
 
 def expand_schedule(sol: Solution, records, original: ComputationGraph

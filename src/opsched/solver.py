@@ -1,20 +1,14 @@
 """Built-in exact branch-and-bound scheduler.
 
-Three search modes share the same bounding machinery:
+Two search modes share the same bounding machinery:
 
-* saturation search — runs first whenever the aggregate load bound
-  meets the pruning limit exactly, so no machine may ever idle; it
-  dispatches chronologically on the earliest-free machine at exact
-  start times, with per-op deadlines and deadline-work cuts. It runs on
-  the DFS's dispatch state (`_State`, `_dispatch`, `_undo`) and keeps
-  only its deadline buckets; each node takes its cuts and candidates
-  from the ready ops in priority order.
 * depth-first dispatching (DFS) — branches on (operation, machine) in
   chronological order, appending induced transfers to their channels.
   Complete (hence exact on exhaustion) whenever all communication
   durations are zero, which covers the pipeline and coarsened-graph
   scenarios; with contended nonzero transfers it is a strong primal
-  heuristic.
+  heuristic. A limit that leaves no idle keeps it to the earliest free
+  time, one machine order per start.
 * fixed-assignment sequencing — enumerates machine assignments, then
   branches on the dispatch order of operations and nonzero transfers,
   and under dynamic loading on each way to load an op's weights, as the
@@ -27,9 +21,9 @@ inserts again before it dispatches the placement. Per-machine memory
 feasibility is one recurrence along the machine's operation order
 (`_mem_step`); it is monotone under appends, so violations prune
 immediately. With static weights, ops of one memory class step a
-machine's chain alike, so the DFS and the saturation search remember
-each class's step for as long as the machine's memory state lasts, and
-skip the ops that do not fit without retrying them.
+machine's chain alike, so the DFS remembers each class's step for as
+long as the machine's memory state lasts, and skips the ops that do not
+fit without retrying them.
 
 Apart from the searches, `list_schedule` is a primal heuristic: a seeded
 hill climb over the priority keys and placement of a list-scheduling
@@ -89,8 +83,8 @@ class Solution:
     load_events: list[tuple[str, str, str]] = field(default_factory=list)
     preloads: list[tuple[str, str]] = field(default_factory=list)
     bound: float | None = None
-    # what the search did: {"nodes", "stop", "root_bound"},
-    # and "pruned" after a DFS (`_Search.pruned`); set by `solve`, left
+    # what the search did: {"nodes", "stop", "root_bound"}, and
+    # "pruned" after the DFS (`_Search.pruned`); set by `solve`, left
     # out of to_dict() and of comparisons
     stats: dict | None = field(default=None, compare=False)
 
@@ -248,6 +242,11 @@ class _Instance:
         for a in self.assets.values():
             vals += [a.size, a.load_cost, a.unload_cost]
         self.integral = all(float(v).is_integer() for v in vals)
+        # the end of a schedule without idle (see `_candidate_list`)
+        self.no_idle_end = (
+            self.total_work // self.nm if self.integral and self.zero_comm
+            and self.min_dur > 0 and not self.total_work % self.nm
+            else None)
 
     def load_bound(self, committed: float, work_rem: float) -> float:
         total = committed + work_rem
@@ -320,20 +319,20 @@ def _static_step(inst, mem, static_w, resident, k, cap):
 
 # The memory-class memo. In static mode a machine's memory state is its
 # chain, weight total and resident assets, and `_static_step` on it
-# depends on the op only through the op's memory class. So the DFS (on
-# a capped model) and the saturation search fill one memo,
-# `_State.memo[m]`: per machine, a dict from memory class to that step
-# (None: ops of the class do not fit) for the machine's current state.
-# A dispatch on machine m starts an empty dict for m's new state, and its
-# undo puts m's state and the old dict back. Undo restores exactly, so an
-# entry holds for as long as its dict is current: at the later siblings
-# of the node that computed it, and at every node below in which m has
-# received nothing. That covers each node's own candidates, so a step is
-# computed at most once per (machine, class) per node, and usually far
-# less often. An op whose class does not fit is passed over before any
-# other work. That changes no decision: the search would reject it, and
-# nothing a node reads changes between two of its candidates unless a
-# child ran in between, after which the node checks whether to stop.
+# depends on the op only through the op's memory class. So the DFS, on a
+# capped model, fills a memo `_State.memo[m]`: per machine, a dict from
+# memory class to that step (None: ops of the class do not fit) for the
+# machine's current state. A dispatch on machine m starts an empty dict
+# for m's new state, and its undo puts m's state and the old dict back.
+# Undo restores exactly, so an entry holds for as long as its dict is
+# current: at the later siblings of the node that computed it, and at
+# every node below in which m has received nothing. That covers each
+# node's own candidates, so a step is computed at most once per
+# (machine, class) per node, and usually far less often. An op whose
+# class does not fit is passed over before any other work. That changes
+# no decision: the search would reject it, and nothing a node reads
+# changes between two of its candidates unless a child ran in between,
+# after which the node checks whether to stop.
 
 _UNKNOWN = object()  # a memory class not yet in a memo
 
@@ -645,109 +644,13 @@ class _Search:
             preloads=preloads)
         self.incumbent_obj = obj
 
-    # ---- integrated mode: the saturation search, else the DFS ----
-
-    def _run_packed(self) -> bool | None:
-        """Saturation search, used when the aggregate load bound meets the
-        pruning limit exactly.
-
-        Then every machine must run back to back from time zero through the
-        limit, so dispatching chronologically on the tightest machine with
-        exact start times enumerates every remaining schedule.  Idle of any
-        kind is immediately fatal, which admits two strong cuts: per-op
-        deadlines (start no later than limit minus the op's critical tail)
-        and aggregate deadline work (operations due by time D cannot exceed
-        machine capacity D - t).  Returns None when the preconditions do
-        not hold and the general dispatcher must run instead.
-        """
-        inst = self.inst
-        lim_f = self.limit()
-        if (inst.dynamic or not inst.integral or not inst.zero_comm
-                or lim_f == math.inf or (inst.n and inst.min_dur < 1)):
-            return None
-        lim = int(math.floor(lim_f + _EPS))
-        if inst.nm * lim != int(inst.total_work):
-            return None
-        nm, dur, preds = inst.nm, inst.dur, inst.preds
-        # deadline buckets: distinct latest feasible end times
-        les = sorted({lim - t for t in inst.tail})
-        le_of = [les.index(lim - t) for t in inst.tail]
-        brem = [0.0] * len(les)
-        for k, d in enumerate(dur):
-            brem[le_of[k]] += d
-        # machine capacity up to each deadline
-        room = [nm * le for le in les]
-        # latest start that leaves room for the op and its critical tail
-        late = [lim - d - t for d, t in zip(dur, inst.tail)]
-        every = (1 << nm) - 1
-        out_mask, mem_class, caps = inst.out_mask, inst.mem_class, inst.mem_cap
-        state = _State(inst)
-        free, est, mach_of = state.free, state.est, state.mach_of
-
-        def rec() -> bool:
-            if self.out_of_budget():
-                return False
-            if state.n_done == inst.n:
-                self.record_leaf(state)
-                return True
-            t = min(free)
-            if t >= lim:
-                return True
-            nt = nm * t
-            for cum, room_b in zip(itertools.accumulate(brem), room):
-                if cum > room_b - nt and cum:
-                    return True
-            m = free.index(t)
-            bit = 1 << m
-            top = max(free)
-            cands = []
-            for _, k in state.ready:
-                # the machines every predecessor's machine can send to
-                mask = every
-                for p in preds[k]:
-                    mask &= out_mask[mach_of[p]]
-                lk = late[k]
-                # no usable machine, or ready only after its latest start
-                if not mask or est[k] > lk:
-                    return True
-                # an op due before the latest free machine needs one of
-                # its own machines free by then; later ops always have one
-                if lk < top:
-                    for j in range(nm):
-                        if mask >> j & 1 and free[j] <= lk:
-                            break
-                    else:
-                        return True
-                if est[k] <= t and mask & bit and t + dur[k] <= lim:
-                    cands.append(k)
-            # every child restores the state exactly (`_undo`), so the
-            # candidates and m's memo hold until the node returns
-            complete = True
-            steps = state.memo[m]
-            for k in cands:
-                c = mem_class[k]
-                step = steps.get(c, _UNKNOWN)
-                if step is _UNKNOWN:
-                    step = steps[c] = _static_step(
-                        inst, state.mem[m], state.static_w[m],
-                        state.resident[m], k, caps[m])
-                if step is None:
-                    continue
-                undo = _dispatch(state, k, m, step=step)
-                brem[le_of[k]] -= dur[k]
-                if not rec():
-                    complete = False
-                brem[le_of[k]] += dur[k]
-                _undo(state, undo)
-                if self.should_stop():
-                    return False
-            return complete
-
-        return rec()
+    # ---- the DFS ----
 
     # A DFS node branches on every usable (op, machine) pair, in the
     # order (lb_start, prio, k, m) with lb_start = max(free[m], est[k]),
-    # less the pairs with lb_start < last_start - _EPS.
+    # less the pairs with lb_start < last_start - _EPS, where `last`, the
+    # candidate (last_start, prio, k, last_m) that made the node, is
+    # (0.0, 0.0, -1, 0) at the root.
     # `_candidate_list` builds that list with plain loops and sorts it
     # once. It leaves out three kinds of pair, each of which `_dfs` would
     # pass over when it reached it, so no decision changes:
@@ -764,6 +667,19 @@ class _Search:
     # Every child restores free, the ready lists and the predecessors'
     # machines exactly (`_undo`), so the list stays the node's order.
     #
+    # A limit leaves no idle when every time is an integer, no transfer
+    # takes time, every duration is > 0, the total work is nm * L
+    # (`_Instance.no_idle_end`) and floor(lim) == L: a schedule within it
+    # runs every machine back to back from 0 to L. The list then leaves
+    # out two more kinds of pair, whose subtrees the search need not see:
+    #   - machines left behind: a pair that does not start at t =
+    #     min(free). It starts later, and starts never decrease along a
+    #     path, so the machine free at t idles from t on;
+    #   - machine order at equal starts: a pair at last_start on a
+    #     machine below last_m. Dispatches at one start on different
+    #     machines commute (the argument of `_resume_step`'s comment), so
+    #     its schedules are reached with them in machine order.
+    #
     # A node with no finite limit yet (no incumbent, no primal bound)
     # could leave nothing out by the bound, and its first child usually
     # sets a limit, since the first descent ends at a leaf. So it takes
@@ -778,31 +694,41 @@ class _Search:
     # since it is built from the same state with a memo that has only
     # grown, so the node drops that pair, already tried, from the rest.
 
-    def _candidates(self, state: _State, last_start: float, lim: float):
-        """The (lb_start, prio, k, m) dispatches a DFS node branches on,
-        in order; `lim` is the node's limit on entry."""
+    def _candidates(self, state: _State, last: tuple, lim: float):
+        """The (lb_start, prio, k, m) dispatches a DFS node made by `last`
+        branches on, in order; `lim` is the node's limit on entry."""
         if lim < math.inf:
-            yield from self._candidate_list(state, last_start, lim)
+            yield from self._candidate_list(state, last, lim)
             return
-        first = self._first_candidate(state, last_start)
+        first = self._first_candidate(state, last[0])
         if first is None:
             return
         yield first
         # resumed after the first child's undo
-        rest = self._candidate_list(state, last_start, self.limit() + _EPS)
+        rest = self._candidate_list(state, last, self.limit() + _EPS)
         yield from rest[bisect_right(rest, first):]
 
-    def _candidate_list(self, state: _State, last_start: float,
+    def _candidate_list(self, state: _State, last: tuple,
                         lim: float) -> list:
         """The node's (lb_start, prio, k, m) pairs, sorted, less those
-        known not to fit and those whose own end is over `lim`."""
+        known not to fit, ending over `lim` or ruled out above."""
         inst = self.inst
-        threshold = last_start - _EPS
+        threshold = last[0] - _EPS
         dur, min_dur, preds = inst.dur, inst.min_dur, inst.preds
         out_mask, mem_class = inst.out_mask, inst.mem_class
         mach_of, ready_est = state.mach_of, state.ready_est
+        machines = enumerate(state.free)
+        stop = None  # the pairs come from ready_est[:stop]
+        no_idle = inst.no_idle_end
+        if no_idle is not None and no_idle <= lim < no_idle + 1:
+            # not a comprehension, whose closure cells every call makes
+            t = min(state.free)
+            stop = bisect_right(ready_est, (t, math.inf))
+            frees = state.free[last[3]:] if t == last[0] else state.free
+            machines = itertools.compress(
+                enumerate(frees, inst.nm - len(frees)), map(t.__eq__, frees))
         cands = []
-        for m, free in enumerate(state.free):
+        for m, free in machines:
             if free + min_dur > lim:
                 continue
             memo = state.memo[m]
@@ -811,7 +737,7 @@ class _Search:
             # only if its est does
             start = (0 if free >= threshold
                      else bisect_left(ready_est, (threshold,)))
-            for (est, prio, k) in itertools.islice(ready_est, start, None):
+            for (est, prio, k) in itertools.islice(ready_est, start, stop):
                 lb_start = est if est > free else free
                 if lb_start + min_dur > lim:
                     break
@@ -921,7 +847,7 @@ class _Search:
                 lb = finish
         return lb
 
-    def _dfs(self, state: _State, last_start: float = 0.0) -> bool:
+    def _dfs(self, state: _State, last: tuple = (0.0, 0.0, -1, 0)) -> bool:
         if self.out_of_budget():
             return False
         inst = self.inst
@@ -939,11 +865,13 @@ class _Search:
         committed = sum(free) if inst.integral else None
         # canonical dispatch order: every schedule the dispatcher can
         # produce is reachable with nondecreasing start times, so the
-        # candidates skip starts before the previous dispatch
-        for (lb_start, _, k, m) in self._candidates(state, last_start,
-                                                    lim):
+        # candidates skip starts before the previous dispatch. A child
+        # gets the candidate that made it, which the list holds anyway,
+        # so a descent allocates no argument
+        for cand in self._candidates(state, last, lim):
             if self.should_stop():
                 return False
+            lb_start, _, k, m = cand
             end = lb_start + dur[k]
             # the load term cannot exceed an infinite limit
             if end > lim or (committed is not None and lim < math.inf
@@ -953,10 +881,10 @@ class _Search:
                 continue
             step = None
             if memo_on:
-                memo, c = state.memo[m], inst.mem_class[k]
-                step = memo.get(c, _UNKNOWN)
+                memo = state.memo[m]
+                step = memo.get(inst.mem_class[k], _UNKNOWN)
                 if step is _UNKNOWN:
-                    step = memo[c] = _static_step(
+                    step = memo[inst.mem_class[k]] = _static_step(
                         inst, state.mem[m], state.static_w[m],
                         state.resident[m], k, inst.mem_cap[m])
                 if step is None:
@@ -972,7 +900,7 @@ class _Search:
                 # incumbent and no primal bound (the first descent of
                 # such a search) the check always passes and is skipped
                 if lim == math.inf or self._node_bound(state) <= lim:
-                    if not self._dfs(state, lb_start):
+                    if not self._dfs(state, cand):
                         complete = False
                     # the child may have found a better incumbent
                     lim = self.limit() + _EPS
@@ -1104,10 +1032,10 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None, *,
           hint: Solution | None = None) -> Solution:
     """Minimize makespan; exact when the search space can be covered.
 
-    `hint` is a feasible schedule (see `warm_start`) that the search
-    starts from as its incumbent and can then only improve on. A hint
-    that already meets the root or the primal bound is returned at once,
-    after 0 nodes, with ``stop`` ``bound-met``.
+    `hint` is a feasible schedule (see `simulate.warm_start`) that the
+    search starts from as its incumbent and can then only improve on. A
+    hint that already meets the root or the primal bound is returned at
+    once, after 0 nodes, with ``stop`` ``bound-met``.
 
     The result is the search's incumbent as found; `solve` runs no
     post-pass on it.
@@ -1115,7 +1043,7 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None, *,
     The fixed-assignment enumeration runs when some communication
     duration is nonzero and machines ** ops is at most
     `_ENUMERATION_LIMIT`, under static or dynamic weight loading; the
-    other instances go to the saturation search and the DFS.
+    DFS searches every other instance, under any limit.
 
     The result's ``status`` is ``optimal`` only when the explored mode is
     complete for the instance (all-zero communication durations, or the
@@ -1124,8 +1052,7 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None, *,
     """
     search = _Search(model, cfg or SolveConfig(), hint)
     inst = search.inst
-    dfs = False
-    exhausted = False
+    dfs = exhausted = False
     complete_mode = inst.zero_comm
     if search.should_stop():
         pass  # the hint meets the root or the primal bound already
@@ -1133,10 +1060,8 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None, *,
         exhausted = search.run_fixed_assignment()
         complete_mode = True
     else:
-        exhausted = search._run_packed()
-        dfs = exhausted is None
-        if dfs:
-            exhausted = search._dfs(_State(inst))
+        dfs = True
+        exhausted = search._dfs(_State(inst))
 
     sol = search.incumbent
     root = search.root
@@ -1162,19 +1087,6 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None, *,
         return replace(sol, status=OPTIMAL, bound=sol.objective, stats=stats)
     status = TIME_LIMIT if search.stop is not None else FEASIBLE
     return replace(sol, status=status, bound=root, stats=stats)
-
-
-def warm_start(model: ScheduleModel, hint: Solution) -> Solution:
-    """Check that `hint` is feasible for `model` and return it, ready to
-    pass to `solve(model, cfg, hint=...)`."""
-    from .simulate import verify  # deferred to avoid a module cycle
-
-    report = verify(model.graph, model.cluster, hint, model.options)
-    if not report.feasible:
-        raise SolveError(
-            "warm-start hint is infeasible: "
-            + "; ".join(str(v) for v in report.violations[:5]))
-    return hint
 
 
 # -- list-scheduling climb -----------------------------------------------------

@@ -386,15 +386,22 @@ def random_loading_instance(rng):
 # -- DFS candidate-order oracle ----------------------------------------------
 
 
-def candidate_order_oracle(search, state, last_start, eps=1e-9):
+def candidate_order_oracle(search, state, last, lim=math.inf, eps=1e-9):
     """The dispatches a DFS node of `search` branches on, in order.
 
     Lists every usable (operation, machine) pair of the node, sorts the
     (lb_start, prio, k, m) keys in full and drops the starts before
-    `last_start - eps`: the solver's candidate order before it was
-    generated lazily. It reads the channels straight from the cluster.
+    `last_start - eps`, where `last` is the (last_start, ..., last_m)
+    dispatch that made the node: the solver's candidate order before it
+    was generated lazily. When `lim` leaves no idle (an integral
+    instance with no timed transfer and no zero duration, whose total
+    work is the machine count times floor(lim)), it keeps only the pairs
+    at the earliest free time, on machines free then, and at last_start
+    only those on a machine numbered last_m or above. It reads the
+    channels straight from the cluster.
     """
     inst = search.inst
+    last_start, last_m = last[0], last[-1]
     midx = {j: m for m, j in enumerate(inst.machines)}
     chan = {(midx[a], midx[b]) for (a, b) in inst.model.cluster.channels}
     eligible = [k for k in range(inst.n)
@@ -408,7 +415,14 @@ def candidate_order_oracle(search, state, last_start, eps=1e-9):
             lb_start = max(state.free[m], state.est[k])
             cands.append((lb_start, -(inst.dur[k] + inst.tail[k]), k, m))
     cands.sort()
-    return [c for c in cands if not c[0] < last_start - eps]
+    cands = [c for c in cands if not c[0] < last_start - eps]
+    if (inst.integral and lim < math.inf and all(d > 0 for d in inst.dur)
+            and not any(inst.comm.values())
+            and inst.nm * math.floor(lim) == sum(inst.dur)):
+        t = min(state.free)
+        cands = [c for c in cands if c[0] == t
+                 and not (t == last_start and c[3] < last_m)]
+    return cands
 
 
 def ready_recount(state):
@@ -419,148 +433,3 @@ def ready_recount(state):
     prio = {k: -(inst.dur[k] + inst.tail[k]) for k in ready}
     return (sorted((prio[k], k) for k in ready),
             sorted((state.est[k], prio[k], k) for k in ready))
-
-
-# -- saturation-search oracle ------------------------------------------------
-
-
-def packed_search_oracle(search):
-    """The saturation search of `search`, run node for node the way the
-    solver did before it kept the ready ops incrementally: every node
-    rescans all ready ops, rebuilds each op's machine mask over its
-    predecessors, takes the deadline cut over every one of them, sorts
-    the candidates and recomputes every memory step. Same return value
-    as `_Search._run_packed`; the search's node count and incumbent
-    change exactly as they would there.
-    """
-    from opsched import solver
-
-    inst = search.inst
-    lim_f = search.limit()
-    if (inst.dynamic or not inst.integral or not inst.zero_comm
-            or lim_f == float("inf")):
-        return None
-    lim = int(math.floor(lim_f + solver._EPS))
-    if inst.nm * lim != int(inst.total_work):
-        return None
-    n, nm = inst.n, inst.nm
-    dur = [int(d) for d in inst.dur]
-    if dur and min(dur) < 1:
-        return None
-    tail = [int(t) for t in inst.tail]
-    les = sorted({lim - t for t in tail})
-    le_of = [les.index(lim - t) for t in tail]
-    nb = len(les)
-    brem = [0] * nb
-    for k in range(n):
-        brem[le_of[k]] += dur[k]
-    out_mask = inst.out_mask
-    caps = inst.mem_cap
-    act = inst.act
-    wmem = inst.wmem
-    sizes = {w: a.size for w, a in inst.assets.items()}
-    preds = [tuple(p) for p in inst.preds]
-    succs = [tuple(s) for s in inst.succs]
-    refs = inst.refs
-
-    free = [0] * nm
-    mach_of = [-1] * n
-    end = [0] * n
-    est = [0] * n
-    missing = [len(p) for p in preds]
-    avail = {k for k in range(n) if not missing[k]}
-    mem = [solver._MEM0] * nm
-    static = [0.0] * nm
-    assets = [frozenset()] * nm
-    seq = []
-
-    def leaf():
-        state = solver._State(inst)
-        for (k, m) in seq:
-            solver._dispatch(state, k, m, (), (), ())
-        search.record_leaf(state)
-
-    def rec(t_floor):
-        if search.out_of_budget():
-            return False
-        if len(seq) == n:
-            leaf()
-            return True
-        m = -1
-        t = lim
-        for j in range(nm):
-            fj = free[j]
-            if fj < t:
-                t = fj; m = j
-        if m < 0:
-            return True
-        cum = 0
-        for b in range(nb):
-            cum += brem[b]
-            if cum and cum > nm * (les[b] - t):
-                return True
-        cands = []
-        for k in avail:
-            mask = (1 << nm) - 1
-            e = est[k]
-            for p in preds[k]:
-                mask &= out_mask[mach_of[p]]
-            mf = lim
-            for j in range(nm):
-                if (mask >> j) & 1 and free[j] < mf:
-                    mf = free[j]
-            smin = e if e > mf else mf
-            if smin > lim - dur[k] - tail[k]:
-                return True
-            if (mask >> m) & 1 and e <= t:
-                cands.append((-(dur[k] + tail[k]), k))
-        cands.sort()
-        complete = True
-        for (_, k) in cands:
-            e_new = t + dur[k]
-            if e_new > lim:
-                continue
-            o_mem, o_static, held = mem[m], static[m], assets[m]
-            lift = wmem[k]
-            n_held = held
-            for w in refs[k]:
-                if w not in held:
-                    lift += sizes[w]
-                    n_held = n_held | {w}
-            n_mem = solver._mem_step(o_mem, lift, o_static + lift, act[k],
-                                     caps[m])
-            if n_mem is None:
-                continue
-            mem[m], static[m], assets[m] = n_mem, o_static + lift, n_held
-            free[m] = e_new
-            mach_of[k] = m
-            end[k] = e_new
-            avail.discard(k)
-            brem[le_of[k]] -= dur[k]
-            o_ests = [(s, est[s]) for s in succs[k]]
-            for s in succs[k]:
-                missing[s] -= 1
-                if not missing[s]:
-                    avail.add(s)
-                if e_new > est[s]:
-                    est[s] = e_new
-            seq.append((k, m))
-            if not rec(t):
-                complete = False
-            seq.pop()
-            for (s, v) in o_ests:
-                est[s] = v
-            for s in succs[k]:
-                if not missing[s]:
-                    avail.discard(s)
-                missing[s] += 1
-            brem[le_of[k]] += dur[k]
-            avail.add(k)
-            mach_of[k] = -1
-            free[m] = t
-            mem[m], static[m], assets[m] = o_mem, o_static, held
-            if search.should_stop():
-                return False
-        return complete
-
-    return rec(0)

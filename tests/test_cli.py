@@ -402,6 +402,39 @@ class TestBadNumbers:
         assert "sum past the float range" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("case", [
+        # one op's weight memory and its machine's capacity: the memory
+        # big-M, capacity + memory total + 1
+        ({"duration": 1, "weight_mem": 1e308}, 1e308, False),
+        # capped, the capacity rows add a capacity to that big-M, 3e308
+        ({"duration": 1, "weight_mem": 1e308}, 1e308, True),
+        # each sum in the graph is finite, but the machine-exclusive rows
+        # take the horizon three times: 3 x 1e308
+        ({"duration": 1e308}, 1, False)],
+        ids=["memory-big-M", "capacity-row", "three-horizons"])
+    @pytest.mark.parametrize("argv", [["export", "--format", "mps"],
+                                      ["export", "--format", "lp"],
+                                      ["solve"]], ids=" ".join)
+    def test_big_M_past_the_float_range_is_one_json_error(self, tmp_path,
+                                                          capsys, argv, case):
+        fields, capacity, capped = case
+        ops = [dict(fields, id="a")]
+        if "weight_mem" not in fields:
+            ops.append({"id": "b", "duration": 1})
+        doc = {"graph": {"operations": ops},
+               "cluster": {"machines": [{"id": "m",
+                                         "memory_capacity": capacity}]},
+               "options": {"memory_capped": capped}}
+        inst = _write(tmp_path / "inst.json", doc)
+        out = tmp_path / "out"
+        assert main(argv + ["-i", inst, "-o", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == "bad-instance"
+        assert "sum past the float range" in err or \
+            "sums past the float range" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("bound", [
         float("nan"), float("inf"), "x",
         pytest.param(10**400, id="int-beyond-float")], ids=repr)

@@ -6,7 +6,11 @@ are over the limit or do not fit. Both must drop only what
 `_node_bound` would prune after the dispatch, so that the search stays
 the same: every pair the node passes over, listed or not, dispatched
 with any of its load choices, must fail its memory step or exceed the
-limit the node had when it passed it over.
+limit the node had when it passed it over. The one exception is under
+a limit that leaves no idle, where a list also leaves out the pairs
+that the two tight-limit rules rule out (`conftest.candidate_order_oracle`
+names them); `test_packed_search` checks those rules against brute
+force.
 """
 import math
 from dataclasses import replace
@@ -18,8 +22,9 @@ from hypothesis import strategies as st
 
 from opsched import solver
 from opsched.graph import ComputationGraph, HardwareCluster
-from opsched.model import ModelOptions, build_model, clear_primal_bound
-from opsched.scenarios import DualPipeSpec, gen_dualpipe
+from opsched.model import (ModelOptions, build_model, clear_primal_bound,
+                           set_primal_bound)
+from opsched.scenarios import DualPipeSpec, dualpipe_primal_bound, gen_dualpipe
 
 from conftest import candidate_order_oracle
 from test_dfs_order import dfs_cases
@@ -55,8 +60,10 @@ class _WatchedSearch(solver._Search):
         self.dispatches = 0
         # listed pairs rejected before any dispatch
         self.passed_over = 0
-        # pairs of the node's order that a list left out
+        # pairs of the node's order that a list left out, other than
+        # those the tight-limit rules rule out, which `ruled_out` counts
         self.left_out = 0
+        self.ruled_out = 0
         # passed over although some load choice dispatches: by the bound
         self.bounded = 0
 
@@ -64,8 +71,8 @@ class _WatchedSearch(solver._Search):
         self.dispatches += 1
         return _DISPATCH(*args)
 
-    def _candidates(self, state, last_start, lim):
-        for cand in super()._candidates(state, last_start, lim):
+    def _candidates(self, state, last, lim):
+        for cand in super()._candidates(state, last, lim):
             before = self.dispatches
             yield cand
             # resumed once the node is done with cand, its state restored
@@ -76,18 +83,21 @@ class _WatchedSearch(solver._Search):
     def _first_candidate(self, state, last_start):
         first = super()._first_candidate(state, last_start)
         # the node has no limit, and the pairs before its first are out
-        for cand in candidate_order_oracle(self, state, last_start):
+        for cand in candidate_order_oracle(self, state, (last_start, 0)):
             if cand == first:
                 break
             self.left_out += 1
             self.check(state, cand, math.inf)
         return first
 
-    def _candidate_list(self, state, last_start, lim):
-        cands = super()._candidate_list(state, last_start, lim)
+    def _candidate_list(self, state, last, lim):
+        cands = super()._candidate_list(state, last, lim)
         listed = set(cands)
-        for cand in candidate_order_oracle(self, state, last_start):
-            if cand not in listed:
+        ruled = set(candidate_order_oracle(self, state, last, lim))
+        for cand in candidate_order_oracle(self, state, last):
+            if cand not in ruled:
+                self.ruled_out += 1
+            elif cand not in listed:
                 self.left_out += 1
                 self.check(state, cand, lim)
         return cands
@@ -144,5 +154,25 @@ def test_dualpipe_bound_rejections_are_checked():
     # over the limit, the other 290 fail their memory step
     assert (search.passed_over, search.left_out, search.bounded) == \
         (255, 271, 236)
+    # each limit of this search leaves room for idle
+    assert search.ruled_out == 0
     # as many dispatches as when each node merged a stream per machine
     assert search.dispatches == 468
+
+
+def test_tight_limit_rules_leave_pairs_out():
+    # the bound 18 leaves no idle: every pair the lists leave out besides
+    # the rules' fails its memory step or is over the limit
+    spec = DualPipeSpec(pp=2, micro_batches=6)
+    g, h, options = gen_dualpipe(spec)
+    model = set_primal_bound(build_model(g, h, options),
+                             dualpipe_primal_bound(spec))
+    search = _WatchedSearch(model, solver.SolveConfig(), None)
+    search.run()
+    assert search.incumbent_obj == 18
+    assert search.pruned == {"bound-before-dispatch": 0,
+                             "bound-after-dispatch": 0, "memory": 609}
+    # the rules leave out 2,046 pairs; the lists leave out 413 more, each
+    # checked, and the 302 dispatches are the 303 nodes less the root
+    assert (search.ruled_out, search.left_out, search.dispatches) == \
+        (2046, 413, 302)

@@ -6,7 +6,9 @@ A node with a finite limit branches on one sorted list built on entry.
 A node without one takes the first pair of its order alone and builds
 the rest of the list after its first child, under the limit that child
 left. Either list leaves out the pairs known not to fit and those whose
-own end is over the limit when the list is built."""
+own end is over the limit when the list is built, and under a limit
+that leaves no idle the pairs that the two tight-limit rules leave
+out."""
 import math
 from unittest import mock
 
@@ -20,6 +22,7 @@ from opsched.model import ModelOptions, build_model
 
 from conftest import (candidate_order_oracle, edge, graph, op,
                       ready_recount)
+from test_packed_search import packed_cases
 
 # few distinct values, so starts, ests and priorities often tie
 _VALUES = st.sampled_from([0, 1, 1, 2, 3, 0.5, 1.25])
@@ -85,19 +88,19 @@ def _check_memo(state):
                 member[c], inst.mem_cap[m])
 
 
-def _expected(search, state, last_start, lim):
-    """The oracle's order less the pairs known not to fit and those whose
-    own end is over `lim`. Each pair the memo calls unfit is checked with
-    a fresh memory step."""
+def _expected(search, state, last, lim):
+    """The oracle's order under `lim` less the pairs known not to fit and
+    those whose own end is over `lim`. Each pair the memo calls unfit is
+    checked with a fresh memory step."""
     dur = search.inst.dur
-    return [c for c in candidate_order_oracle(search, state, last_start)
+    return [c for c in candidate_order_oracle(search, state, last, lim)
             if not c[0] + dur[c[2]] > lim and not _known_unfit(state, c)]
 
 
 class _CheckedSearch(solver._Search):
-    def _candidates(self, state, last_start, lim):
-        expected = _expected(self, state, last_start, lim)
-        built = super()._candidates(state, last_start, lim)
+    def _candidates(self, state, last, lim):
+        expected = _expected(self, state, last, lim)
+        built = super()._candidates(state, last, lim)
         if lim == math.inf:
             # the first pair alone, before any list is built
             first = next(built, None)
@@ -107,7 +110,7 @@ class _CheckedSearch(solver._Search):
             yield first
             # resumed after the first child's undo: the rest, built under
             # the limit the child left, with a memo that may have grown
-            expected = [c for c in _expected(self, state, last_start,
+            expected = [c for c in _expected(self, state, last,
                                              self.limit() + solver._EPS)
                         if c != first]
         for cand in expected:
@@ -125,14 +128,27 @@ def _checked(step):
     return run
 
 
-@pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
-@pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
+# the options of each kind of case; None for a primal bound that leaves
+# no idle, where the tight-limit rules apply
+_KINDS = {
+    "static-uncapped": ModelOptions(),
+    "static-capped": ModelOptions(memory_capped=True),
+    "dynamic-uncapped": ModelOptions(dynamic_loading=True),
+    "dynamic-capped": ModelOptions(memory_capped=True, dynamic_loading=True),
+    "tight": None,
+}
+
+
+@pytest.mark.parametrize("kind", _KINDS)
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
-def test_lazy_order_matches_oracle(capped, dynamic, data):
-    g, h, cfg = data.draw(dfs_cases(dynamic))
-    model = build_model(g, h, ModelOptions(memory_capped=capped,
-                                           dynamic_loading=dynamic))
+def test_lazy_order_matches_oracle(kind, data):
+    options = _KINDS[kind]
+    if options is None:
+        model, cfg = data.draw(packed_cases())
+    else:
+        g, h, cfg = data.draw(dfs_cases(options.dynamic_loading))
+        model = build_model(g, h, options)
     search = _CheckedSearch(model, cfg, None)
     state = solver._State(search.inst)
     assert (state.ready, state.ready_est) == ready_recount(state)

@@ -6,7 +6,7 @@ or property of a public class is named there as an attribute, every
 keyword-only parameter of a public function is passed by name
 somewhere, every defaulted field of a public dataclass is set
 somewhere, no module switches the cyclic garbage collector, and no
-function imports unless it breaks a module cycle."""
+function imports."""
 import ast
 import functools
 import pathlib
@@ -157,11 +157,6 @@ def test_only_model_switches_the_collector(path):
                                          filename=str(path))) == []
 
 
-# (module, function, import) for each import inside a function that
-# breaks a real module cycle: `simulate` imports `solver` at its top
-_CYCLE_BREAKERS = {("solver.py", "warm_start", "from .simulate import verify")}
-
-
 def _imports_in_functions(path: pathlib.Path) -> list[str]:
     owner = {}
     for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -172,15 +167,13 @@ def _imports_in_functions(path: pathlib.Path) -> list[str]:
                     # comes later and wins
                     owner[node] = fn.name
     return sorted(f"{name}: {ast.unparse(node)} (line {node.lineno})"
-                  for node, name in owner.items()
-                  if (path.name, name, ast.unparse(node))
-                  not in _CYCLE_BREAKERS)
+                  for node, name in owner.items())
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_imports_inside_functions(path):
     # an import belongs at the top of its module, where a reader finds
-    # the module's dependencies, unless it breaks an import cycle
+    # the module's dependencies; no module imports inside a function
     assert _imports_in_functions(path) == []
 
 

@@ -1,7 +1,8 @@
-"""The saturation search, checked against a copy of the node loop it
-replaced (`conftest.packed_search_oracle`): same node count, same
-completeness, same schedule, on small instances whose load bound meets
-the primal bound exactly."""
+"""The DFS under a limit that leaves no idle, where its two tight-limit
+rules (`solver._Search._candidate_list`) leave pairs out: on small
+instances whose load bound meets the primal bound exactly, it finds a
+schedule exactly when one exists within the bound
+(`conftest.brute_force_makespan`)."""
 import dataclasses
 
 import pytest
@@ -11,16 +12,17 @@ from hypothesis import strategies as st
 from opsched import solver
 from opsched.graph import Channel, HardwareCluster, Machine, WeightAsset
 from opsched.model import ModelOptions, build_model, set_primal_bound
+from opsched.simulate import verify
 
-from conftest import (cluster, edge, graph, op, packed_search_oracle,
-                      solution_text)
+from conftest import (brute_force_dynamic_makespan, brute_force_makespan,
+                      candidate_order_oracle, cluster, edge, graph, op)
 
 
 @st.composite
 def packed_cases(draw):
-    """3-9 ops of integral duration >= 1 on 1-3 machines, zero comm,
+    """3-6 ops of integral duration >= 1 on 1-3 machines, zero comm,
     total work a multiple of the machine count; binding memory caps or
-    none, and sparse channels."""
+    none, and sparse channels. The primal bound is the load bound."""
     nm = draw(st.integers(1, 3))
     weights = [WeightAsset(f"w{k}", draw(st.integers(1, 2)))
                for k in range(draw(st.integers(0, 2)))]
@@ -28,7 +30,7 @@ def packed_cases(draw):
               mem=draw(st.sampled_from([0, 0, 1])),
               act=draw(st.sampled_from([-1, 0, 1, 1, 2])),
               refs=[w.id for w in weights if draw(st.booleans())])
-           for k in range(draw(st.integers(3, 9)))]
+           for k in range(draw(st.integers(3, 6)))]
     last = ops[-1]
     extra = -sum(o.duration for o in ops) % nm
     ops[-1] = op(last.id, last.duration + extra, mem=last.weight_mem,
@@ -51,108 +53,137 @@ def packed_cases(draw):
     return model, cfg
 
 
-def _outcome(search, complete):
-    inc = search.incumbent
-    return (complete, search.nodes, search.stop,
-            None if inc is None else solution_text(inc))
-
-
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(case=packed_cases())
-def test_saturation_search_matches_oracle(case):
+def test_tight_limit_search_matches_brute_force(case):
     model, cfg = case
-    search = solver._Search(model, cfg, None)
-    complete = search._run_packed()
-    assert complete is not None  # the preconditions hold by construction
-    oracle = solver._Search(model, cfg, None)
-    assert _outcome(search, complete) == \
-        _outcome(oracle, packed_search_oracle(oracle))
+    sol = solver.solve(model, cfg)
+    best = brute_force_makespan(model.graph, model.cluster,
+                                model.options.memory_capped)
+    fits = best is not None and best <= model.primal_bound
+    assert (sol.objective is not None) == fits
+    if fits:
+        assert sol.status == "optimal" and sol.objective == best
+        assert verify(model.graph, model.cluster, sol,
+                      model.options).feasible
+    else:
+        assert sol.stats["stop"] == "exhausted"
 
 
-def _two_machines(ops, edges, bound):
-    h = HardwareCluster([Machine("m0", 3), Machine("m1", 3)],
-                        [Channel("m0", "m1"), Channel("m1", "m0")])
-    g = graph([op(i, d, act=a) for (i, d, a) in ops],
-              [edge(x, y) for (x, y) in edges])
-    return set_primal_bound(
-        build_model(g, h, ModelOptions(memory_capped=True)), bound)
+@st.composite
+def loading_cases(draw):
+    """2-4 ops of integral duration >= 1 on 1-2 machines that load their
+    weights at integral costs, zero comm, total work a multiple of the
+    machine count, capped; the primal bound is the load bound."""
+    nm = draw(st.integers(1, 2))
+    weights = [WeightAsset(f"w{k}", draw(st.integers(1, 2)),
+                           draw(st.sampled_from([0, 0, 1])),
+                           draw(st.sampled_from([0, 0, 1])))
+               for k in range(draw(st.integers(1, 2)))]
+    ops = [op(f"o{k}", draw(st.integers(1, 2)),
+              act=draw(st.sampled_from([-1, 0, 0, 1])),
+              refs=[w.id for w in weights if draw(st.booleans())])
+           for k in range(draw(st.integers(2, 4)))]
+    last = ops[-1]
+    extra = -sum(o.duration for o in ops) % nm
+    ops[-1] = op(last.id, last.duration + extra,
+                 act=last.activation_delta, refs=last.weight_refs)
+    edges = [edge(a.id, b.id) for k, a in enumerate(ops) for b in ops[k + 1:]
+             if draw(st.integers(0, 3)) == 0]
+    g = graph(ops, edges, weights)
+    # every op fits an empty machine with its weights loaded
+    size = {w.id: w.size for w in weights}
+    need = max(sum(size[r] for r in o.weight_refs) + max(0, o.activation_delta)
+               for o in ops)
+    model = build_model(g, cluster(nm, cap=max(1, need)
+                                   + draw(st.integers(0, 2))),
+                        ModelOptions(memory_capped=True,
+                                     dynamic_loading=True))
+    return set_primal_bound(model, g.total_duration() // nm)
 
 
-# without the aggregate deadline-work cut these take 32 and 34 nodes
-DEADLINE_WORK_CASES = {
-    "stops-at-a-schedule": (_two_machines(
-        [("o0", 1, 1), ("o1", 3, -1), ("o2", 1, -1), ("o3", 1, -1),
-         ("o4", 3, 0), ("o5", 1, 0), ("o6", 1, 1), ("o7", 1, -1)],
-        [("o0", "o1"), ("o2", "o7"), ("o3", "o6"), ("o4", "o5"),
-         ("o4", "o6"), ("o5", "o7"), ("o6", "o7")], 6), 23),
-    "exhausts": (_two_machines(
-        [("o0", 2, 1), ("o1", 2, 0), ("o2", 2, 0), ("o3", 2, 1),
-         ("o4", 1, 0), ("o5", 1, 1), ("o6", 1, 1), ("o7", 1, 1),
-         ("o8", 1, 0), ("o9", 3, 1)],
-        [("o0", "o1"), ("o0", "o2"), ("o1", "o4"), ("o1", "o7"),
-         ("o2", "o4"), ("o2", "o6"), ("o3", "o6"), ("o4", "o6"),
-         ("o4", "o9"), ("o5", "o7"), ("o7", "o8"), ("o7", "o9")], 8), 16),
-}
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(model=loading_cases())
+def test_tight_limit_search_matches_brute_force_when_loading(model):
+    # a load that takes time leaves no schedule within the bound
+    sol = solver.solve(model, solver.SolveConfig(node_limit=20000))
+    best = brute_force_dynamic_makespan(model.graph, model.cluster)
+    fits = best is not None and best <= model.primal_bound
+    assert (sol.objective is not None) == fits
+    if fits:
+        assert sol.status == "optimal" and sol.objective == best
+    else:
+        assert sol.stats["stop"] == "exhausted"
 
 
-@pytest.mark.parametrize("name", DEADLINE_WORK_CASES)
-def test_deadline_work_cut_matches_oracle(name):
-    # random small instances rarely need this cut to prune
-    model, nodes = DEADLINE_WORK_CASES[name]
-    cfg = solver.SolveConfig(node_limit=2000)
-    search = solver._Search(model, cfg, None)
-    oracle = solver._Search(model, cfg, None)
-    assert _outcome(search, search._run_packed()) == \
-        _outcome(oracle, packed_search_oracle(oracle))
-    assert search.nodes == nodes
+class _PlainListSearch(solver._Search):
+    """Checks that every candidate list is the plain DFS order less the
+    pairs over the limit: no tight-limit rule leaves a pair out."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lists = 0
+
+    def _candidate_list(self, state, last, lim):
+        cands = super()._candidate_list(state, last, lim)
+        dur = self.inst.dur
+        assert cands == [c for c in candidate_order_oracle(self, state, last)
+                         if not c[0] + dur[c[2]] > lim]
+        self.lists += 1
+        return cands
 
 
-@pytest.mark.parametrize("budget", [0, 1, 7])
-def test_node_budget_stops_both_alike(budget):
-    # a stop inside the search must leave the same partial picture
-    g = graph([op("a", 2), op("b", 1), op("c", 1), op("d", 2)],
-              [edge("a", "c"), edge("b", "d")])
-    h = HardwareCluster([Machine("m0", 9), Machine("m1", 9)],
-                        [Channel("m0", "m1"), Channel("m1", "m0")])
-    model = set_primal_bound(
-        build_model(g, h, ModelOptions(memory_capped=True)), 3)
-    cfg = solver.SolveConfig(node_limit=budget)
-    search = solver._Search(model, cfg, None)
-    oracle = solver._Search(model, cfg, None)
-    assert _outcome(search, search._run_packed()) == \
-        _outcome(oracle, packed_search_oracle(oracle))
-
-
-def _chain_model(durs=(1, 1, 2), comm=0, options=ModelOptions(), bound=2):
+def _chain_model(durs=(1, 1, 2), comm=0, bound=2):
     g = graph([op(f"o{k}", d) for k, d in enumerate(durs)],
               [edge("o0", "o1", comm)])
-    model = build_model(g, cluster(2), options)
+    model = build_model(g, cluster(2))
     return model if bound is None else set_primal_bound(model, bound)
 
 
-# each breaks one precondition; the rest hold
+# each breaks one precondition of the tight-limit rules; the rest hold.
+# Uncapped, so no memory step fails. Each maps to its optimum within
+# the bound, None when there is none.
 NOT_PACKED = {
-    "zero-duration": _chain_model(durs=(0, 2, 2)),
-    "dynamic-loading": _chain_model(options=ModelOptions(
-        dynamic_loading=True)),
-    "fractional-duration": _chain_model(durs=(1.5, 1.5, 1)),
-    "timed-transfer": _chain_model(comm=1),
-    "no-limit": _chain_model(bound=None),
-    "limit-above-load": _chain_model(bound=3),
+    "zero-duration": (_chain_model(durs=(0, 2, 2)), 2),
+    "fractional-duration": (_chain_model(durs=(1.5, 1.5, 1)), None),
+    # a schedule within 1.5 leaves m1 idle from 0.5 on
+    "fractional-bound": (_chain_model(durs=(1, 0.5, 0.5), bound=1.5), 1.5),
+    "timed-transfer": (_chain_model(comm=1), 2),
+    "no-limit": (_chain_model(bound=None), 2),
+    "limit-above-load": (_chain_model(bound=3), 2),
 }
 
 
 @pytest.mark.parametrize("name", NOT_PACKED)
 def test_preconditions_leave_the_search_to_the_dfs(name):
-    search = solver._Search(NOT_PACKED[name], solver.SolveConfig(), None)
-    assert search._run_packed() is None
-    assert search.nodes == 0
+    model, optimum = NOT_PACKED[name]
+    search = _PlainListSearch(model, solver.SolveConfig(), None)
+    search._dfs(solver._State(search.inst))
+    assert search.incumbent_obj == optimum
+    # with no limit the first leaf meets the root bound before any list
+    assert (search.lists > 0) == (model.primal_bound is not None)
+
+
+def test_zero_duration_op_readies_its_successor_at_its_start():
+    # k (duration 0) fits only m1, j only m0, and j follows k at time 0;
+    # the machine-order rule would forbid j on m0 after k on m1 at one
+    # start, so zero durations must leave the rules off
+    g = graph([op("k", 0, mem=3), op("j", 1, mem=1), op("x", 1)],
+              [edge("k", "j")])
+    h = HardwareCluster([Machine("m0", 1), Machine("m1", 3)],
+                        [Channel("m1", "m0")])
+    model = set_primal_bound(
+        build_model(g, h, ModelOptions(memory_capped=True)), 1)
+    assert brute_force_makespan(g, h) == 1
+    sol = solver.solve(model)
+    assert (sol.status, sol.objective) == ("optimal", 1)
+    assert sol.assignment == {"j": "m0", "k": "m1", "x": "m1"}
 
 
 def test_empty_graph_is_one_leaf():
     model = dataclasses.replace(build_model(graph([]), cluster(2)),
                                 primal_bound=0)
     search = solver._Search(model, solver.SolveConfig(), None)
-    assert search._run_packed() is True
+    assert search._dfs(solver._State(search.inst)) is True
     assert (search.nodes, search.incumbent_obj) == (1, 0)
     assert search.incumbent.assignment == search.incumbent.op_times == {}

@@ -9,9 +9,9 @@ from opsched.model import (ModelError, ModelOptions, build_model,
 from opsched.scenarios import (DualPipeSpec, RandomDagSpec,
                                dualpipe_primal_bound, dualpipe_reference,
                                gen_dualpipe, gen_random_dag)
-from opsched.simulate import verify
+from opsched.simulate import verify, warm_start
 from opsched.solver import (SolveConfig, SolveError, Solution, refine_idle,
-                            solve, warm_start)
+                            solve)
 
 from conftest import (brute_force_dynamic_makespan, brute_force_makespan,
                       cluster, edge, graph, op, random_small_instance,
@@ -129,7 +129,7 @@ class TestBoundsAndLimits:
 
     def test_uncapped_model_ignores_capacity_at_primal_bound(self):
         # weight_mem 5 exceeds capacity 1, which an uncapped model ignores;
-        # the bound 2 leaves no idle, so the saturation search runs
+        # the bound 2 leaves no idle, so the DFS's tight-limit rules apply
         g = graph([op(k, 1, mem=5) for k in "abcd"])
         model = build(g, cluster(2, cap=1))
         assert solve(model).objective == 2
@@ -312,10 +312,13 @@ class TestSolveConfig:
                 for _ in range(2)]
         assert runs == [{"bound-before-dispatch": 155,
                          "bound-after-dispatch": 168, "memory": 100}] * 2
-        # the saturation search (the bound leaves no idle) and the
-        # fixed-assignment enumeration count none
+        # under a bound that leaves no idle the pairs the rules leave out
+        # count nowhere, and all 609 rejections are for memory
         bounded = set_primal_bound(model, dualpipe_primal_bound(spec))
-        assert "pruned" not in solve(bounded).stats
+        assert solve(bounded).stats["pruned"] == {
+            "bound-before-dispatch": 0, "bound-after-dispatch": 0,
+            "memory": 609}
+        # the fixed-assignment enumeration counts none
         g = graph([op("a", 1), op("b", 2)], [edge("a", "b", comm=1)])
         assert "pruned" not in solve(build(g, cluster(2))).stats
 
