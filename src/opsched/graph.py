@@ -8,13 +8,24 @@ iteration is in id order so downstream model building is reproducible.
 `load_computation_graph` and `load_cluster` build them from parsed JSON
 documents, and the `dump_*` functions are their inverses; the CLI alone
 reads and writes the JSON text.
+
+A loader checks a document one field column at a time: each distinct
+key order of a section's entries once, then, for the operations and the
+edges, each column of numbers with one predicate (`all_finite_numbers`)
+and each column of ids at once. When every column of such a section
+passes, its entries become dataclasses without running their
+`__post_init__` checks again. When any column fails, the section is
+built entry by entry, as direct constructor calls build it, so the
+first bad entry raises the error it always raised, word for word.
 """
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from itertools import repeat, starmap
+from typing import Any, Iterable, Mapping, Sequence
 
 
 class GraphError(ValueError):
@@ -27,6 +38,29 @@ def is_finite_number(value: Any) -> bool:
         return False
     try:
         return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+_NUMBER_TYPES = {int, float}
+
+
+def all_finite_numbers(column: Sequence, allow_negative: bool = False
+                       ) -> bool:
+    """Whether every value of `column` is an exact int or float that is
+    finite, and >= 0 unless `allow_negative`. It may read False where
+    per-value checks would pass: for a subclass of int or float other
+    than bool, and for finite values whose sum passes the float range.
+    A caller that reads False checks value by value."""
+    if not set(map(type, column)) <= _NUMBER_TYPES:
+        return False
+    # a sum of values >= 0 is at least each of them (rounding to nearest
+    # is monotone) and NaN where one of them is, so it is finite only
+    # when every value is; a NaN-free column's min is its least value
+    try:
+        if allow_negative:
+            return math.isfinite(sum(map(abs, column)))
+        return math.isfinite(sum(column)) and min(column, default=0) >= 0
     except OverflowError:  # an int beyond the float range
         return False
 
@@ -52,6 +86,8 @@ class Operation:
     weight_refs: tuple[str, ...] = ()
 
     def __post_init__(self):
+        # `_operations` repeats these checks by column for a loaded
+        # document; a check added here must be added there too
         # a solution document keys each transfer "producer->consumer"
         if "->" in self.id:
             raise GraphError(f"operation id {self.id!r} contains '->'")
@@ -70,6 +106,8 @@ class DependencyEdge:
     comm_duration: float = 0
 
     def __post_init__(self):
+        # `_edges` repeats these checks by column for a loaded document;
+        # a check added here must be added there too
         if self.producer == self.consumer:
             raise GraphError(f"self-dependency on {self.producer!r}")
         _check_number(self.comm_duration, "comm_duration",
@@ -95,38 +133,71 @@ class WeightAsset:
         _check_number(self.unload_cost, "unload_cost", self.id)
 
 
+def _sorted(by_key: dict) -> dict:
+    """`by_key` in key order (itself, when it is in that order already)."""
+    keys = sorted(by_key)
+    return by_key if keys == list(by_key) else {k: by_key[k] for k in keys}
+
+
+def _by_id(items: Iterable, what: str) -> dict:
+    """`items` keyed by id, in id order; a repeated id raises."""
+    items = list(items)
+    by_id = {x.id: x for x in items}
+    if len(by_id) != len(items):
+        seen = set()
+        for x in items:
+            if x.id in seen:
+                raise GraphError(f"duplicate {what} id {x.id!r}")
+            seen.add(x.id)
+    return _sorted(by_id)
+
+
+def _adjacency(ops: Mapping, edges: Iterable[tuple[str, str]]):
+    """Each op's successors and predecessors, in the order of `edges`, or
+    None when an edge has an end that is not in `ops`."""
+    succ: dict[str, list[str]] = {i: [] for i in ops}
+    pred: dict[str, list[str]] = {i: [] for i in ops}
+    try:
+        for (a, b) in edges:
+            succ[a].append(b)
+            pred[b].append(a)
+    except KeyError:
+        return None
+    return ({i: tuple(v) for i, v in succ.items()},
+            {i: tuple(v) for i, v in pred.items()})
+
+
+def _raise_first_bad_edge(edges: list[DependencyEdge], ops: Mapping):
+    """Raise the error of the first edge, in order, with an unknown end or
+    a key an earlier edge has."""
+    seen = set()
+    for e in edges:
+        for end in (e.producer, e.consumer):
+            if end not in ops:
+                raise GraphError(
+                    f"edge {e.producer!r}->{e.consumer!r} references "
+                    f"unknown operation {end!r}")
+        if (e.producer, e.consumer) in seen:
+            raise GraphError(f"duplicate edge {e.producer!r}->{e.consumer!r}")
+        seen.add((e.producer, e.consumer))
+
+
 class ComputationGraph:
     """Immutable DAG of operations with dependency edges."""
 
     def __init__(self, operations: Iterable[Operation],
                  edges: Iterable[DependencyEdge] = (),
                  weights: Iterable[WeightAsset] = ()):
-        ops: dict[str, Operation] = {}
-        for op in operations:
-            if op.id in ops:
-                raise GraphError(f"duplicate operation id {op.id!r}")
-            ops[op.id] = op
-        self._ops = dict(sorted(ops.items()))
+        self._ops = _by_id(operations, "operation")
+        self._weights = _by_id(weights, "weight")
 
-        wts: dict[str, WeightAsset] = {}
-        for w in weights:
-            if w.id in wts:
-                raise GraphError(f"duplicate weight id {w.id!r}")
-            wts[w.id] = w
-        self._weights = dict(sorted(wts.items()))
-
-        edge_map: dict[tuple[str, str], DependencyEdge] = {}
-        for e in edges:
-            for end in e.key:
-                if end not in self._ops:
-                    raise GraphError(
-                        f"edge {e.producer!r}->{e.consumer!r} references "
-                        f"unknown operation {end!r}")
-            if e.key in edge_map:
-                raise GraphError(
-                    f"duplicate edge {e.producer!r}->{e.consumer!r}")
-            edge_map[e.key] = e
-        self._edges = dict(sorted(edge_map.items()))
+        edges = list(edges)
+        edge_map = {(e.producer, e.consumer): e for e in edges}
+        self._edges = _sorted(edge_map)
+        adjacency = _adjacency(self._ops, self._edges)
+        if adjacency is None or len(edge_map) != len(edges):
+            _raise_first_bad_edge(edges, self._ops)
+        self._succ, self._pred = adjacency
 
         for op in self._ops.values():
             for ref in op.weight_refs:
@@ -153,15 +224,16 @@ class ComputationGraph:
                 raise GraphError(f"the graph's {what} sum past the float "
                                  "range")
 
-        succ: dict[str, list[str]] = {i: [] for i in self._ops}
-        pred: dict[str, list[str]] = {i: [] for i in self._ops}
-        for (a, b) in self._edges:
-            succ[a].append(b)
-            pred[b].append(a)
-        self._succ = {i: tuple(v) for i, v in succ.items()}
-        self._pred = {i: tuple(v) for i, v in pred.items()}
-
-        self._topo = self._compute_topo()
+        # Kahn's algorithm pops the smallest-id op whose predecessors are
+        # all placed. When every edge goes from a smaller id to a larger
+        # one, the k-th smallest id is ready once the k - 1 smaller ones
+        # are placed (its predecessors are among them) and is the
+        # smallest unplaced id, so Kahn places the ids in ascending order,
+        # and no cycle can close
+        if all(starmap(operator.lt, self._edges)):
+            self._topo = tuple(self._ops)
+        else:
+            self._topo = self._compute_topo()
 
     # -- accessors ---------------------------------------------------------
 
@@ -259,14 +331,9 @@ class HardwareCluster:
 
     def __init__(self, machines: Iterable[Machine],
                  channels: Iterable[Channel] = ()):
-        ms: dict[str, Machine] = {}
-        for m in machines:
-            if m.id in ms:
-                raise GraphError(f"duplicate machine id {m.id!r}")
-            ms[m.id] = m
-        if not ms:
+        self._machines = _by_id(machines, "machine")
+        if not self._machines:
             raise GraphError("cluster has no machines")
-        self._machines = dict(sorted(ms.items()))
 
         chans: dict[tuple[str, str], Channel] = {}
         for c in channels:
@@ -318,10 +385,14 @@ def _entries(doc: Mapping, key: str, what: str, required: tuple[str, ...],
     entries = doc.get(key, [])
     # `dict`, not `Mapping`: an ABC check per entry costs several times more
     if not (isinstance(entries, list)
-            and all(isinstance(e, dict) for e in entries)):
+            and all(map(isinstance, entries, repeat(dict)))):
         raise GraphError(f"{key} must be a list of objects, got {entries!r}")
     need = set(required)
     allowed = need.union(optional)
+    # the entries of a document share a few key orders; check each once
+    if all(need <= set(order) <= allowed
+           for order in set(map(tuple, entries))):
+        return entries
     for entry in entries:
         unknown = entry.keys() - allowed
         if unknown:
@@ -332,6 +403,20 @@ def _entries(doc: Mapping, key: str, what: str, required: tuple[str, ...],
     return entries
 
 
+def _column(entries: list[dict], key: str, default: Any = None) -> list:
+    """Each entry's `key`, or `default` where it is absent; a `default`
+    of None reads a required key."""
+    if default is None:
+        return [e[key] for e in entries]
+    return [e.get(key, default) for e in entries]
+
+
+def _ids(entries: list[dict], key: str) -> list[str]:
+    """Each entry's `key` as a string."""
+    ids = _column(entries, key)
+    return ids if set(map(type, ids)) <= {str} else list(map(str, ids))
+
+
 def _weight_refs(entry: Mapping) -> tuple[str, ...]:
     refs = entry.get("weight_refs", [])
     if not isinstance(refs, list):
@@ -340,19 +425,75 @@ def _weight_refs(entry: Mapping) -> tuple[str, ...]:
     return tuple(map(str, refs))
 
 
+def _operations(entries: list[dict]) -> list[Operation]:
+    ids = _ids(entries, "id")
+    duration = _column(entries, "duration")
+    weight_mem = _column(entries, "weight_mem", 0)
+    activation = _column(entries, "activation_delta", 0)
+    refs = _column(entries, "weight_refs", [])
+    # "\0" holds neither '-' nor '>', so no '->' spans two ids
+    if (set(map(type, refs)) <= {list} and "->" not in "\0".join(ids)
+            and all_finite_numbers(duration)
+            and all_finite_numbers(weight_mem)
+            and all_finite_numbers(activation, allow_negative=True)):
+        # set field by field in field order, as `__init__` sets them,
+        # which keeps the compact attribute storage constructed ops share
+        new, set_attr = object.__new__, object.__setattr__
+        ops = []
+        for i, d, w, a, r in zip(ids, duration, weight_mem, activation,
+                                 refs):
+            op = new(Operation)
+            set_attr(op, "id", i)
+            set_attr(op, "duration", d)
+            set_attr(op, "weight_mem", w)
+            set_attr(op, "activation_delta", a)
+            set_attr(op, "weight_refs", tuple(map(str, r)) if r else ())
+            ops.append(op)
+        return ops
+    return [Operation(id=str(e["id"]), duration=e["duration"],
+                      weight_mem=e.get("weight_mem", 0),
+                      activation_delta=e.get("activation_delta", 0),
+                      weight_refs=_weight_refs(e))
+            for e in entries]
+
+
+def _edges(entries: list[dict]) -> list[DependencyEdge]:
+    producers = _ids(entries, "from")
+    consumers = _ids(entries, "to")
+    comm = _column(entries, "comm_duration", 0)
+    if (not any(map(operator.eq, producers, consumers))
+            and all_finite_numbers(comm)):
+        new, set_attr = object.__new__, object.__setattr__
+        edges = []
+        for a, b, c in zip(producers, consumers, comm):
+            e = new(DependencyEdge)
+            set_attr(e, "producer", a)
+            set_attr(e, "consumer", b)
+            set_attr(e, "comm_duration", c)
+            edges.append(e)
+        return edges
+    return [DependencyEdge(producer=str(e["from"]), consumer=str(e["to"]),
+                           comm_duration=e.get("comm_duration", 0))
+            for e in entries]
+
+
 def load_computation_graph(doc: Mapping) -> ComputationGraph:
-    """Validate a parsed graph document and build its graph."""
+    """Validate a parsed graph document and build its graph.
+
+    The operations and the edges are checked by field column: their
+    numbers with `all_finite_numbers`, their ids for '->' and self
+    edges, the ops' `weight_refs` for lists. A section whose columns all
+    pass becomes dataclasses without per-entry checks; a section with a
+    failing column is built entry by entry instead, whose checks raise
+    the first bad entry's error exactly as a constructor call would. The
+    few weights are built by their constructors."""
     _check_root(doc, {"operations", "edges", "weights"}, "graph document")
-    ops = [Operation(id=str(e["id"]), duration=e["duration"],
-                     weight_mem=e.get("weight_mem", 0),
-                     activation_delta=e.get("activation_delta", 0),
-                     weight_refs=_weight_refs(e))
-           for e in _entries(doc, "operations", "operation", ("id", "duration"),
-                             ("weight_mem", "activation_delta", "weight_refs"))]
-    edges = [DependencyEdge(producer=str(e["from"]), consumer=str(e["to"]),
-                            comm_duration=e.get("comm_duration", 0))
-             for e in _entries(doc, "edges", "edge", ("from", "to"),
-                               ("comm_duration",))]
+    ops = _operations(_entries(doc, "operations", "operation",
+                               ("id", "duration"),
+                               ("weight_mem", "activation_delta",
+                                "weight_refs")))
+    edges = _edges(_entries(doc, "edges", "edge", ("from", "to"),
+                            ("comm_duration",)))
     weights = [WeightAsset(id=str(e["id"]), size=e["size"],
                            load_cost=e.get("load_cost", 0),
                            unload_cost=e.get("unload_cost", 0))

@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 import time as _time
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field, replace
@@ -1061,7 +1062,15 @@ def solve(model: ScheduleModel, cfg: SolveConfig | None = None, *,
         complete_mode = True
     else:
         dfs = True
-        exhausted = search._dfs(_State(inst))
+        # `_dfs` recurses once per placed op, on top of the caller's stack;
+        # since CPython 3.11 (the oldest Python the package supports) a
+        # Python-to-Python call takes no C stack, so depth n is safe
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + inst.n)
+        try:
+            exhausted = search._dfs(_State(inst))
+        finally:
+            sys.setrecursionlimit(limit)
 
     sol = search.incumbent
     root = search.root

@@ -8,7 +8,8 @@ ground truth for small instances. The MIP oracle hands the model's
 constraint store to HiGHS, so it judges the exported model rather than
 the search. The search oracles at the end are earlier forms of the
 solver's own search steps, kept to check that a faster form makes the
-same decisions.
+same decisions, and `kahn_order` is the graph's topological order
+computed the slow way.
 """
 from __future__ import annotations
 
@@ -381,6 +382,26 @@ def random_loading_instance(rng):
         chans.append(Channel("m1", "m0"))
     h = HardwareCluster(machines, chans)
     return g, h
+
+
+# -- topological-order oracle ------------------------------------------------
+
+
+def kahn_order(g):
+    """Kahn's algorithm as a plain scan: place the smallest id whose
+    predecessors are all placed, until none is left. None when a cycle
+    leaves ops unplaced."""
+    preds = {i: set() for i in g.operations}
+    for (a, b) in g.edges:
+        preds[b].add(a)
+    placed, order = set(), []
+    while len(order) < len(preds):
+        ready = [i for i in preds if i not in placed and preds[i] <= placed]
+        if not ready:
+            return None
+        order.append(min(ready))
+        placed.add(order[-1])
+    return tuple(order)
 
 
 # -- DFS candidate-order oracle ----------------------------------------------

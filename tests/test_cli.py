@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import sys
 import weakref
 
 import pytest
@@ -572,6 +573,22 @@ class TestSolve:
         inst = _write(tmp_path / "inst.json", ONE_OP)
         assert main(["solve", "-i", inst, "-o", str(tmp_path / "out.json")]
                     + limit) == EXIT_OK
+
+    def test_dag_deeper_than_the_recursion_limit_solves(self, tmp_path,
+                                                         capsys):
+        # the DFS recurses once per placed op; at 1,000 ops it ended in a
+        # RecursionError traceback
+        inst, sol, rep = (str(tmp_path / f"{name}.json")
+                          for name in ("inst", "sol", "rep"))
+        limit = sys.getrecursionlimit()
+        assert main(["gen", "random", "--nodes", "1000", "--seed", "0",
+                     "--machines", "3", "-o", inst]) == EXIT_OK
+        assert main(["solve", "-i", inst, "--node-limit", "5000",
+                     "-o", sol]) == EXIT_OK
+        assert main(["verify", "-i", sol, "-o", rep]) == EXIT_OK
+        assert json.loads((tmp_path / "rep.json").read_text())["feasible"]
+        assert "Traceback" not in capsys.readouterr().err
+        assert sys.getrecursionlimit() == limit
 
     def test_stats_only_when_asked(self, tmp_path):
         inst = str(tmp_path / "inst.json")

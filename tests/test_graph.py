@@ -1,13 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opsched.graph import (Channel, DependencyEdge, GraphError,
                            HardwareCluster, Machine, Operation, WeightAsset,
                            dump_cluster, dump_computation_graph, load_cluster,
                            load_computation_graph)
 
-from conftest import cluster, edge, graph, op
+from conftest import cluster, edge, graph, kahn_order, op
 
 
 class TestOperationValidation:
@@ -187,3 +189,58 @@ class TestSerialization:
     def test_root_must_be_object(self):
         with pytest.raises(GraphError):
             load_computation_graph(json.loads("[1, 2]"))
+
+
+@st.composite
+def random_dags(draw, ascending):
+    """A DAG on up to 12 ops, with up to 2 weights, whose edges all go
+    from a lower index to a higher one. With `ascending` the ids sort as
+    the indices, so every edge goes from a smaller id to a larger one;
+    else they are shuffled."""
+    n = draw(st.integers(1, 12))
+    ids = [f"o{i:02d}" for i in range(n)]
+    if not ascending:
+        ids = draw(st.permutations(ids))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)
+                  if pairs else st.just([]))
+    durations = draw(st.lists(st.integers(0, 9) | st.floats(0, 1e6),
+                              min_size=n, max_size=n))
+    activations = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    weights = [WeightAsset(f"w{k}", k + 1, load_cost=k)
+               for k in range(draw(st.integers(0, 2)))]
+    refs = [draw(st.lists(st.sampled_from([w.id for w in weights]),
+                          unique=True) if weights else st.just([]))
+            for _ in range(n)]
+    ops = [op(ids[i], durations[i], mem=i % 3, act=activations[i],
+              refs=refs[i])
+           for i in range(n)]
+    edges = [edge(ids[i], ids[j], comm=(i + j) % 2) for i, j in chosen]
+    return graph(ops, edges, weights)
+
+
+class TestProperties:
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(g=random_dags(ascending=False))
+    def test_load_inverts_dump(self, g):
+        assert load_computation_graph(dump_computation_graph(g)) == g
+        text = json.dumps(dump_computation_graph(g))
+        assert load_computation_graph(json.loads(text)) == g
+
+    @pytest.mark.parametrize("ascending", [True, False],
+                             ids=["ascending-ids", "shuffled-ids"])
+    @settings(max_examples=80, derandomize=True, database=None,
+              deadline=None)
+    @given(data=st.data())
+    def test_topo_order_is_smallest_id_first_kahn(self, ascending, data):
+        g = data.draw(random_dags(ascending))
+        assert g.topo_order() == kahn_order(g)
+        if ascending:
+            assert all(a < b for a, b in g.edges)
+
+    def test_descending_ids_take_the_heap(self):
+        # every edge goes from a larger id to a smaller one
+        g = graph([op(i) for i in "dcba"],
+                  [edge("d", "c"), edge("c", "b"), edge("d", "a")])
+        assert g.topo_order() == kahn_order(g) == ("d", "a", "c", "b")

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -10,8 +11,8 @@ from opsched.scenarios import (DualPipeSpec, RandomDagSpec,
                                dualpipe_primal_bound, dualpipe_reference,
                                gen_dualpipe, gen_random_dag)
 from opsched.simulate import verify, warm_start
-from opsched.solver import (SolveConfig, SolveError, Solution, refine_idle,
-                            solve)
+from opsched.solver import (SolveConfig, SolveError, Solution, _Search,
+                            refine_idle, solve)
 
 from conftest import (brute_force_dynamic_makespan, brute_force_makespan,
                       cluster, edge, graph, op, random_small_instance,
@@ -328,3 +329,21 @@ class TestSolveConfig:
         sol = solve(build(g, cluster(2)))
         assert sol.status == "optimal" and sol.objective == 4
         assert sol.stats["stop"] == "exhausted"
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython"
+                    or sys.version_info[:2] != (3, 11),
+                    reason="frame sizes are CPython 3.11's")
+def test_dfs_frame_does_not_grow():
+    # a version of `_dfs` with one more parameter and two more locals made
+    # the coarse solves of coarsen-chain DAGs 9 and 10 (benchmark seed 0)
+    # take 45 ms instead of 13, with 4,248 minor page faults per solve
+    # instead of 8: its frames crossed a chunk of the interpreter's data
+    # stack at a depth the search keeps returning to
+    code = _Search._dfs.__code__
+    assert code.co_nlocals <= 24 and code.co_stacksize <= 11, (
+        f"_dfs has {code.co_nlocals} locals and stack {code.co_stacksize}. "
+        "Before raising either bound, count the minor page faults of each "
+        "coarse and direct solve of coarsen-chain (resource.getrusage "
+        "around `solve`, DAG seeds 0-11) against the parent commit, and "
+        "time those solves.")
